@@ -223,14 +223,6 @@ def cmd_solve(cfg, out_dir):
     return EXIT_OK
 
 
-def _convergence_one(task):
-    (name, family, degree, stab_args, scheme_kind, cfl, dx1, convention) = task
-    problem = PROBLEMS[name]()
-    rep = convergence_study(problem, family, degree, StabilizationSpec(*stab_args),
-                            scheme_kind, cfl, dx1_values=dx1, convention=convention)
-    return rep
-
-
 def cmd_convergence(cfg, out_dir):
     comb = _combination(cfg)
     name = cfg.get("problem", "advection")

@@ -108,23 +108,29 @@ def _eig3(A):
 
 
 def _char_residual(A, lam):
-    """|det(A - lam I)| for each eigenvalue, batched, n <= 4."""
+    """|det(A - lam I)| for each eigenvalue, batched, n <= 4.
+
+    Up to n = 3 the cofactor expansion reads A's entries directly and
+    shifts only the diagonal, so no shifted copy of A is formed.
+    """
     n = A.shape[-1]
+    if n > 3:
+        return np.stack([np.abs(np.linalg.det(A - lam[..., i, None, None] * np.eye(n)))
+                         for i in range(lam.shape[-1])], axis=-1)
+    a = [[A[..., r, c] for c in range(n)] for r in range(n)]
     out = np.empty(lam.shape)
     for i in range(lam.shape[-1]):
-        B = A - lam[..., i][..., None, None] * np.eye(n)
+        b = [[a[r][c] - lam[..., i] if r == c else a[r][c] for c in range(n)] for r in range(n)]
         if n == 1:
-            det = B[..., 0, 0]
+            det = b[0][0]
         elif n == 2:
-            det = B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
-        elif n == 3:
-            det = (
-                B[..., 0, 0] * (B[..., 1, 1] * B[..., 2, 2] - B[..., 1, 2] * B[..., 2, 1])
-                - B[..., 0, 1] * (B[..., 1, 0] * B[..., 2, 2] - B[..., 1, 2] * B[..., 2, 0])
-                + B[..., 0, 2] * (B[..., 1, 0] * B[..., 2, 1] - B[..., 1, 1] * B[..., 2, 0])
-            )
+            det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
         else:
-            det = np.linalg.det(B)
+            det = (
+                b[0][0] * (b[1][1] * b[2][2] - b[1][2] * b[2][1])
+                - b[0][1] * (b[1][0] * b[2][2] - b[1][2] * b[2][0])
+                + b[0][2] * (b[1][0] * b[2][1] - b[1][1] * b[2][0])
+            )
         out[..., i] = np.abs(det)
     return out
 
@@ -355,28 +361,37 @@ def _z_matrix(builder, theta, delta, cfl, convention):
     return -cfl * factor * np.linalg.solve(M, K)
 
 
-def _dec_propagator(Mt, Kt, Dvec, dt_over_dx_speed, config):
-    """G for deferred correction by iterating the update in symbol space.
+def _dec_cfl_polynomial(M, K, Dvec, scale, config):
+    """Coefficient matrices H_q of the DeC propagator G(cfl) = sum_q cfl^q H_q.
 
-    Mt, Kt are the unit-scaled symbols (possibly batched ...xpxp), Dvec the
-    real lumped diagonal, and dt_over_dx_speed = dt*speed/dx the
-    dimensionless step.  Matches the solver-side update: only D is inverted.
+    M, K are the unit-scaled symbols (possibly batched ...xpxp), Dvec the
+    real lumped diagonal and scale = dt / (cfl dx) for unit speed.  The
+    deferred-correction update is iterated with the time step kept
+    symbolic, inverting only D as the solver does.  Each sweep raises the
+    degree by one, so after sweep s block q > s is zero and is not formed;
+    the final degree equals the iteration count.
     """
-    p = Mt.shape[-1]
-    eye = np.broadcast_to(np.eye(p, dtype=complex), Mt.shape).copy()
+    eye = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape)
     Dinv = 1.0 / Dvec
-    P = Dinv[..., :, None] * Mt          # D^{-1} M
-    W = -dt_over_dx_speed * (Dinv[..., :, None] * Kt)  # dt D^{-1} r-symbol
-    nsub = config.n_sub
-    S = [eye.copy() for _ in range(nsub + 1)]
-    for _ in range(config.n_iter):
-        quad0 = [W @ S[z] for z in range(nsub + 1)]
-        new = [eye]
-        for m in range(1, nsub + 1):
-            acc = sum(rho * quad0[z] for z, rho in enumerate(config.rho[m - 1]) if rho != 0.0)
-            new.append(S[m] - P @ (S[m] - eye) + acc)
-        S = new
-    return S[nsub]
+    P = Dinv[..., :, None] * M            # D^{-1} M
+    W = -scale * (Dinv[..., :, None] * K)  # dt D^{-1} r-symbol per unit cfl
+    zeros = np.zeros_like(eye)
+    subs = [[eye.copy()] for _ in range(config.n_sub + 1)]  # subs[m][q], q <= sweep
+    for sweep in range(1, config.n_iter + 1):
+        quad = [[W @ S for S in Sz] for Sz in subs]   # W @ S_z[q-1], once per sweep
+        new = [subs[0]]                               # the step's start: identity only
+        for m in range(1, config.n_sub + 1):
+            Sm = subs[m]
+            out = [Sm[0] - P @ (Sm[0] - eye)]
+            for q in range(1, sweep + 1):
+                acc = Sm[q] - P @ Sm[q] if q < sweep else zeros
+                for z, rho in enumerate(config.rho[m - 1]):
+                    if rho != 0.0 and q <= len(quad[z]):
+                        acc = acc + rho * quad[z][q - 1]
+                out.append(acc)
+            new.append(out)
+        subs = new
+    return np.stack(subs[config.n_sub], axis=0)  # (n_iter + 1, ..., p, p)
 
 
 def amplification_matrix(ref, stab, scheme, theta, cfl, delta, dx=1.0,
@@ -384,8 +399,9 @@ def amplification_matrix(ref, stab, scheme, theta, cfl, delta, dx=1.0,
     """Fully discrete propagator G for one parameter point.
 
     RK and SSPRK use the expanded stability-polynomial form; deferred
-    correction iterates the matrix update with the lumped diagonal taken
-    from the row sums of the (possibly SUPG-augmented) mass symbol.
+    correction evaluates the cfl polynomial of the iterated matrix update
+    (the one the scans use), with the lumped diagonal taken from the row
+    sums of the (possibly SUPG-augmented) mass symbol.
     """
     if isinstance(ref, tuple):
         ref = build_reference_element(*ref)
@@ -402,11 +418,10 @@ def amplification_matrix(ref, stab, scheme, theta, cfl, delta, dx=1.0,
             Zp = Zp @ Z
             G = G + nu_j * Zp
     else:
-        M = b.mass(theta_arr, delta)
-        K = b.conv(theta_arr, delta)
-        Dvec = b.lumped_diag(delta)
-        factor = cfl * dt_scale(convention, 1.0, ref.degree)
-        G = _dec_propagator(M, K, Dvec, factor, scheme.tableau)
+        H = _dec_cfl_polynomial(b.mass(theta_arr, delta), b.conv(theta_arr, delta),
+                                b.lumped_diag(delta), dt_scale(convention, 1.0, ref.degree),
+                                scheme.tableau)
+        G = np.tensordot(cfl ** np.arange(len(H)), H, axes=1)
     return AmplificationMatrix(float(theta), float(cfl), float(delta), G)
 
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import DEFAULT_CONVENTION, EigenSolveFailure, _builder, dt_scale, eigvals_batched
+from .fourier import (DEFAULT_CONVENTION, EigenSolveFailure, _builder, _dec_cfl_polynomial,
+                      dt_scale, eigvals_batched)
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 K_MAX = 2.0 * np.pi / 3.0
@@ -124,13 +125,12 @@ class ScanResult:
     def mask_csv(self):
         lines = ["# " + self.combination.label(), "# convention=" + self.convention,
                  "cfl,delta,stable,eta_u,eta_w"]
-        for i, c in enumerate(self.cfl_values):
-            for j, d in enumerate(self.delta_values):
-                eu, ew = self.eta_u[i, j], self.eta_w[i, j]
-                lines.append(
-                    f"{c:.12g},{d:.12g},{int(self.stable[i, j])},"
-                    f"{eu:.12g},{ew:.12g}"
-                )
+        deltas = [f"{d:.12g}" for d in self.delta_values.tolist()]
+        for cfl, st, eu, ew in zip(self.cfl_values.tolist(), self.stable.tolist(),
+                                   self.eta_u.tolist(), self.eta_w.tolist()):
+            c = f"{cfl:.12g}"
+            lines.extend(f"{c},{d},{int(s)},{u:.12g},{w:.12g}"
+                         for d, s, u, w in zip(deltas, st, eu, ew))
         return "\n".join(lines) + "\n"
 
 
@@ -138,48 +138,11 @@ def _wavenumbers(n):
     return K_MAX * np.arange(1, n + 1) / n
 
 
-def _dec_cfl_polynomial(M, K, Dvec, scale, config):
-    """Coefficient matrices H_q with G(cfl) = sum_q cfl^q H_q.
-
-    The deferred-correction update is iterated once with the time step kept
-    symbolic; each sweep raises the polynomial degree by one, so the final
-    degree equals the iteration count.
-    """
-    p = M.shape[-1]
-    nq = config.n_iter + 1
-    eye = np.broadcast_to(np.eye(p, dtype=complex), M.shape)
-    Dinv = 1.0 / Dvec
-    P = Dinv[..., :, None] * M
-    W = -scale * (Dinv[..., :, None] * K)
-    zeros = np.zeros_like(eye)
-
-    def fresh():
-        S = [zeros.copy() for _ in range(nq)]
-        S[0] = eye.copy()
-        return S
-
-    subs = [fresh() for _ in range(config.n_sub + 1)]
-    for _ in range(config.n_iter):
-        new = [fresh()]
-        for m in range(1, config.n_sub + 1):
-            Sm = subs[m]
-            out = [None] * nq
-            for q in range(nq):
-                acc = Sm[q] - P @ (Sm[q] - (eye if q == 0 else zeros))
-                if q > 0:
-                    for z, rho in enumerate(config.rho[m - 1]):
-                        if rho != 0.0:
-                            acc = acc + rho * (W @ subs[z][q - 1])
-                out[q] = acc
-            new.append(out)
-        subs = new
-    return np.stack(subs[config.n_sub], axis=0)  # (nq, ..., p, p)
-
-
 def _mode_fields(comb, grid, convention, deltas=None):
-    """lambda(G) for every (cfl, delta, k, mode); returns (lam, dt_row).
+    """lambda(G) for every (cfl, delta, k, mode); returns (lam, dt_row, k, failures).
 
-    Shapes: lam is (n_cfl, n_delta, n_k, p); dt_row is (n_cfl,).
+    Shapes: lam is (n_cfl, n_delta, n_k, p); dt_row is (n_cfl,).  The scans
+    call it one delta column at a time.
     """
     p = comb.degree
     b = _builder(comb.family, p, comb.stab_kind)
@@ -221,11 +184,42 @@ def _mode_fields(comb, grid, convention, deltas=None):
     return lam, dt_row, k, failures
 
 
+def _scan_fields(comb, grid, convention):
+    """Mask and error fields on the (n_cfl, n_delta) grid, one delta column at a time.
+
+    Each column's lambda block is reduced right away: the mask from the
+    largest modulus, then the principal-mode phase and damping and the two
+    functionals on the stable rows only (NaN elsewhere).  Returns
+    (stable, eta_u, eta_w, failed delta columns).
+    """
+    shape = (len(grid.cfl_values), len(grid.delta_values))
+    stable = np.zeros(shape, dtype=bool)
+    eu = np.full(shape, np.nan)
+    ew = np.full(shape, np.nan)
+    failures = 0
+    for j, d in enumerate(grid.delta_values):
+        lam, dt_row, k, failed = _mode_fields(comb, grid, convention, deltas=[d])
+        failures += failed
+        mod = np.abs(lam[:, 0])
+        rows = mod.max(axis=(1, 2)) <= np.exp(EPS_TOL * dt_row)
+        stable[:, j] = rows
+        if not rows.any():
+            continue
+        lam, mod = lam[rows, 0], mod[rows]
+        dt = dt_row[rows, None, None]
+        omega = np.arctan2(-lam.imag, lam.real) / dt
+        with np.errstate(divide="ignore"):
+            eps = np.where(mod > 0.0, np.log(np.where(mod > 0.0, mod, 1.0)), -np.inf) / dt
+        pick = np.argmin(np.abs(omega - k[None, :, None]), axis=-1)[..., None]
+        omega_p = np.take_along_axis(omega, pick, axis=-1)[..., 0]
+        eu[rows, j] = eta_u(k, omega_p, np.take_along_axis(eps, pick, axis=-1)[..., 0])
+        ew[rows, j] = eta_w(k, omega_p)
+    return stable, eu, ew, failures
+
+
 def stability_mask(comb, grid, convention=DEFAULT_CONVENTION):
     """Boolean (n_cfl, n_delta) mask: True where max eps <= 1e-12."""
-    lam, dt_row, _, _ = _mode_fields(comb, grid, convention)
-    max_mod = np.abs(lam).max(axis=(2, 3))
-    return max_mod <= np.exp(EPS_TOL * dt_row)[:, None]
+    return _scan_fields(comb, grid, convention)[0]
 
 
 def eta_u(k, omega, epsilon):
@@ -249,24 +243,7 @@ def eta_w(k, omega):
 def scan_combination(comb, grid=None, convention=DEFAULT_CONVENTION, mu=1.3):
     """Full sweep: mask, error fields, and the three optima."""
     grid = grid or ScanGrid.default()
-    lam, dt_row, k, failures = _mode_fields(comb, grid, convention)
-    mod = np.abs(lam)
-    stable = mod.max(axis=(2, 3)) <= np.exp(EPS_TOL * dt_row)[:, None]
-
-    dt = dt_row[:, None, None, None]
-    omega = np.arctan2(-lam.imag, lam.real) / dt
-    with np.errstate(divide="ignore"):
-        eps = np.where(mod > 0.0, np.log(np.where(mod > 0.0, mod, 1.0)), -np.inf) / dt
-
-    pick = np.argmin(np.abs(omega - k[None, None, :, None]), axis=-1)
-    omega_p = np.take_along_axis(omega, pick[..., None], axis=-1)[..., 0]
-    eps_p = np.take_along_axis(eps, pick[..., None], axis=-1)[..., 0]
-
-    eu = eta_u(k, omega_p, eps_p)
-    ew = eta_w(k, omega_p)
-    eu = np.where(stable, eu, np.nan)
-    ew = np.where(stable, ew, np.nan)
-
+    stable, eu, ew, failures = _scan_fields(comb, grid, convention)
     result = ScanResult(comb, grid, stable, eu, ew, {}, convention, mu, failures)
     for strategy in ("max_cfl", "min_eta_u", "min_eta_w"):
         try:

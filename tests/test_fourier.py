@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from cgstab.fourier import (
+    _builder,
+    _char_residual,
+    _dec_cfl_polynomial,
     amplification_matrix,
     assemble_symbol,
     eigvals_batched,
@@ -10,6 +13,7 @@ from cgstab.fourier import (
     small_complex_eigenvalues,
 )
 from cgstab.stabilization import StabilizationSpec
+from cgstab.timeint import make_scheme
 
 from conftest import (
     ALL_DEGREES,
@@ -86,6 +90,25 @@ def test_eig_4x4_uses_fallback():
 def test_eig_rejects_large_matrices():
     with pytest.raises(ValueError):
         small_complex_eigenvalues(np.eye(5))
+
+
+def test_char_residual_matches_shifted_copy():
+    """Reading A's entries equals the cofactor expansion of A - lam I, bit for bit."""
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        A = rng.normal(size=(60, n, n)) + 1j * rng.normal(size=(60, n, n))
+        lam = eigvals_batched(A) + 1e-6 * rng.normal(size=(60, n))
+        want = np.empty(lam.shape)
+        for i in range(n):
+            B = np.moveaxis(A - lam[..., i][..., None, None] * np.eye(n), 0, -1)
+            if n == 1:
+                det = B[0, 0]
+            elif n == 2:
+                det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
+            else:
+                det = _det3(B)
+            want[..., i] = np.abs(det)
+        assert want.tobytes() == _char_residual(A, lam).tobytes()
 
 
 # ------------------------------------------------------------------- symbols
@@ -240,3 +263,53 @@ def test_extract_modes_growth_flag():
 def test_extract_modes_zero_eigenvalue_sentinel():
     ma = extract_modes(np.diag([0.0j, 0.5 + 0j]), k=1.0, dt=1.0)
     assert ma.epsilon[ma.eigenvalues == 0] == -np.inf
+
+
+def _dec_polynomial_loop(M, K, Dvec, scale, config):
+    """The DeC cfl polynomial with every block of every sweep formed and
+    each W @ S product recomputed for every subtimestep."""
+    p = M.shape[-1]
+    nq = config.n_iter + 1
+    eye = np.broadcast_to(np.eye(p, dtype=complex), M.shape)
+    Dinv = 1.0 / Dvec
+    P = Dinv[..., :, None] * M
+    W = -scale * (Dinv[..., :, None] * K)
+    zeros = np.zeros_like(eye)
+
+    def fresh():
+        S = [zeros.copy() for _ in range(nq)]
+        S[0] = eye.copy()
+        return S
+
+    subs = [fresh() for _ in range(config.n_sub + 1)]
+    for _ in range(config.n_iter):
+        new = [fresh()]
+        for m in range(1, config.n_sub + 1):
+            Sm = subs[m]
+            out = [None] * nq
+            for q in range(nq):
+                acc = Sm[q] - P @ (Sm[q] - (eye if q == 0 else zeros))
+                if q > 0:
+                    for z, rho in enumerate(config.rho[m - 1]):
+                        if rho != 0.0:
+                            acc = acc + rho * (W @ subs[z][q - 1])
+                out[q] = acc
+            new.append(out)
+        subs = new
+    return np.stack(subs[config.n_sub], axis=0)
+
+
+@pytest.mark.parametrize("family,kind", [("basic", "supg"), ("cubature", "lps"),
+                                         ("bernstein", "cip")])
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+def test_dec_cfl_polynomial_matches_full_loop(family, kind, degree):
+    """Skipping the zero blocks and sharing W @ S across subtimesteps
+    changes no bit of the coefficients."""
+    b = _builder(family, degree, kind)
+    theta = np.linspace(0.05, np.pi, 23)
+    args = (b.mass(theta, 0.07), b.conv(theta, 0.07), b.lumped_diag(0.07), 1.0,
+            make_scheme("dec", degree + 1).tableau)
+    got = _dec_cfl_polynomial(*args)
+    assert got.shape == (degree + 2, 23, degree, degree)
+    assert got.tobytes() == _dec_polynomial_loop(*args).tobytes()
+

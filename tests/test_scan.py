@@ -207,3 +207,41 @@ def test_scan_json_and_csv_roundtrip():
     assert csv.count("\n") == 2 + 2 * 1 + 1  # headers + cells
     a = scan_combination(comb, ScanGrid(np.array([0.2, 0.4]), np.array([0.1]), 24))
     assert a.to_json() == res.to_json()  # byte-for-byte determinism
+
+
+# ------------------------------------------------------------ streaming scan
+
+STREAM = ScanGrid(geometric_grid(0.05, 1.8, ratio=1.15), geometric_grid(0.02, 0.8, ratio=1.25), 24)
+STREAM_COMBOS = [Combination(fam, p, stab, scheme)
+                 for fam, stab in (("basic", "supg"), ("cubature", "lps"))
+                 for p in (1, 2, 3)
+                 for scheme in ("rk", "ssprk", "dec")]
+
+
+@pytest.mark.parametrize("comb", STREAM_COMBOS, ids=Combination.label)
+def test_scan_equals_concatenated_delta_subgrids(comb):
+    """A scan's fields do not depend on which other delta columns it holds."""
+    full = scan_combination(comb, STREAM)
+    cut = len(STREAM.delta_values) // 3
+    parts = [scan_combination(comb, ScanGrid(STREAM.cfl_values, deltas, STREAM.theta_samples))
+             for deltas in (STREAM.delta_values[:cut], STREAM.delta_values[cut:])]
+    for name in ("stable", "eta_u", "eta_w"):
+        joined = np.concatenate([getattr(r, name) for r in parts], axis=1)
+        assert joined.tobytes() == getattr(full, name).tobytes(), name
+    assert full.stable.any()
+
+
+@pytest.mark.parametrize("comb", STREAM_COMBOS, ids=Combination.label)
+def test_stability_mask_equals_scan_mask(comb):
+    assert np.array_equal(stability_mask(comb, STREAM), scan_combination(comb, STREAM).stable)
+
+
+@pytest.mark.xfail(strict=True, reason="Cardano's error in max|lambda| - 1 on near-identity "
+                   "DeC propagators (5e-14 to 3e-13) exceeds the 1e-12 dt threshold (3e-14)")
+def test_low_cfl_cubature_dec_is_stable():
+    """Diagonal-mass DeC equals an RK scheme; at the lowest default-grid CFLs
+    and delta = 1e-4 both LAPACK and the RK polynomial give |lambda| - 1
+    <= 1e-15, so every one of these cells is stable."""
+    default = ScanGrid.default()
+    grid = ScanGrid(default.cfl_values[:14], default.delta_values[:1])
+    assert stability_mask(Combination("cubature", 3, "lps", "dec"), grid).all()
