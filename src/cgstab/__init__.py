@@ -14,8 +14,6 @@ from .elements import (
     ReferenceElement,
     UnsupportedDegree,
     build_reference_element,
-    eval_basis,
-    eval_basis_deriv,
     local_matrices,
 )
 from .fluxes import Burgers, LinearAdvection, ShallowWater

@@ -36,7 +36,7 @@ from .problems import PROBLEMS
 from .scan import Combination, NoStableRegion, ScanGrid, geometric_grid, scan_combination
 from .solver import BlowUp, DX1_DEFAULT, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, SingularMass, StabilizationSpec
-from .timeint import NonFiniteState, make_scheme
+from .timeint import make_scheme
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -299,7 +299,7 @@ def main(argv=None):
     except NoStableRegion as exc:
         print(f"no stable region: {exc}", file=sys.stderr)
         return EXIT_NO_STABLE
-    except (BlowUp, EigenSolveFailure, SingularMass, NonFiniteState) as exc:
+    except (BlowUp, EigenSolveFailure, SingularMass) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

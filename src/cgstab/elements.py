@@ -98,10 +98,6 @@ class ReferenceElement:
     quad_weights: np.ndarray
     coeffs: np.ndarray = field(repr=False)
 
-    @property
-    def n_basis(self):
-        return self.degree + 1
-
     def eval_basis(self, x):
         """Values of all p+1 basis functions at x (scalar or array).
 
@@ -192,13 +188,3 @@ def local_matrices(ref):
     deriv = (v * w[:, None]).T @ dv
     grad_grad = (dv * w[:, None]).T @ dv
     return LocalMatrices(mass, deriv, grad_grad, mass.sum(axis=1))
-
-
-def eval_basis(ref, x):
-    """Free-function form of ``ReferenceElement.eval_basis``."""
-    return ref.eval_basis(x)
-
-
-def eval_basis_deriv(ref, x):
-    """Free-function form of ``ReferenceElement.eval_basis_deriv``."""
-    return ref.eval_basis_deriv(x)

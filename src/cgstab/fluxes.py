@@ -2,19 +2,31 @@
 
 Each flux exposes the pieces the assembly needs in strong form:
 ``flux_x(u, ux)`` returns d/dx f(u) given pointwise values and gradients
-(both carrying a trailing component axis), and ``speed(u)`` the local
-reference |df/du| used by the stabilization scalings and the CFL
-condition, with the component axis consumed.  Scalar fluxes have
-``n_comp == 1``; shallow water carries two interleaved components (h, hu).
+(both carrying a trailing component axis); ``jacobian(u)``, the scalar
+df/du SUPG weights with, and ``speed(u)``, the reference |df/du| of tau
+and the CFL condition, consume the component axis.  ``is_linear`` marks a
+residual that is one fixed matrix.  Scalar fluxes have ``n_comp == 1``;
+shallow water carries two interleaved components (h, hu).
 """
 
 import numpy as np
 
 
-class LinearAdvection:
+class _Flux:
+    is_linear = False
+
+    def speed(self, u):
+        return np.abs(self.jacobian(u))
+
+    def max_speed(self, u):
+        return float(np.max(self.speed(u)))
+
+
+class LinearAdvection(_Flux):
     """f(u) = a u."""
 
     n_comp = 1
+    is_linear = True
 
     def __init__(self, a=1.0):
         self.a = float(a)
@@ -22,14 +34,11 @@ class LinearAdvection:
     def flux_x(self, u, ux):
         return self.a * ux
 
-    def speed(self, u):
-        return np.full(np.asarray(u).shape[:-1], abs(self.a))
-
-    def max_speed(self, u):
-        return abs(self.a)
+    def jacobian(self, u):
+        return np.full(np.asarray(u).shape[:-1], self.a)
 
 
-class Burgers:
+class Burgers(_Flux):
     """f(u) = u^2 / 2."""
 
     n_comp = 1
@@ -37,20 +46,18 @@ class Burgers:
     def flux_x(self, u, ux):
         return u * ux
 
-    def speed(self, u):
-        return np.abs(np.asarray(u)[..., 0])
-
-    def max_speed(self, u):
-        return float(np.max(np.abs(u)))
+    def jacobian(self, u):
+        return np.asarray(u)[..., 0]
 
 
-class ShallowWater:
+class ShallowWater(_Flux):
     """1D shallow water in conservative variables (h, q = h u).
 
     The momentum flux gradient is expanded with the analytic Jacobian,
     d/dx f = [q_x, (g h - u^2) h_x + 2 u q_x], and the system wave speed
-    |u| + sqrt(g h) feeds the componentwise stabilization.  An optional
-    source enters the momentum equation only.
+    |u| + sqrt(g h) feeds the componentwise stabilization (SUPG uses it in
+    place of the 2x2 Jacobian).  An optional source enters the momentum
+    equation only.
     """
 
     n_comp = 2
@@ -72,5 +79,4 @@ class ShallowWater:
         h, q = u[..., 0], u[..., 1]
         return np.abs(q / h) + np.sqrt(self.g * h)
 
-    def max_speed(self, u):
-        return float(np.max(self.speed(u)))
+    jacobian = speed

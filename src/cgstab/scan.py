@@ -97,8 +97,9 @@ class ScanResult:
     eig_failures: int = 0
 
     def to_json(self):
-        def clean(x):
-            return np.where(np.isfinite(x), x, None).tolist()
+        """Indented JSON of the scan, non-finite values as null; the (n_cfl,
+        n_delta) arrays skip the pure-Python encoder of ``json.dumps``."""
+        arrays = {"stable": self.stable.astype(int), "eta_u": self.eta_u, "eta_w": self.eta_w}
         payload = {
             "combination": vars(self.combination),
             "convention": self.convention,
@@ -106,13 +107,14 @@ class ScanResult:
             "cfl_values": self.cfl_values.tolist(),
             "delta_values": self.delta_values.tolist(),
             "theta_samples": self.grid.theta_samples,
-            "stable": self.stable.astype(int).tolist(),
-            "eta_u": clean(self.eta_u),
-            "eta_w": clean(self.eta_w),
+            **{key: "@" + key for key in arrays},
             "optima": self.optima,
             "eig_failures": self.eig_failures,
         }
-        return json.dumps(payload, indent=1)
+        text = json.dumps(payload, indent=1)
+        for key, values in arrays.items():
+            text = text.replace(f'"{key}": "@{key}"', f'"{key}": {_json_rows(values)}', 1)
+        return text
 
     @property
     def cfl_values(self):
@@ -132,6 +134,15 @@ class ScanResult:
             lines.extend(f"{c},{d},{int(s)},{u:.12g},{w:.12g}"
                          for d, s, u, w in zip(deltas, st, eu, ew))
         return "\n".join(lines) + "\n"
+
+
+def _json_rows(values):
+    """A 2-D array as ``json.dumps(..., indent=1)`` writes a value of the
+    top-level object.  ``json`` writes floats by ``repr``, and no finite
+    repr holds "nan" or "inf", so only those become null."""
+    rows = (",\n   ".join(map(repr, row)) for row in values.tolist())
+    text = "[\n  [\n   " + "\n  ],\n  [\n   ".join(rows) + "\n  ]\n ]"
+    return text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
 
 
 def _wavenumbers(n):

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elements import CUBATURE, build_reference_element, local_matrices
+from .elements import CUBATURE, local_matrices
 
 NONE = "none"
 SUPG = "supg"
@@ -119,6 +119,11 @@ def tau_cell(stab, dx, speed):
 class DiscreteSystem:
     """Assembled periodic/Dirichlet system: mass operator plus residual.
 
+    The residual goes through sparse operators built once: ``Q`` and
+    ``Qd`` (values and reference derivatives at the quadrature points, their
+    transposes the test integrals) and ``J`` (face gradient jumps, CIP); for
+    a linear flux it is one CSR matrix.
+
     Mass solves and factorizations are counted so tests can assert that
     the deferred-correction stepper never touches the consistent mass.
     """
@@ -160,93 +165,132 @@ class DiscreteSystem:
             np.arange(mesh.n_cells)[:, None] + ref.quad_points[None, :]
         )
 
-        self.M_galerkin = self._assemble_pairwise(self.local.mass) * mesh.dx
+        self._setup_block_pattern()
+        self.M_galerkin = self._assemble_pairwise(self.local.mass * mesh.dx)
         self._mass_matrix = None
-        self._mass_solver = None
         self._lumped = None
-        self._proj_solver = None
         self._setup_lps()
+
+        self.Q = self._quad_operator(self.V)
+        self.J = self._setup_jumps() if stab.kind == CIP else None
+        if flux.is_linear:
+            self._R, self._R_proj = self._linear_residual_operators()
+            self.Qd = self.J = None
+        else:
+            # transposes are views on the same arrays, kept because forming
+            # one costs more than the matvec it serves
+            self.Qd = self._quad_operator(self.Vd)
+            self._QT, self._QdT = self.Q.T, self.Qd.T
+            self._JT = None if self.J is None else self.J.T
+            self._R = self._R_proj = None
         if not self.mass_is_state_dependent:
-            self._set_mass(self._build_mass())
+            self._set_mass(self._build_mass(np.zeros(self.n_nodes * self.n_comp)))
 
     # -- assembly helpers -------------------------------------------------
 
-    def _assemble_pairwise(self, block):
-        """Scatter one (p+1)x(p+1) block into the global sparse matrix."""
-        rows = self.cell_dofs[:, :, None]
-        cols = self.cell_dofs[:, None, :]
-        data = np.broadcast_to(block, (self.mesh.n_cells,) + block.shape)
-        mat = sp.coo_matrix(
-            (data.ravel(), (np.broadcast_to(rows, data.shape).ravel(),
-                            np.broadcast_to(cols, data.shape).ravel())),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        return mat.tocsc()
+    def _setup_block_pattern(self):
+        """CSC pattern of all cell blocks (shared by every pairwise matrix)
+        and the slot ``_block_pos`` of every block entry in it."""
+        n, nb = self.n_nodes, self.ref.degree + 1
+        shape = (self.mesh.n_cells, nb, nb)
+        rows = np.broadcast_to(self.cell_dofs[:, :, None], shape)
+        cols = np.broadcast_to(self.cell_dofs[:, None, :], shape)
+        keys, self._block_pos = np.unique((cols * n + rows).ravel(), return_inverse=True)
+        # keys sort by column, then row: the canonical CSC order
+        self._pattern = ((keys % n).astype(np.int32),
+                         np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32))
+        self._diag_pos = np.searchsorted(keys, np.arange(n) * (n + 1))
+
+    def _assemble_pairwise(self, blocks):
+        """Scatter (p+1)x(p+1) blocks, shared or one per cell, into a global matrix."""
+        nb = self.ref.degree + 1
+        data = np.broadcast_to(blocks, (self.mesh.n_cells, nb, nb)).ravel()
+        data = np.bincount(self._block_pos, data, minlength=len(self._pattern[0]))
+        return sp.csc_matrix((data,) + self._pattern, shape=(self.n_nodes,) * 2)
+
+    def _quad_operator(self, table):
+        """CSR map from the dofs to ``table`` (nq, p+1) applied in every cell."""
+        shape = (self.mesh.n_cells,) + table.shape
+        data = np.broadcast_to(table, shape).ravel()
+        cols = np.broadcast_to(self.cell_dofs[:, None, :], shape).ravel()
+        indptr = np.arange(0, data.size + 1, table.shape[1])
+        return sp.csr_matrix((data, cols, indptr),
+                             shape=(shape[0] * shape[1], self.n_nodes))
+
+    def _setup_jumps(self):
+        """Face-jump operator J: (J U)_f = [dx_u] across interior face f."""
+        nc = self.mesh.n_cells
+        right = np.arange(nc) if self.mesh.boundary == PERIODIC else np.arange(1, nc)
+        self._face_cells = (right - 1) % nc, right        # (left, right) cell of face
+        cols = np.hstack([self.cell_dofs[right], self.cell_dofs[right - 1]])
+        row = np.concatenate([self.d_left, -self.d_right]) / self.mesh.dx
+        return sp.csr_matrix((np.tile(row, len(right)), cols.ravel(),
+                              np.arange(0, cols.size + 1, cols.shape[1])),
+                             shape=(len(right), self.n_nodes))
+
+    def _linear_residual_operators(self):
+        """R and (consistent LPS projection) R_proj with r = R U + R_proj W.
+
+        With one Jacobian a and one tau every term is a multiple of a local
+        matrix or of J^T J; a lumped LPS projection is folded into R."""
+        dx, stab, local = self.mesh.dx, self.stab, self.local
+        a = float(self.flux.jacobian(np.zeros((1, self.n_comp)))[0])
+        tau = tau_cell(stab, dx, abs(a))
+        block, R_proj = -a * local.deriv, None                   # -int phi (a dx_u)
+        if stab.kind == SUPG:
+            block = block - tau * a * a / dx * local.grad_grad
+        elif stab.kind == LPS:
+            block = block - tau / dx * local.grad_grad
+            R_proj = tau * self._assemble_pairwise(local.deriv.T)
+        R = self._assemble_pairwise(block)
+        if stab.kind == CIP:
+            R = R - tau * (self.J.T @ self.J)
+        if R_proj is not None and self._proj_diag is not None:
+            R, R_proj = R + R_proj @ sp.diags(1.0 / self._proj_diag) @ self._lps_weak_grad, None
+        return R.tocsr(), R_proj
 
     @property
     def mass_is_state_dependent(self):
-        return self.stab.kind == SUPG and not is_linear_flux(self.flux)
+        return self.stab.kind == SUPG and not self.flux.is_linear
 
-    def _build_mass(self, U=None):
-        """Galerkin mass plus, for SUPG, the tau-weighted dt block."""
-        M = self.M_galerkin.copy()
-        if self.stab.kind == SUPG:
-            jac, tau = self._cell_jacobian_tau(U)
-            # per cell: tau_c * sum_q w phi_i' jac phi_j  (dx-free scaling)
-            w = self.ref.quad_weights
-            blocks = np.einsum("c,q,cq,qi,qj->cij", tau, w, jac, self.Vd, self.V)
-            rows = np.broadcast_to(self.cell_dofs[:, :, None], blocks.shape)
-            cols = np.broadcast_to(self.cell_dofs[:, None, :], blocks.shape)
-            M = M + sp.coo_matrix(
-                (blocks.ravel(), (rows.ravel(), cols.ravel())),
-                shape=M.shape,
-            ).tocsc()
-        return M
+    def _build_mass(self, U):
+        """Mass values on the block pattern: Galerkin plus the SUPG dt block."""
+        if self.stab.kind != SUPG:
+            return self.M_galerkin.data.copy()
+        u_q = self.eval_at_quads(U)
+        # per cell: tau_c * sum_q w phi_i' jac phi_j  (dx-free scaling)
+        coef = self._tau(u_q)[:, None] * self.ref.quad_weights * self.flux.jacobian(u_q)
+        kernel = self.Vd[:, :, None] * self.V[:, None, :]
+        blocks = (coef @ kernel.reshape(len(self.V), -1)).reshape((-1,) + kernel.shape[1:])
+        return self.M_galerkin.data + self._assemble_pairwise(blocks).data
 
-    def _cell_speeds(self, u_q):
-        """Reference speeds per cell for tau, honoring stab.speed_ref."""
-        if is_linear_flux(self.flux):
-            return np.full(self.mesh.n_cells, abs(self.flux.a))
+    def _tau(self, u_q):
+        """tau per cell, or per interior face for CIP (larger adjacent cell
+        speed); cell speeds honor stab.speed_ref."""
         s = self.flux.speed(u_q)
         if self.stab.speed_ref == "global":
-            return np.full(self.mesh.n_cells, float(s.max()))
-        return s.max(axis=1)
-
-    def _cell_jacobian_tau(self, U):
-        """Pointwise flux Jacobian scalars and per-cell tau values."""
-        nq = len(self.ref.quad_weights)
-        if is_linear_flux(self.flux):
-            jac = np.full((self.mesh.n_cells, nq), self.flux.a)
-            speed = np.full(self.mesh.n_cells, abs(self.flux.a))
+            speed = np.full(self.mesh.n_cells, float(s.max()))
         else:
-            u_q = self._values_at_quads(U)
-            if self.n_comp == 1:
-                jac = self._scalar_jac(u_q[..., 0])
-            else:
-                jac = self.flux.speed(u_q)  # componentwise system speed
-            speed = self._cell_speeds(u_q)
-        tau = tau_cell(self.stab, self.mesh.dx, speed)
-        return jac, np.asarray(tau)
+            speed = s.max(axis=1)
+        if self.stab.kind == CIP:
+            left, right = self._face_cells
+            speed = np.maximum(speed[left], speed[right])
+        return np.asarray(tau_cell(self.stab, self.mesh.dx, speed))
 
-    def _scalar_jac(self, u):
-        from .fluxes import Burgers
-        return u if isinstance(self.flux, Burgers) else np.full_like(u, self.flux.a)
-
-    def _set_mass(self, M):
-        self._lumped = np.asarray(M.sum(axis=1)).ravel()
+    def _set_mass(self, data):
+        """Install mass values given on the block pattern."""
+        rows = self._pattern[0]
+        self._lumped = np.bincount(rows, data, minlength=self.n_nodes)
         if np.any(self._lumped <= 0):
             raise SingularMass("lumped mass has nonpositive entries")
         if self.mesh.boundary == DIRICHLET:
-            M = M.tolil()
-            for node in (0, self.n_nodes - 1):
-                M.rows[node] = [node]
-                M.data[node] = [1.0]
-            M = M.tocsc()
-        self._mass_matrix = M
-        diag = M.diagonal()
-        offdiag = M - sp.diags(diag)
-        self._mass_is_diagonal = offdiag.nnz == 0 or np.max(np.abs(offdiag.data)) < 1e-15
-        self._mass_diag = diag if self._mass_is_diagonal else None
+            data[(rows == 0) | (rows == self.n_nodes - 1)] = 0.0
+            data[self._diag_pos[[0, -1]]] = 1.0
+        self._mass_matrix = sp.csc_matrix((data,) + self._pattern, shape=(self.n_nodes,) * 2)
+        offdiag = np.abs(data)
+        offdiag[self._diag_pos] = 0.0
+        self._mass_is_diagonal = np.max(offdiag) < 1e-15
+        self._mass_diag = data[self._diag_pos] if self._mass_is_diagonal else None
         self._mass_solver = None
 
     def refresh_mass(self, U=None):
@@ -288,14 +332,13 @@ class DiscreteSystem:
     # -- LPS projection ----------------------------------------------------
 
     def _setup_lps(self):
+        self._proj_solver = None
         if self.stab.kind != LPS:
             self._lps_weak_grad = None
             return
         self._lps_weak_grad = self._assemble_pairwise(self.local.deriv)
-        lump = self.ref.family == CUBATURE
-        if lump:
+        if self.ref.family == CUBATURE:
             self._proj_diag = np.asarray(self.M_galerkin.sum(axis=1)).ravel()
-            self._proj_solver = None
         else:
             self._proj_diag = None
             try:
@@ -318,75 +361,43 @@ class DiscreteSystem:
 
     # -- residual ----------------------------------------------------------
 
-    def _values_at_quads(self, U):
-        cells = U.reshape(self.n_nodes, self.n_comp)[self.cell_dofs]
-        return np.einsum("qi,cik->cqk", self.V, cells)
-
     def eval_at_quads(self, U):
         """Solution values at all quadrature points, shape (n_cells, nq, n_comp)."""
-        return self._values_at_quads(U)
+        u_q = self.Q @ U.reshape(self.n_nodes, self.n_comp)
+        return u_q.reshape(self.mesh.n_cells, -1, self.n_comp)
 
     def residual(self, U, t=0.0):
         """Spatial right-hand side r(U, t) of M dU/dt = r."""
-        mesh, ref = self.mesh, self.ref
-        dx, w = mesh.dx, ref.quad_weights
         U2 = U.reshape(self.n_nodes, self.n_comp)
-        cells = U2[self.cell_dofs]                               # (nc, p+1, k)
-        u_q = np.einsum("qi,cik->cqk", self.V, cells)
-        uxi_q = np.einsum("qi,cik->cqk", self.Vd, cells)         # reference gradient
-
-        dfdx = self.flux.flux_x(u_q, uxi_q)                      # dx * physical d/dx f
-        strong = dfdx / dx
-        if getattr(self.flux, "source", None) is not None:
-            src = np.zeros_like(u_q)
-            src[..., 1] = self.flux.source(self.quad_x, t)
-            strong = strong + src
-        # - int phi_i (dx_f + source)
-        r_cells = -dx * np.einsum("q,qi,cqk->cik", w, self.V, strong)
-
-        if self.stab.kind == SUPG and self.stab.delta > 0:
-            jac, tau = self._cell_jacobian_tau(U)
-            r_cells -= np.einsum("c,q,cq,qi,cqk->cik", tau, w, jac, self.Vd, strong)
-        elif self.stab.kind == LPS and self.stab.delta > 0:
-            W = self.project_gradient(U)
-            w_q = np.einsum("qi,cik->cqk", self.V, W[self.cell_dofs])
-            tau = np.asarray(tau_cell(self.stab, dx, self._cell_speeds(u_q)))
-            r_cells -= np.einsum("c,q,qi,cqk->cik", tau, w, self.Vd, uxi_q / dx - w_q)
-
-        r = np.zeros_like(U2)
-        np.add.at(r, self.cell_dofs, r_cells)
-
-        if self.stab.kind == CIP and self.stab.delta > 0:
-            self._add_cip(r, U2, u_q)
-
-        if mesh.boundary == DIRICHLET:
+        if self._R is not None:
+            r = self._R @ U2
+            if self._R_proj is not None:
+                r += self._R_proj @ self.project_gradient(U)
+        else:
+            dx, w = self.mesh.dx, self.ref.quad_weights[:, None]
+            shape = (self.mesh.n_cells, len(w), self.n_comp)
+            u_q = (self.Q @ U2).reshape(shape)
+            uxi_q = (self.Qd @ U2).reshape(shape)                 # reference gradient
+            strong = self.flux.flux_x(u_q, uxi_q) / dx           # dx_f
+            if getattr(self.flux, "source", None) is not None:
+                strong[..., 1] += self.flux.source(self.quad_x, t)
+            # - int phi_i (dx_f + source)
+            r = -(self._QT @ (dx * w * strong).reshape(-1, self.n_comp))
+            if self.stab.delta > 0 and self.stab.kind == CIP:
+                r -= self._JT @ (self._tau(u_q)[:, None] * (self.J @ U2))
+            elif self.stab.delta > 0 and self.stab.kind != NONE:
+                # SUPG / LPS: a quadrature field tested against dx_phi_i
+                tau_w = self._tau(u_q)[:, None, None] * w
+                if self.stab.kind == SUPG:
+                    test = tau_w * self.flux.jacobian(u_q)[..., None] * strong
+                else:
+                    w_q = (self.Q @ self.project_gradient(U)).reshape(shape)
+                    test = tau_w * (uxi_q / dx - w_q)
+                r -= self._QdT @ test.reshape(-1, self.n_comp)
+        if self.mesh.boundary == DIRICHLET:
             r[0] = 0.0
             r[-1] = 0.0
         return r.reshape(U.shape)
-
-    def _add_cip(self, r, U2, u_q):
-        mesh = self.mesh
-        dx = mesh.dx
-        nc = mesh.n_cells
-        if mesh.boundary == PERIODIC:
-            right = np.arange(nc)                 # cell to the right of face
-            left = (right - 1) % nc
-        else:
-            right = np.arange(1, nc)
-            left = right - 1
-        cells = U2[self.cell_dofs]
-        grad_l = np.einsum("i,cik->ck", self.d_right, cells[left]) / dx
-        grad_r = np.einsum("i,cik->ck", self.d_left, cells[right]) / dx
-        jump_u = grad_r - grad_l                   # (nf, k)
-
-        cell_speed = self._cell_speeds(u_q)
-        s_face = np.maximum(cell_speed[left], cell_speed[right])
-        tau_f = np.asarray(tau_cell(self.stab, dx, s_face))
-
-        contrib_r = -np.einsum("f,i,fk->fik", tau_f, self.d_left / dx, jump_u)
-        contrib_l = +np.einsum("f,i,fk->fik", tau_f, self.d_right / dx, jump_u)
-        np.add.at(r, self.cell_dofs[right], contrib_r)
-        np.add.at(r, self.cell_dofs[left], contrib_l)
 
     # -- boundary + initialization -----------------------------------------
 
@@ -418,15 +429,8 @@ class DiscreteSystem:
         return vals.ravel() if self.n_comp > 1 else vals[:, 0]
 
 
-def is_linear_flux(flux):
-    from .fluxes import LinearAdvection
-    return isinstance(flux, LinearAdvection)
-
-
 def assemble_system(mesh, ref, stab, flux, bc=None):
     """Build the DiscreteSystem for a mesh / element / stabilization / flux."""
-    if isinstance(ref, tuple):
-        ref = build_reference_element(*ref)
     return DiscreteSystem(mesh, ref, stab, flux, bc=bc)
 
 
@@ -443,6 +447,6 @@ def semi_discrete_energy_rate(system, U):
     """
     if system.stab.kind == SUPG:
         raise ValueError("energy rate in the L2 norm is not meaningful for SUPG")
-    if system.mesh.boundary != PERIODIC or not is_linear_flux(system.flux):
+    if system.mesh.boundary != PERIODIC or not system.flux.is_linear:
         raise ValueError("energy rate contract requires a periodic linear system")
     return float(U @ system.residual(U))

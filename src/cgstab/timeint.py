@@ -26,8 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NonFiniteState(RuntimeError):
-    """A stage produced NaN or Inf."""
+class BlowUp(RuntimeError):
+    """The run produced NaN/Inf or left the trust region ||U|| <= 1e10."""
+
+
+NonFiniteState = BlowUp  # kept for callers that catch NaN/Inf steps by this name
 
 
 class NonPositiveLumpedMass(RuntimeError):
@@ -144,7 +147,7 @@ DEC_CONFIGS = {
 
 def _check_finite(U):
     if not np.all(np.isfinite(U)):
-        raise NonFiniteState("time step produced NaN/Inf")
+        raise BlowUp("time step produced NaN/Inf")
     return U
 
 

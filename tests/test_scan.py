@@ -245,3 +245,29 @@ def test_low_cfl_cubature_dec_is_stable():
     default = ScanGrid.default()
     grid = ScanGrid(default.cfl_values[:14], default.delta_values[:1])
     assert stability_mask(Combination("cubature", 3, "lps", "dec"), grid).all()
+
+
+def test_to_json_matches_indented_json_dumps():
+    """The row formatter reproduces ``json.dumps(indent=1)`` byte for byte."""
+    res = scan_combination(Combination("basic", 1, "supg", "rk"), SMALL)
+    assert np.isnan(res.eta_u).any() and res.stable.any()
+    res.eta_u[0, :2] = np.inf, -np.inf
+    res.eta_w[-1, -1] = -0.0
+
+    def clean(x):
+        return np.where(np.isfinite(x), x, None).tolist()
+
+    payload = {
+        "combination": vars(res.combination),
+        "convention": res.convention,
+        "mu": res.mu,
+        "cfl_values": res.cfl_values.tolist(),
+        "delta_values": res.delta_values.tolist(),
+        "theta_samples": res.grid.theta_samples,
+        "stable": res.stable.astype(int).tolist(),
+        "eta_u": clean(res.eta_u),
+        "eta_w": clean(res.eta_w),
+        "optima": res.optima,
+        "eig_failures": res.eig_failures,
+    }
+    assert res.to_json() == json.dumps(payload, indent=1)

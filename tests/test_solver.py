@@ -139,3 +139,23 @@ def test_convergence_report_csv():
     assert text.startswith("dx,dofs,l2_error,wall_time_s")
     assert len(text.strip().splitlines()) == 4
     assert 1.5 < rep.order < 2.6
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+def test_nan_step_lands_in_failed_levels():
+    """A NaN step is a BlowUp, so convergence_study records the level."""
+    from cgstab.problems import shallow_water_problem
+
+    args = (shallow_water_problem(), "basic", 2, StabilizationSpec("supg", 0.05), "dec", 0.3)
+    with pytest.raises(BlowUp, match="NaN"):
+        run_simulation(*args, cells_for_level(args[0], 2, 0.5))
+    with pytest.raises(BlowUp, match="fewer than 3 levels survived"):
+        convergence_study(*args, dx1_values=(1.0, 0.5, 0.25))
+
+
+def test_zero_wave_speed_steps_to_t_final():
+    problem = linear_advection_problem(a=0.0, t_final=0.8)
+    run = run_simulation(problem, "basic", 2, StabilizationSpec("cip", 0.1), "rk", 0.5, 10)
+    U0 = run.system.interpolate(problem.exact, 0.0)
+    assert run.n_steps == 1
+    assert np.array_equal(run.U, U0)

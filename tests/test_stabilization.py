@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgstab import build_reference_element
-from cgstab.fluxes import Burgers, LinearAdvection
+from cgstab.fluxes import Burgers, LinearAdvection, ShallowWater
 from cgstab.stabilization import (
     Mesh1D,
     StabilizationSpec,
@@ -209,3 +209,196 @@ def test_dirichlet_residual_rows_zeroed():
     U = rng.normal(size=system.n_nodes)
     r = system.residual(U)
     assert r[0] == 0.0 and r[-1] == 0.0
+
+
+# -- the element-loop residual the sparse operators replaced ----------------
+
+
+def reference_residual(system, U, t=0.0):
+    """Cell einsums scattered with ``np.add.at`` plus the face loop for CIP.
+
+    This is the residual as it was written before the sparse operators
+    (``Q``, ``Qd``, ``J``, the linear CSR matrix); it reads only the basis
+    tables and connectivity of ``system`` and is the reference they are
+    checked against.
+    """
+    mesh, stab, flux = system.mesh, system.stab, system.flux
+    dx, w = mesh.dx, system.ref.quad_weights
+    nc = mesh.n_cells
+    U2 = U.reshape(system.n_nodes, system.n_comp)
+    cells = U2[system.cell_dofs]
+    u_q = np.einsum("qi,cik->cqk", system.V, cells)
+    uxi_q = np.einsum("qi,cik->cqk", system.Vd, cells)
+
+    def cell_speeds():
+        if isinstance(flux, LinearAdvection):
+            return np.full(nc, abs(flux.a))
+        s = flux.speed(u_q)
+        if stab.speed_ref == "global":
+            return np.full(nc, float(s.max()))
+        return s.max(axis=1)
+
+    strong = flux.flux_x(u_q, uxi_q) / dx
+    if getattr(flux, "source", None) is not None:
+        src = np.zeros_like(u_q)
+        src[..., 1] = flux.source(system.quad_x, t)
+        strong = strong + src
+    r_cells = -dx * np.einsum("q,qi,cqk->cik", w, system.V, strong)
+
+    if stab.kind == "supg" and stab.delta > 0:
+        if isinstance(flux, LinearAdvection):
+            jac = np.full((nc, len(w)), flux.a)
+        elif isinstance(flux, Burgers):
+            jac = u_q[..., 0]
+        else:
+            jac = flux.speed(u_q)
+        tau = np.asarray(tau_cell(stab, dx, cell_speeds()))
+        r_cells -= np.einsum("c,q,cq,qi,cqk->cik", tau, w, jac, system.Vd, strong)
+    elif stab.kind == "lps" and stab.delta > 0:
+        W = system.project_gradient(U)
+        w_q = np.einsum("qi,cik->cqk", system.V, W[system.cell_dofs])
+        tau = np.asarray(tau_cell(stab, dx, cell_speeds()))
+        r_cells -= np.einsum("c,q,qi,cqk->cik", tau, w, system.Vd, uxi_q / dx - w_q)
+
+    r = np.zeros_like(U2)
+    np.add.at(r, system.cell_dofs, r_cells)
+
+    if stab.kind == "cip" and stab.delta > 0:
+        if mesh.boundary == "periodic":
+            right = np.arange(nc)
+            left = (right - 1) % nc
+        else:
+            right = np.arange(1, nc)
+            left = right - 1
+        grad_l = np.einsum("i,cik->ck", system.d_right, cells[left]) / dx
+        grad_r = np.einsum("i,cik->ck", system.d_left, cells[right]) / dx
+        jump_u = grad_r - grad_l
+        speed = cell_speeds()
+        tau_f = np.asarray(tau_cell(stab, dx, np.maximum(speed[left], speed[right])))
+        np.add.at(r, system.cell_dofs[right],
+                  -np.einsum("f,i,fk->fik", tau_f, system.d_left / dx, jump_u))
+        np.add.at(r, system.cell_dofs[left],
+                  np.einsum("f,i,fk->fik", tau_f, system.d_right / dx, jump_u))
+
+    if mesh.boundary == "dirichlet":
+        r[0] = 0.0
+        r[-1] = 0.0
+    return r.reshape(U.shape)
+
+
+def _momentum_source(x, t):
+    return 0.3 * np.sin(2.0 * x) * np.cos(t)
+
+
+def _flux_cases(rng, n_nodes):
+    """(flux, state, Dirichlet data, speed_ref) for linear, Burgers, shallow water."""
+    h = 1.0 + 0.2 * rng.random(n_nodes)
+    sw_state = np.column_stack([h, 0.3 * rng.normal(size=n_nodes)]).ravel()
+    sw_bc = lambda t: (np.array([1.0, 0.0]), np.array([1.1, 0.2]))
+    scalar_bc = lambda t: (np.array([0.5]), np.array([-0.5]))
+    burgers_state = rng.normal(size=n_nodes)
+    return (
+        (LinearAdvection(1.3), rng.normal(size=n_nodes), scalar_bc, "global"),
+        (Burgers(), burgers_state, scalar_bc, "global"),
+        (Burgers(), burgers_state, scalar_bc, "cell"),
+        (ShallowWater(source=_momentum_source), sw_state, sw_bc, "global"),
+    )
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+@pytest.mark.parametrize("kind,delta", ALL_STABS)
+def test_residual_matches_element_loop_reference(family, degree, kind, delta):
+    rng = np.random.default_rng(degree + 10 * len(kind))
+    n = 7
+    for boundary in ("periodic", "dirichlet"):
+        n_nodes = Mesh1D(0.0, 2.0, n, boundary).n_nodes(degree)
+        # a linear SUPG mass has a nonpositive lumped end row (so cannot be
+        # built) on a Dirichlet mesh once delta exceeds the end node's weight
+        delta_b = min(delta, 0.05) if kind == "supg" and boundary == "dirichlet" else delta
+        for flux, U, bc, speed_ref in _flux_cases(rng, n_nodes):
+            mesh = Mesh1D(0.0, 2.0, n, boundary)
+            stab = StabilizationSpec(kind, delta_b, speed_ref)
+            system = assemble_system(mesh, build_reference_element(family, degree), stab,
+                                     flux, bc=bc if boundary == "dirichlet" else None)
+            new = system.residual(U, 0.37)
+            ref = reference_residual(system, U, 0.37)
+            assert new.shape == ref.shape
+            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("family,kind,delta", [
+    ("basic", "supg", 0.31), ("cubature", "lps", 0.23), ("bernstein", "lps", 0.23),
+    ("bernstein", "cip", 0.11),
+])
+def test_linear_residual_is_one_csr_matrix(family, kind, delta):
+    system = make_system(family, 3, kind, delta, n=6)
+    rng = np.random.default_rng(21)
+    U = rng.normal(size=system.n_nodes)
+    if system.ref.family == "cubature" or kind != "lps":
+        # the lumped LPS projection is folded into the matrix
+        assert np.array_equal(system.residual(U), system._R @ U)
+    dense = np.column_stack([reference_residual(system, e) for e in np.eye(system.n_nodes)])
+    full = system._R.toarray()
+    if system._R_proj is not None:
+        full = full + system._R_proj @ np.column_stack(
+            [system.project_gradient(e)[:, 0] for e in np.eye(system.n_nodes)])
+    assert np.max(np.abs(full - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def reference_mass(system, U):
+    """The SUPG mass and its row sums as assembled before the block pattern:
+    COO blocks added to the Galerkin mass, identity rows through LIL."""
+    import scipy.sparse as sp
+
+    mesh, ref = system.mesh, system.ref
+    nb = ref.degree + 1
+    rows = system.cell_dofs[:, :, None]
+    cols = system.cell_dofs[:, None, :]
+    shape = (mesh.n_cells, nb, nb)
+
+    def scatter(blocks):
+        return sp.coo_matrix((blocks.ravel(), (np.broadcast_to(rows, shape).ravel(),
+                                               np.broadcast_to(cols, shape).ravel())),
+                             shape=(system.n_nodes,) * 2).tocsc()
+
+    M = scatter(np.broadcast_to(system.local.mass, shape)) * mesh.dx
+    u_q = np.einsum("qi,cik->cqk", system.V, U.reshape(-1, 1)[system.cell_dofs])
+    jac = u_q[..., 0]
+    tau = np.asarray(tau_cell(system.stab, mesh.dx, np.full(mesh.n_cells, np.abs(jac).max())))
+    w = ref.quad_weights
+    M = M + scatter(np.einsum("c,q,cq,qi,qj->cij", tau, w, jac, system.Vd, system.V))
+    lumped = np.asarray(M.sum(axis=1)).ravel()
+    M = M.tolil()
+    for node in (0, system.n_nodes - 1):
+        M.rows[node] = [node]
+        M.data[node] = [1.0]
+    return M.tocsc(), lumped
+
+
+def test_supg_mass_matches_coo_assembly_dirichlet_burgers():
+    system = make_system("basic", 2, "supg", 0.1, n=9, boundary="dirichlet",
+                         flux=Burgers(), bc=lambda t: (np.array([1.0]), np.array([-1.0])))
+    U = -np.tanh(4.0 * (system.node_x - 1.0))
+    system.refresh_mass(U)
+    M_ref, lumped_ref = reference_mass(system, U)
+    diff = (system.mass_matrix - M_ref).toarray()
+    assert np.max(np.abs(diff)) <= 1e-15 * np.max(np.abs(M_ref.toarray()))
+    assert np.max(np.abs(system.lumped - lumped_ref)) <= 1e-15 * np.max(lumped_ref)
+    assert not system._mass_is_diagonal
+
+
+@pytest.mark.parametrize("flux", [LinearAdvection(-0.7), Burgers(), ShallowWater()])
+def test_flux_jacobian_and_linearity(flux):
+    rng = np.random.default_rng(9)
+    u = np.concatenate([1.0 + rng.random((4, 3, 1)), rng.normal(size=(4, 3, 1))],
+                       axis=-1)[..., :flux.n_comp]
+    jac = flux.jacobian(u)
+    assert jac.shape == u.shape[:-1]
+    assert flux.is_linear == isinstance(flux, LinearAdvection)
+    if isinstance(flux, Burgers):
+        assert np.array_equal(jac, u[..., 0])
+    elif isinstance(flux, LinearAdvection):
+        assert np.all(jac == -0.7)
+    else:
+        assert np.array_equal(jac, flux.speed(u))
