@@ -43,14 +43,14 @@ for family in ("basic", "cubature", "bernstein"):
                            + 1j * scheme.step(system, U.imag.copy(), 0.0, dt))[:p]
 
                 amp = amplification_matrix((family, p), StabilizationSpec(kind, delta),
-                                           scheme_kind, theta, cfl, delta, dx=mesh.dx, speed=a)
+                                           scheme_kind, theta, cfl, delta)
                 rel = np.linalg.norm(amp.G @ u_red - stepped) / np.linalg.norm(stepped)
                 if scheme_kind == "dec" and kind == "lps":
                     print(f"{family:10s} {p:2d} {kind:5s} {scheme_kind:6s} {rel:10.2e}")
 
 # what the eigenvalues of G mean: phase and damping of the step
 amp = amplification_matrix(("cubature", 2), StabilizationSpec("cip", 0.014),
-                           "ssprk", 1.1, 0.8, 0.014, dx=0.5, speed=1.0)
+                           "ssprk", 1.1, 0.8, 0.014)
 ma = extract_modes(amp, k=1.1 / 0.5, dt=0.8 * 0.5)
 print("\ncubature p=2 CIP SSPRK at theta=1.1, cfl=0.8:")
 for i in range(2):

@@ -26,7 +26,6 @@ from .stabilization import (
     Mesh1D,
     StabilizationSpec,
     assemble_system,
-    lps_project_gradient,
     semi_discrete_energy_rate,
     tau_cell,
 )

@@ -45,7 +45,7 @@ EXIT_NO_STABLE = 4
 
 CONFIG_KEYS = {
     "family", "degree", "stab", "delta", "time", "cfl", "theta_samples",
-    "problem", "cells", "levels", "out", "jobs", "seed", "convention",
+    "problem", "cells", "levels", "out", "jobs", "convention",
     "cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio",
     "semi_discrete", "dx1", "mu",
 }
@@ -71,8 +71,14 @@ def _merge(args, parser):
     return cfg
 
 
+def _recorded(cfg):
+    """The configuration an output records, sorted: where it is written and
+    how many workers run never change a result, so they are left out."""
+    return [(k, cfg[k]) for k in sorted(cfg) if k not in ("jobs", "out")]
+
+
 def _resolved_header(cfg):
-    items = ",".join(f"{k}={cfg[k]}" for k in sorted(cfg))
+    items = ",".join(f"{k}={v}" for k, v in _recorded(cfg))
     return f"# cgstab config: {items}"
 
 
@@ -215,7 +221,7 @@ def cmd_solve(cfg, out_dir):
                          comb.scheme_kind, float(cfg.get("cfl", 0.5)),
                          int(cfg.get("cells", 40)),
                          convention=cfg.get("convention", DEFAULT_CONVENTION))
-    payload = {"config": {k: str(v) for k, v in sorted(cfg.items())}}
+    payload = {"config": {k: str(v) for k, v in _recorded(cfg)}}
     payload.update(run.config_dict())
     path = _write(out_dir / f"solve_{comb.label()}_{run.n_cells}.json",
                   json.dumps(payload, indent=1) + "\n")

@@ -171,20 +171,24 @@ class LocalMatrices:
     deriv     : int phi_i phi_j'
     grad_grad : int phi_i' phi_j'
     lumped    : row sums of mass (positive for p <= 3, every family)
+    jump      : [-phi'(1), phi'(0)], the gradient jump [dx_u] across a face
+                on the dofs of the left cell, then the right cell (CIP)
     """
 
     mass: np.ndarray
     deriv: np.ndarray
     grad_grad: np.ndarray
     lumped: np.ndarray
+    jump: np.ndarray
 
 
 def local_matrices(ref):
-    """Mass, convection and stiffness integrals for one reference element."""
+    """Mass, convection and stiffness integrals plus the face jump row."""
     v = ref.eval_basis(ref.quad_points)
     dv = ref.eval_basis_deriv(ref.quad_points)
     w = ref.quad_weights
     mass = (v * w[:, None]).T @ v
     deriv = (v * w[:, None]).T @ dv
     grad_grad = (dv * w[:, None]).T @ dv
-    return LocalMatrices(mass, deriv, grad_grad, mass.sum(axis=1))
+    jump = np.concatenate([-ref.eval_basis_deriv(1.0), ref.eval_basis_deriv(0.0)])
+    return LocalMatrices(mass, deriv, grad_grad, mass.sum(axis=1), jump)

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .elements import build_reference_element, local_matrices
-from .stabilization import CIP, NONE, SUPG
+from .stabilization import CIP, LPS, NONE, SUPG
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 
@@ -177,34 +177,22 @@ def small_complex_eigenvalues(A, residual_tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _band_from_local(A, p):
-    """Fold one elemental (p+1)^2 block into {-1, 0, +1} reduced bands."""
-    b0 = np.zeros((p, p))
-    bm = np.zeros((p, p))
-    bp = np.zeros((p, p))
-    b0 += A[:p, :p]
-    b0[0, 0] += A[p, p]
-    bp[:, 0] += A[:p, p]
-    bm[0, :] += A[p, :p]
-    return {-1: bm, 0: b0, 1: bp}
+def _bands(block, cells, p):
+    """Fold an elemental block into reduced bands {shift: p x p}, unit dx.
 
-
-def _cip_bands(ref):
-    """Reduced bands of the gradient-jump penalty, unit tau, unit dx."""
-    p = ref.degree
-    d0 = ref.eval_basis_deriv(0.0)
-    d1 = ref.eval_basis_deriv(1.0)
-    entries = []
-    for cell, coeffs, sign in ((-1, d1, -1.0), (0, d0, +1.0)):
-        for l in range(p + 1):
-            entries.append(((cell + (l == p), l % p), sign * coeffs[l]))
-    bands = {s: np.zeros((p, p)) for s in range(-2, 3)}
-    for shift in (-1, 0, 1):
-        for (rc, r), gr in entries:
-            if rc + shift != 0:
-                continue
-            for (cc, c), gc in entries:
-                bands[cc + shift][r, c] += gr * gc
+    ``block`` couples the p+1 dofs of each cell in ``cells`` (relative cell
+    indices, in that order); the last dof of a cell is the first reduced
+    dof of the next one.  Every row is moved to cell 0, its columns landing
+    on the band of their cell.  Summation runs over ascending shifts, then
+    rows, then columns, an order the symbols' bits depend on.
+    """
+    node = [(c + (l == p), l % p) for c in cells for l in range(p + 1)]
+    bands = {}
+    for shift in sorted({-c for c, _ in node}):
+        for i, (rc, r) in enumerate(node):
+            if rc + shift == 0:
+                for j, (cc, c) in enumerate(node):
+                    bands.setdefault(cc + shift, np.zeros((p, p)))[r, c] += block[i, j]
     return bands
 
 
@@ -221,8 +209,9 @@ def _fold(bands, theta):
 class SymbolBuilder:
     """Per (family, degree, stabilization kind) symbol factory.
 
-    All pieces depend on delta affinely, so the builder exposes the
-    delta-free folds and lets callers scale:
+    The bands are folded once from the blocks ``DiscreteSystem`` scatters
+    (``local_matrices``, and the jump row for CIP); both symbols are affine
+    in delta:
 
         mass(theta, delta) = Mg(theta) + delta * T(theta)      (T: SUPG only)
         conv(theta, delta) = C(theta)  + delta * S(theta)
@@ -235,50 +224,31 @@ class SymbolBuilder:
         self.kind = stab_kind
         p = degree
         loc = local_matrices(self.ref)
-        self._mass = _band_from_local(loc.mass, p)
-        self._conv = _band_from_local(loc.deriv, p)
-        self._convT = _band_from_local(loc.deriv.T, p)
-        self._gg = _band_from_local(loc.grad_grad, p)
-        self._cip = _cip_bands(self.ref) if stab_kind == CIP else None
-        self._lps_lumped = self.ref.family == "cubature"
-
-    def mass_galerkin(self, theta):
-        return _fold(self._mass, theta)
-
-    def mass_supg_part(self, theta):
-        return _fold(self._convT, theta) if self.kind == SUPG else None
-
-    def conv_galerkin(self, theta):
-        return _fold(self._conv, theta)
-
-    def stab_part(self, theta):
-        """Unit-delta stabilization symbol (None for unstabilized)."""
-        if self.kind == NONE:
-            return None
-        if self.kind == SUPG:
-            return _fold(self._gg, theta)
-        if self.kind == CIP:
-            return _fold(self._cip, theta)
-        gg = _fold(self._gg, theta)
-        grad = _fold(self._conv, theta)
-        gradT = _fold(self._convT, theta)
-        # projection mass: for cubature this fold is already the diagonal one
-        mg = _fold(self._mass, theta)
-        w_of_u = np.linalg.solve(mg, grad)
-        return gg - gradT @ w_of_u
+        self._mass = _bands(loc.mass, (0,), p)
+        self._conv = _bands(loc.deriv, (0,), p)
+        self._convT = _bands(loc.deriv.T, (0,), p)
+        self._gg = _bands(loc.grad_grad, (0,), p)
+        # one face, between cells -1 and 0; the fold's shifts place the others
+        self._cip = _bands(np.outer(loc.jump, loc.jump), (-1, 0), p) if stab_kind == CIP else None
 
     def mass(self, theta, delta):
-        m = self.mass_galerkin(theta)
+        m = _fold(self._mass, theta)
         if self.kind == SUPG and delta != 0.0:
-            m = m + delta * self.mass_supg_part(theta)
+            m = m + delta * _fold(self._convT, theta)
         return m
 
     def conv(self, theta, delta):
-        c = self.conv_galerkin(theta)
-        s = self.stab_part(theta)
-        if s is not None and delta != 0.0:
-            c = c + delta * s
-        return c
+        c = _fold(self._conv, theta)
+        if self.kind == NONE or delta == 0.0:
+            return c
+        if self.kind == CIP:
+            s = _fold(self._cip, theta)
+        else:
+            s = _fold(self._gg, theta)
+            if self.kind == LPS:
+                # projection mass: for cubature this fold is already the diagonal one
+                s = s - _fold(self._convT, theta) @ np.linalg.solve(_fold(self._mass, theta), c)
+        return c + delta * s
 
     def lumped_diag(self, delta):
         """Row sums of the global mass operator (the theta = 0 fold)."""
@@ -300,12 +270,8 @@ class SymbolPair:
     conv_sym: np.ndarray   # unit speed; multiply by the speed downstream
 
 
-def assemble_symbol(ref, stab, theta, dx=1.0, speed=1.0):
-    """Reduced p x p symbol pair at theta in (0, pi].
-
-    ``speed`` only enters through tau, where it cancels against the delta
-    scalings; it is accepted for interface symmetry.
-    """
+def assemble_symbol(ref, stab, theta, dx=1.0):
+    """Reduced p x p symbol pair at theta in (0, pi]."""
     if isinstance(ref, tuple):
         ref = build_reference_element(*ref)
     b = _builder(ref.family, ref.degree, stab.kind)
@@ -394,8 +360,8 @@ def _dec_cfl_polynomial(M, K, Dvec, scale, config):
     return np.stack(subs[config.n_sub], axis=0)  # (n_iter + 1, ..., p, p)
 
 
-def amplification_matrix(ref, stab, scheme, theta, cfl, delta, dx=1.0,
-                         speed=1.0, convention=DEFAULT_CONVENTION):
+def amplification_matrix(ref, stab, scheme, theta, cfl, delta,
+                         convention=DEFAULT_CONVENTION):
     """Fully discrete propagator G for one parameter point.
 
     RK and SSPRK use the expanded stability-polynomial form; deferred

@@ -159,8 +159,6 @@ class DiscreteSystem:
         self.local = local_matrices(ref)
         self.V = ref.eval_basis(ref.quad_points)          # (nq, p+1)
         self.Vd = ref.eval_basis_deriv(ref.quad_points)   # (nq, p+1)
-        self.d_left = ref.eval_basis_deriv(0.0)
-        self.d_right = ref.eval_basis_deriv(1.0)
         self.quad_x = mesh.x_left + mesh.dx * (
             np.arange(mesh.n_cells)[:, None] + ref.quad_points[None, :]
         )
@@ -222,8 +220,8 @@ class DiscreteSystem:
         nc = self.mesh.n_cells
         right = np.arange(nc) if self.mesh.boundary == PERIODIC else np.arange(1, nc)
         self._face_cells = (right - 1) % nc, right        # (left, right) cell of face
-        cols = np.hstack([self.cell_dofs[right], self.cell_dofs[right - 1]])
-        row = np.concatenate([self.d_left, -self.d_right]) / self.mesh.dx
+        cols = np.hstack([self.cell_dofs[right - 1], self.cell_dofs[right]])
+        row = self.local.jump / self.mesh.dx
         return sp.csr_matrix((np.tile(row, len(right)), cols.ravel(),
                               np.arange(0, cols.size + 1, cols.shape[1])),
                              shape=(len(right), self.n_nodes))
@@ -432,11 +430,6 @@ class DiscreteSystem:
 def assemble_system(mesh, ref, stab, flux, bc=None):
     """Build the DiscreteSystem for a mesh / element / stabilization / flux."""
     return DiscreteSystem(mesh, ref, stab, flux, bc=bc)
-
-
-def lps_project_gradient(system, U):
-    """Global L2 projection of the discrete gradient (LPS systems only)."""
-    return system.project_gradient(U)
 
 
 def semi_discrete_energy_rate(system, U):

@@ -30,9 +30,6 @@ class BlowUp(RuntimeError):
     """The run produced NaN/Inf or left the trust region ||U|| <= 1e10."""
 
 
-NonFiniteState = BlowUp  # kept for callers that catch NaN/Inf steps by this name
-
-
 class NonPositiveLumpedMass(RuntimeError):
     """Deferred correction needs a strictly positive lumped mass."""
 

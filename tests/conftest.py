@@ -46,9 +46,10 @@ def one_step_reduced(family, p, stab_kind, delta, scheme_kind, mode_index,
 
 
 def predicted_step(family, p, stab_kind, delta, scheme_kind, theta, u_red,
-                   cfl, a=1.3, dx=0.7, convention="cell"):
+                   cfl, convention="cell"):
+    """G applied to the reduced mode; dx and the speed cancel in the symbol."""
     ref = build_reference_element(family, p)
     stab = StabilizationSpec(stab_kind, delta)
     amp = amplification_matrix(ref, stab, scheme_kind, theta, cfl, delta,
-                               dx=dx, speed=a, convention=convention)
+                               convention=convention)
     return amp.G @ u_red

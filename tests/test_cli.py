@@ -53,6 +53,23 @@ def test_scan_deterministic_bytes(tmp_path):
     assert payload["optima"]["max_cfl"]["cfl"] > 0
 
 
+def test_output_directory_changes_no_byte(tmp_path):
+    """The recorded configuration leaves out --out and --jobs."""
+    for out, jobs in (("a", "1"), ("b", "2")):
+        common = ["--family", "cubature", "--degree", "1", "--stab", "cip", "--time", "ssprk",
+                  "--jobs", jobs, "--out", str(tmp_path / out)]
+        assert run_cli(["scan", "--theta-samples", "12"] + common) == 0
+        assert run_cli(["solve", "--delta", "0.094", "--cells", "12"] + common) == 0
+    header = (tmp_path / "a" / "mask_cubature-p1-cip-ssprk.csv").read_text().splitlines()[0]
+    assert "out=" not in header and "jobs=" not in header
+    for name in ("scan_cubature-p1-cip-ssprk.json", "mask_cubature-p1-cip-ssprk.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # a solve records its wall time, so only its configuration block must agree
+    solves = [json.loads((tmp_path / out / "solve_cubature-p1-cip-ssprk_12.json").read_text())
+              for out in ("a", "b")]
+    assert solves[0]["config"] == solves[1]["config"]
+
+
 def test_scan_no_stable_region_exit_code(tmp_path):
     rc = run_cli(["scan", "--family", "basic", "--degree", "1", "--stab", "none",
                   "--time", "rk", "--theta-samples", "16", "--out", str(tmp_path)])
@@ -145,6 +162,5 @@ def test_optimize_all_combinations_parallel_deterministic(tmp_path):
     assert rc == 0
     a = (tmp_path / "serial" / "optimize.csv").read_text()
     b = (tmp_path / "parallel" / "optimize.csv").read_text()
-    # the resolved-config header records the jobs flag; rows must agree
-    assert a.splitlines()[1:] == b.splitlines()[1:]
+    assert a == b
     assert len(a.splitlines()) == 2 + 3 * 108

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cgstab import build_reference_element, local_matrices
 from cgstab.fourier import (
+    _bands,
     _builder,
     _char_residual,
     _dec_cfl_polynomial,
@@ -112,6 +114,55 @@ def test_char_residual_matches_shifted_copy():
 
 
 # ------------------------------------------------------------------- symbols
+
+def _band_from_local(A, p):
+    """Reference: the former fold of one cell block into {-1, 0, +1} bands."""
+    b0 = np.zeros((p, p))
+    bm = np.zeros((p, p))
+    bp = np.zeros((p, p))
+    b0 += A[:p, :p]
+    b0[0, 0] += A[p, p]
+    bp[:, 0] += A[:p, p]
+    bm[0, :] += A[p, :p]
+    return {-1: bm, 0: b0, 1: bp}
+
+
+def _cip_bands(ref):
+    """Reference: the former gradient-jump bands, from the basis derivatives."""
+    p = ref.degree
+    d0 = ref.eval_basis_deriv(0.0)
+    d1 = ref.eval_basis_deriv(1.0)
+    entries = []
+    for cell, coeffs, sign in ((-1, d1, -1.0), (0, d0, +1.0)):
+        for l in range(p + 1):
+            entries.append(((cell + (l == p), l % p), sign * coeffs[l]))
+    bands = {s: np.zeros((p, p)) for s in range(-2, 3)}
+    for shift in (-1, 0, 1):
+        for (rc, r), gr in entries:
+            if rc + shift != 0:
+                continue
+            for (cc, c), gc in entries:
+                bands[cc + shift][r, c] += gr * gc
+    return bands
+
+
+def _same_bands(got, want):
+    return (list(got) == list(want)
+            and all(got[s].tobytes() == want[s].tobytes() for s in want))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+def test_bands_match_former_folds(family, degree):
+    """One fold of the scattered blocks reproduces both former band builders
+    bit for bit, band order included (the symbol sums bands in that order)."""
+    ref = build_reference_element(family, degree)
+    loc = local_matrices(ref)
+    for block in (loc.mass, loc.deriv, loc.deriv.T, loc.grad_grad):
+        assert _same_bands(_bands(block, (0,), degree), _band_from_local(block, degree))
+    cip = _bands(np.outer(loc.jump, loc.jump), (-1, 0), degree)
+    assert _same_bands(cip, _cip_bands(ref))
+
 
 def test_p1_symbol_matches_hand_formulas():
     theta = 1.1

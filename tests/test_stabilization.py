@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cgstab import build_reference_element
 from cgstab.fluxes import Burgers, LinearAdvection, ShallowWater
@@ -9,7 +10,6 @@ from cgstab.stabilization import (
     Mesh1D,
     StabilizationSpec,
     assemble_system,
-    lps_project_gradient,
     semi_discrete_energy_rate,
     tau_cell,
 )
@@ -118,10 +118,10 @@ def test_cip_matches_hand_assembled_matrix():
 def test_lps_projection_constant_and_linear():
     system = make_system("basic", 2, "lps", 0.3, boundary="dirichlet",
                          bc=lambda t: (np.array([0.0]), np.array([2.0])))
-    W = lps_project_gradient(system, np.full(system.n_nodes, 4.0))
+    W = system.project_gradient(np.full(system.n_nodes, 4.0))
     assert np.max(np.abs(W)) < 1e-12
     U = system.node_x.copy()
-    W = lps_project_gradient(system, U)[:, 0]
+    W = system.project_gradient(U)[:, 0]
     inner = slice(2, -2)
     assert np.max(np.abs(W[inner] - 1.0)) < 1e-10
 
@@ -131,7 +131,7 @@ def test_lps_projection_cubature_needs_no_factorization():
     assert system._proj_solver is None and system._proj_diag is not None
     rng = np.random.default_rng(8)
     U = rng.normal(size=system.n_nodes)
-    W = lps_project_gradient(system, U)
+    W = system.project_gradient(U)
     # diagonal projection solves the lumped system, not the consistent one
     lumped = np.asarray(system.M_galerkin.sum(axis=1)).ravel()
     assert np.max(np.abs(lumped[:, None] * W - system._lps_weak_grad @ U[:, None])) < 1e-12
@@ -155,6 +155,26 @@ def test_energy_rate_nonpositive(family, degree, kind):
         assert semi_discrete_energy_rate(system, U) <= 1e-12 * (U @ U)
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+@pytest.mark.parametrize("boundary", ("periodic", "dirichlet"))
+def test_jump_operator_matches_basis_derivatives(family, degree, boundary):
+    """J, built from the shared jump row (left cell, then right cell), equals
+    the operator written with the right cell's columns first."""
+    bc = (lambda t: (np.zeros(1), np.zeros(1))) if boundary == "dirichlet" else None
+    system = make_system(family, degree, "cip", 0.1, n=5, boundary=boundary,
+                         flux=Burgers(), bc=bc)
+    nc = system.mesh.n_cells
+    right = np.arange(nc) if boundary == "periodic" else np.arange(1, nc)
+    cols = np.hstack([system.cell_dofs[right], system.cell_dofs[right - 1]])
+    row = np.concatenate([system.ref.eval_basis_deriv(0.0),
+                          -system.ref.eval_basis_deriv(1.0)]) / system.mesh.dx
+    want = sp.csr_matrix((np.tile(row, len(right)), cols.ravel(),
+                          np.arange(0, cols.size + 1, cols.shape[1])),
+                         shape=(len(right), system.n_nodes))
+    assert np.array_equal(system.J.toarray(), want.toarray())
+
+
 def test_energy_rate_cip_matches_jump_sum():
     system = make_system("basic", 2, "cip", 0.41, n=6)
     rng = np.random.default_rng(12)
@@ -164,8 +184,8 @@ def test_energy_rate_cip_matches_jump_sum():
     dx = system.mesh.dx
     tau = 0.41 * dx**2
     cells = U[system.cell_dofs]
-    gl = cells @ system.d_right / dx
-    gr = cells @ system.d_left / dx
+    gl = cells @ system.ref.eval_basis_deriv(1.0) / dx
+    gr = cells @ system.ref.eval_basis_deriv(0.0) / dx
     jumps = gr - np.roll(gl, 1)
     assert rate == pytest.approx(-tau * np.sum(jumps**2), rel=1e-10, abs=1e-12)
 
@@ -177,7 +197,7 @@ def test_energy_rate_lps_matches_projection_defect():
     rate = semi_discrete_energy_rate(system, U)
     dx = system.mesh.dx
     tau = 0.27 * dx
-    W = lps_project_gradient(system, U)[:, 0]
+    W = system.project_gradient(U)[:, 0]
     cells_u = U[system.cell_dofs]
     cells_w = W[system.cell_dofs]
     ux = cells_u @ system.Vd.T / dx
@@ -270,15 +290,17 @@ def reference_residual(system, U, t=0.0):
         else:
             right = np.arange(1, nc)
             left = right - 1
-        grad_l = np.einsum("i,cik->ck", system.d_right, cells[left]) / dx
-        grad_r = np.einsum("i,cik->ck", system.d_left, cells[right]) / dx
+        d_left = system.ref.eval_basis_deriv(0.0)
+        d_right = system.ref.eval_basis_deriv(1.0)
+        grad_l = np.einsum("i,cik->ck", d_right, cells[left]) / dx
+        grad_r = np.einsum("i,cik->ck", d_left, cells[right]) / dx
         jump_u = grad_r - grad_l
         speed = cell_speeds()
         tau_f = np.asarray(tau_cell(stab, dx, np.maximum(speed[left], speed[right])))
         np.add.at(r, system.cell_dofs[right],
-                  -np.einsum("f,i,fk->fik", tau_f, system.d_left / dx, jump_u))
+                  -np.einsum("f,i,fk->fik", tau_f, d_left / dx, jump_u))
         np.add.at(r, system.cell_dofs[left],
-                  np.einsum("f,i,fk->fik", tau_f, system.d_right / dx, jump_u))
+                  np.einsum("f,i,fk->fik", tau_f, d_right / dx, jump_u))
 
     if mesh.boundary == "dirichlet":
         r[0] = 0.0
@@ -349,8 +371,6 @@ def test_linear_residual_is_one_csr_matrix(family, kind, delta):
 def reference_mass(system, U):
     """The SUPG mass and its row sums as assembled before the block pattern:
     COO blocks added to the Galerkin mass, identity rows through LIL."""
-    import scipy.sparse as sp
-
     mesh, ref = system.mesh, system.ref
     nb = ref.degree + 1
     rows = system.cell_dofs[:, :, None]

@@ -7,8 +7,8 @@ from cgstab import build_reference_element
 from cgstab.fluxes import LinearAdvection
 from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
 from cgstab.timeint import (
+    BlowUp,
     DEC_CONFIGS,
-    NonFiniteState,
     RK_TABLEAUX,
     SSPRK_TABLEAUX,
     dec_equivalent_butcher,
@@ -217,7 +217,7 @@ def test_dec_never_solves_full_mass():
 
 def test_non_finite_state_detected():
     ode = ScalarODE(lambda U, t: U * np.inf)
-    with pytest.raises(NonFiniteState):
+    with pytest.raises(BlowUp):
         rk_step(ode, np.array([1.0]), 0.0, 0.1, RK_TABLEAUX[2])
 
 
