@@ -7,7 +7,7 @@ inverting the characteristic relation chi + u0(chi) t = x; shallow water
 transports a manufactured solitary wave driven by a momentum source, and
 the error is measured on the water height.
 
-Run:  python demos/05_nonlinear_problems.py   (about a minute)
+Run:  python demos/05_nonlinear_problems.py   (about 4 s on a 2-core x86 VM)
 """
 
 import numpy as np

@@ -36,7 +36,6 @@ from .timeint import (
     expand_ssprk_coefficients,
     make_scheme,
     rk_step,
-    ssprk_step,
 )
 from .fourier import (
     AmplificationMatrix,

@@ -36,7 +36,7 @@ from .problems import PROBLEMS
 from .scan import Combination, NoStableRegion, ScanGrid, geometric_grid, scan_combination
 from .solver import BlowUp, DX1_DEFAULT, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, SingularMass, StabilizationSpec
-from .timeint import make_scheme
+from .timeint import SCHEME_KINDS, make_scheme
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,7 +98,7 @@ def _combination(cfg):
     if stab not in STAB_KINDS:
         raise ValueError(f"unknown stabilization {stab!r}")
     scheme = cfg.get("time", "ssprk")
-    if scheme not in ("rk", "ssprk", "dec"):
+    if scheme not in SCHEME_KINDS:
         raise ValueError(f"unknown time scheme {scheme!r}")
     return Combination(fam, degree, stab, scheme)
 
@@ -192,7 +192,7 @@ def cmd_optimize(cfg, out_dir):
             for fam in FAMILIES
             for p in (1, 2, 3)
             for stab in STAB_KINDS
-            for scheme in ("rk", "ssprk", "dec")
+            for scheme in SCHEME_KINDS
         ]
     jobs = int(cfg.get("jobs", 1))
     tasks = [
@@ -268,7 +268,7 @@ def build_parser():
         p.add_argument("--family", choices=FAMILIES)
         p.add_argument("--degree", type=int, choices=(1, 2, 3))
         p.add_argument("--stab", choices=STAB_KINDS)
-        p.add_argument("--time", choices=("rk", "ssprk", "dec"))
+        p.add_argument("--time", choices=SCHEME_KINDS)
         p.add_argument("--cfl", type=float)
         p.add_argument("--delta", type=float)
         p.add_argument("--theta-samples", dest="theta_samples", type=int)

@@ -375,7 +375,12 @@ def amplification_matrix(ref, stab, scheme, theta, cfl, delta,
         scheme = make_scheme(scheme, ref.degree + 1)
     b = _builder(ref.family, ref.degree, stab.kind)
     theta_arr = np.asarray(float(theta))
-    if scheme.kind in ("rk", "ssprk"):
+    if scheme.kind == "dec":
+        H = _dec_cfl_polynomial(b.mass(theta_arr, delta), b.conv(theta_arr, delta),
+                                b.lumped_diag(delta), dt_scale(convention, 1.0, ref.degree),
+                                scheme.tableau)
+        G = np.tensordot(cfl ** np.arange(len(H)), H, axes=1)
+    else:
         Z = _z_matrix(b, theta_arr, delta, cfl, convention)
         nu = expand_ssprk_coefficients(scheme.tableau)
         G = np.eye(ref.degree, dtype=complex)
@@ -383,11 +388,6 @@ def amplification_matrix(ref, stab, scheme, theta, cfl, delta,
         for nu_j in nu:
             Zp = Zp @ Z
             G = G + nu_j * Zp
-    else:
-        H = _dec_cfl_polynomial(b.mass(theta_arr, delta), b.conv(theta_arr, delta),
-                                b.lumped_diag(delta), dt_scale(convention, 1.0, ref.degree),
-                                scheme.tableau)
-        G = np.tensordot(cfl ** np.arange(len(H)), H, axes=1)
     return AmplificationMatrix(float(theta), float(cfl), float(delta), G)
 
 

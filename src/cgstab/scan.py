@@ -149,50 +149,28 @@ def _wavenumbers(n):
     return K_MAX * np.arange(1, n + 1) / n
 
 
-def _mode_fields(comb, grid, convention, deltas=None):
-    """lambda(G) for every (cfl, delta, k, mode); returns (lam, dt_row, k, failures).
+def _mode_fields(b, scheme, nu, theta, cfls, scale, delta):
+    """lambda(G) for every (cfl, k, mode) at one delta, shape (n_cfl, n_k, p).
 
-    Shapes: lam is (n_cfl, n_delta, n_k, p); dt_row is (n_cfl,).  The scans
-    call it one delta column at a time.
+    ``nu`` holds the stability-polynomial coefficients of an RK scheme;
+    deferred correction evaluates the cfl polynomial of its iterated update.
     """
-    p = comb.degree
-    b = _builder(comb.family, p, comb.stab_kind)
-    scheme = make_scheme(comb.scheme_kind, p + 1)
-    k = _wavenumbers(grid.theta_samples)
-    theta = p * k                     # dx = p when dx_p = 1
-    cfls = grid.cfl_values
-    deltas = grid.delta_values if deltas is None else np.asarray(deltas)
-    scale = dt_scale(convention, 1.0, p)   # dt = cfl*scale*dx/speed, dx folded out
-    lam = np.empty((len(cfls), len(deltas), len(k), p), dtype=complex)
-    failures = 0
-    nu = expand_ssprk_coefficients(scheme.tableau) if comb.scheme_kind in ("rk", "ssprk") else None
-    for j, d in enumerate(deltas):
-        try:
-            M = b.mass(theta, d)
-            Kt = b.conv(theta, d)
-            if nu is not None:
-                lamA = eigvals_batched(np.linalg.solve(M, Kt))
-                z = -scale * np.multiply.outer(cfls, lamA)    # (ncfl, nk, p)
-                G = np.ones_like(z)
-                zp = np.ones_like(z)
-                for nu_j in nu:
-                    zp = zp * z
-                    G = G + nu_j * zp
-                lam[:, j] = G
-            else:
-                Dv = b.lumped_diag(d)
-                H = _dec_cfl_polynomial(M, Kt, Dv, scale, scheme.tableau)
-                powers = cfls[:, None] ** np.arange(H.shape[0])[None, :]
-                G = np.tensordot(powers, H, axes=(1, 0))      # (ncfl, nk, p, p)
-                lam[:, j] = eigvals_batched(G.reshape(-1, p, p)).reshape(
-                    len(cfls), len(k), p
-                )
-        except (EigenSolveFailure, np.linalg.LinAlgError):
-            # flag the whole delta column as unstable rather than crash
-            lam[:, j] = 2.0
-            failures += 1
-    dt_row = cfls * scale * p          # dx = p, speed = 1
-    return lam, dt_row, k, failures
+    M = b.mass(theta, delta)
+    Kt = b.conv(theta, delta)
+    if scheme.kind == "dec":
+        H = _dec_cfl_polynomial(M, Kt, b.lumped_diag(delta), scale, scheme.tableau)
+        powers = cfls[:, None] ** np.arange(H.shape[0])[None, :]
+        G = np.tensordot(powers, H, axes=(1, 0))      # (ncfl, nk, p, p)
+        p = G.shape[-1]
+        return eigvals_batched(G.reshape(-1, p, p)).reshape(G.shape[:-1])
+    lamA = eigvals_batched(np.linalg.solve(M, Kt))
+    z = -scale * np.multiply.outer(cfls, lamA)        # (ncfl, nk, p)
+    G = np.ones_like(z)
+    zp = np.ones_like(z)
+    for nu_j in nu:
+        zp = zp * z
+        G = G + nu_j * zp
+    return G
 
 
 def _scan_fields(comb, grid, convention):
@@ -200,23 +178,36 @@ def _scan_fields(comb, grid, convention):
 
     Each column's lambda block is reduced right away: the mask from the
     largest modulus, then the principal-mode phase and damping and the two
-    functionals on the stable rows only (NaN elsewhere).  Returns
-    (stable, eta_u, eta_w, failed delta columns).
+    functionals on the stable rows only (NaN elsewhere).  A column whose
+    eigen solve fails stays unstable.  Returns (stable, eta_u, eta_w,
+    failed delta columns).
     """
-    shape = (len(grid.cfl_values), len(grid.delta_values))
+    p = comb.degree
+    b = _builder(comb.family, p, comb.stab_kind)
+    scheme = make_scheme(comb.scheme_kind, p + 1)
+    nu = None if scheme.kind == "dec" else expand_ssprk_coefficients(scheme.tableau)
+    k = _wavenumbers(grid.theta_samples)
+    theta = p * k                     # dx = p when dx_p = 1
+    cfls = grid.cfl_values
+    scale = dt_scale(convention, 1.0, p)   # dt = cfl*scale*dx/speed, dx folded out
+    dt_row = cfls * scale * p          # dx = p, speed = 1
+    shape = (len(cfls), len(grid.delta_values))
     stable = np.zeros(shape, dtype=bool)
     eu = np.full(shape, np.nan)
     ew = np.full(shape, np.nan)
     failures = 0
     for j, d in enumerate(grid.delta_values):
-        lam, dt_row, k, failed = _mode_fields(comb, grid, convention, deltas=[d])
-        failures += failed
-        mod = np.abs(lam[:, 0])
+        try:
+            lam = _mode_fields(b, scheme, nu, theta, cfls, scale, d)
+        except (EigenSolveFailure, np.linalg.LinAlgError):
+            failures += 1
+            continue
+        mod = np.abs(lam)
         rows = mod.max(axis=(1, 2)) <= np.exp(EPS_TOL * dt_row)
         stable[:, j] = rows
         if not rows.any():
             continue
-        lam, mod = lam[rows, 0], mod[rows]
+        lam, mod = lam[rows], mod[rows]
         dt = dt_row[rows, None, None]
         omega = np.arctan2(-lam.imag, lam.real) / dt
         with np.errstate(divide="ignore"):

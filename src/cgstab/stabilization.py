@@ -278,12 +278,12 @@ class DiscreteSystem:
     def _set_mass(self, data):
         """Install mass values given on the block pattern."""
         rows = self._pattern[0]
-        self._lumped = np.bincount(rows, data, minlength=self.n_nodes)
-        if np.any(self._lumped <= 0):
-            raise SingularMass("lumped mass has nonpositive entries")
         if self.mesh.boundary == DIRICHLET:
             data[(rows == 0) | (rows == self.n_nodes - 1)] = 0.0
             data[self._diag_pos[[0, -1]]] = 1.0
+        self._lumped = np.bincount(rows, data, minlength=self.n_nodes)
+        if np.any(self._lumped <= 0):
+            raise SingularMass("lumped mass has nonpositive entries")
         self._mass_matrix = sp.csc_matrix((data,) + self._pattern, shape=(self.n_nodes,) * 2)
         offdiag = np.abs(data)
         offdiag[self._diag_pos] = 0.0

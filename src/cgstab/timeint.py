@@ -1,15 +1,14 @@
-"""Explicit time integrators: RK, Shu-Osher SSPRK, deferred correction.
+"""Explicit time integrators: Runge-Kutta in Shu-Osher form, deferred correction.
 
-The RK update reads
+Every explicit RK method (classical, SSPRK, and DeC on a diagonal mass)
+is stored and stepped in Shu-Osher form
 
-    U^(s)   = U^n + dt sum_j alpha_j^s M^{-1} r(U^(j)),
-    U^{n+1} = U^n + dt sum_s beta_s  M^{-1} r(U^(s)),
+    U^(s) = sum_j gamma_j^s U^(j) + dt mu_j^s M^{-1} r(U^(j));
 
-the SSPRK one
-
-    U^(s)   = sum_j gamma_j^s U^(j) + dt mu_j^s M^{-1} r(U^(j)),
-
-and deferred correction iterates the explicit update
+a classical tableau with stage rows alpha^s and final weights beta is the
+one with mu rows alpha^1, ..., alpha^{S-1}, beta and gamma rows
+(1, 0, ..., 0) (Shu & Osher 1988).  Deferred correction iterates the
+explicit update
 
     U^{n,m,(k+1)} = U^{n,m,(k)} - D^{-1} M (U^{n,m,(k)} - U^n)
                     + dt sum_j rho_j^m D^{-1} r(U^{n,j,(k)}),
@@ -35,21 +34,9 @@ class NonPositiveLumpedMass(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ButcherTableau:
-    alpha: tuple          # strictly lower-triangular stage rows
-    beta: tuple           # final combination weights, sum to 1
-    order: int
-    name: str = ""
-
-    @property
-    def n_stages(self):
-        return len(self.beta)
-
-
-@dataclass(frozen=True)
 class ShuOsherTableau:
-    gamma: tuple          # convex combination coefficients, rows sum to 1
-    mu: tuple             # stage step coefficients, all >= 0
+    gamma: tuple          # combination coefficients, rows sum to 1
+    mu: tuple             # stage step coefficients, all >= 0 for SSPRK
     order: int
     name: str = ""
 
@@ -70,20 +57,17 @@ class DeCConfig:
         return self.n_iter
 
 
+def _butcher(alpha, beta, order, name):
+    """Shu-Osher form of the explicit Butcher tableau (alpha rows, beta)."""
+    mu = tuple(alpha) + (tuple(beta),)
+    gamma = tuple((1.0,) + (0.0,) * (len(row) - 1) for row in mu)
+    return ShuOsherTableau(gamma, mu, order, name)
+
+
 RK_TABLEAUX = {
-    2: ButcherTableau(alpha=((1.0,),), beta=(0.5, 0.5), order=2, name="RK2"),
-    3: ButcherTableau(
-        alpha=((0.5,), (-1.0, 2.0)),
-        beta=(1 / 6, 2 / 3, 1 / 6),
-        order=3,
-        name="RK3",
-    ),
-    4: ButcherTableau(
-        alpha=((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
-        beta=(1 / 6, 1 / 3, 1 / 3, 1 / 6),
-        order=4,
-        name="RK4",
-    ),
+    2: _butcher(((1.0,),), (0.5, 0.5), 2, "RK2"),
+    3: _butcher(((0.5,), (-1.0, 2.0)), (1 / 6, 2 / 3, 1 / 6), 3, "RK3"),
+    4: _butcher(((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6), 4, "RK4"),
 }
 
 SSPRK_TABLEAUX = {
@@ -149,21 +133,8 @@ def _check_finite(U):
 
 
 def rk_step(system, U, t, dt, tableau):
-    """One explicit Runge-Kutta step; mass solves use the full operator."""
-    system.refresh_mass(U)
-    ks = [system.solve_mass(system.residual(U, t))]
-    for row in tableau.alpha:
-        c = sum(row)
-        V = U + dt * sum(a * k for a, k in zip(row, ks) if a != 0.0)
-        system.apply_bc(V, t + c * dt)
-        ks.append(system.solve_mass(system.residual(V, t + c * dt)))
-    U_next = U + dt * sum(b * k for b, k in zip(tableau.beta, ks) if b != 0.0)
-    system.apply_bc(U_next, t + dt)
-    return _check_finite(U_next)
-
-
-def ssprk_step(system, U, t, dt, tableau):
-    """One SSPRK step in Shu-Osher form."""
+    """One explicit Runge-Kutta step in Shu-Osher form; mass solves use the
+    full operator.  The last row's boundary values are imposed at t + dt."""
     system.refresh_mass(U)
     values = [U]
     cs = [0.0]
@@ -172,14 +143,15 @@ def ssprk_step(system, U, t, dt, tableau):
     for s, (grow, mrow) in enumerate(zip(tableau.gamma, tableau.mu), start=1):
         V = sum(g * values[j] for j, g in enumerate(grow) if g != 0.0)
         V = V + dt * sum(m * ks[j] for j, m in enumerate(mrow) if m != 0.0)
+        if s == n:
+            break
         c = sum(g * cs[j] + mrow[j] for j, g in enumerate(grow))
         system.apply_bc(V, t + c * dt)
         values.append(V)
         cs.append(c)
-        if s < n:
-            ks.append(system.solve_mass(system.residual(V, t + c * dt)))
-    system.apply_bc(values[-1], t + dt)
-    return _check_finite(values[-1])
+        ks.append(system.solve_mass(system.residual(V, t + c * dt)))
+    system.apply_bc(V, t + dt)
+    return _check_finite(V)
 
 
 def dec_step(system, U, t, dt, config):
@@ -220,40 +192,25 @@ def expand_ssprk_coefficients(tableau):
     """Stability-polynomial coefficients nu_1..nu_S for a linear operator.
 
     For a linear autonomous right-hand side the full step collapses to
-    U^{n+1} = (I + sum_j nu_j (dt A)^j) U^n; both tableau forms are
-    accepted.  Consistency forces nu_1 = 1.
+    U^{n+1} = (I + sum_j nu_j (dt A)^j) U^n.  Consistency forces nu_1 = 1.
     """
-    if isinstance(tableau, ShuOsherTableau):
-        n = tableau.n_stages
-        coeffs = [np.zeros(n + 1)]
-        coeffs[0][0] = 1.0
-        for grow, mrow in zip(tableau.gamma, tableau.mu):
-            c = np.zeros(n + 1)
-            for j, g in enumerate(grow):
-                c += g * coeffs[j]
-                c[1:] += mrow[j] * coeffs[j][:-1]
-            coeffs.append(c)
-        final = coeffs[-1]
-    else:
-        n = tableau.n_stages
-        e0 = np.zeros(n + 1)
-        e0[0] = 1.0
-        coeffs = [e0]
-        for row in tableau.alpha:
-            c = e0.copy()
-            for j, a in enumerate(row):
-                c[1:] += a * coeffs[j][:-1]
-            coeffs.append(c)
-        final = e0.copy()
-        for b, cj in zip(tableau.beta, coeffs):
-            final[1:] += b * cj[:-1]
+    n = tableau.n_stages
+    coeffs = [np.zeros(n + 1)]
+    coeffs[0][0] = 1.0
+    for grow, mrow in zip(tableau.gamma, tableau.mu):
+        c = np.zeros(n + 1)
+        for j, g in enumerate(grow):
+            c += g * coeffs[j]
+            c[1:] += mrow[j] * coeffs[j][:-1]
+        coeffs.append(c)
+    final = coeffs[-1]
     if abs(final[0] - 1.0) > 1e-12:
         raise ValueError("inconsistent tableau: nu_0 != 1")
     return final[1 : n + 1]
 
 
 def dec_equivalent_butcher(config):
-    """Butcher tableau of the RK scheme DeC reduces to when M = D.
+    """Tableau of the RK scheme DeC reduces to when M = D.
 
     Stages are the subtimestep values of each correction sweep; sweep k
     reads only sweep k-1, so the tableau is explicit.
@@ -275,8 +232,7 @@ def dec_equivalent_butcher(config):
     for z in range(1, M + 1):
         j = 0 if K == 1 else index(K - 1, z)
         beta[j] += config.rho[M - 1][z]
-    return ButcherTableau(tuple(alpha), tuple(beta), order=config.order,
-                          name=f"DeC{config.order}-as-RK")
+    return _butcher(alpha, beta, config.order, f"DeC{config.order}-as-RK")
 
 
 @dataclass(frozen=True)
@@ -288,16 +244,17 @@ class TimeScheme:
     tableau: object
 
     def step(self, system, U, t, dt):
-        if self.kind == "rk":
-            return rk_step(system, U, t, dt, self.tableau)
-        if self.kind == "ssprk":
-            return ssprk_step(system, U, t, dt, self.tableau)
-        return dec_step(system, U, t, dt, self.tableau)
+        if self.kind == "dec":
+            return dec_step(system, U, t, dt, self.tableau)
+        return rk_step(system, U, t, dt, self.tableau)
+
+
+SCHEME_KINDS = ("rk", "ssprk", "dec")
 
 
 def make_scheme(kind, order):
     """Scheme factory; order q pairs with degree p = q - 1 elements."""
-    tables = {"rk": RK_TABLEAUX, "ssprk": SSPRK_TABLEAUX, "dec": DEC_CONFIGS}
+    tables = dict(zip(SCHEME_KINDS, (RK_TABLEAUX, SSPRK_TABLEAUX, DEC_CONFIGS)))
     if kind not in tables:
         raise ValueError(f"unknown time scheme kind {kind!r}")
     if order not in tables[kind]:

@@ -4,12 +4,12 @@ from cgstab import build_reference_element
 from cgstab.fluxes import LinearAdvection
 from cgstab.fourier import amplification_matrix
 from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
-from cgstab.timeint import make_scheme
+from cgstab.timeint import SCHEME_KINDS, make_scheme
 
 ALL_FAMILIES = ("basic", "cubature", "bernstein")
 ALL_DEGREES = (1, 2, 3)
 ALL_STABS = (("none", 0.0), ("supg", 0.31), ("cip", 0.11), ("lps", 0.23))
-ALL_SCHEMES = ("rk", "ssprk", "dec")
+ALL_SCHEMES = SCHEME_KINDS
 
 
 def fourier_mode_state(system, theta, u_red):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgstab import build_reference_element, local_matrices
 from cgstab.fourier import (
@@ -255,6 +257,20 @@ def test_oracle_equivalence(family, degree, kind, delta, scheme):
         want = predicted_step(family, degree, kind, dd, scheme, theta, u_red, cfl)
         err = np.linalg.norm(got - want) / max(np.linalg.norm(got), 1e-30)
         assert err < 1e-9, (family, degree, kind, scheme, err)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(family=st.sampled_from(ALL_FAMILIES), degree=st.sampled_from(ALL_DEGREES),
+       kind=st.sampled_from([kind for kind, _ in ALL_STABS]),
+       delta=st.floats(0.0, 0.5), scheme=st.sampled_from(ALL_SCHEMES),
+       mode=st.integers(1, 7), cfl=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_oracle_equivalence_property(family, degree, kind, delta, scheme, mode, cfl, seed):
+    """The solver-vs-symbol oracle at drawn parameter points."""
+    rng = np.random.default_rng(seed)
+    u_red = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    got, theta = one_step_reduced(family, degree, kind, delta, scheme, mode, u_red, cfl)
+    want = predicted_step(family, degree, kind, delta, scheme, theta, u_red, cfl)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(got)
 
 
 def test_oracle_per_dof_convention():

@@ -335,18 +335,22 @@ def test_residual_matches_element_loop_reference(family, degree, kind, delta):
     n = 7
     for boundary in ("periodic", "dirichlet"):
         n_nodes = Mesh1D(0.0, 2.0, n, boundary).n_nodes(degree)
-        # a linear SUPG mass has a nonpositive lumped end row (so cannot be
-        # built) on a Dirichlet mesh once delta exceeds the end node's weight
-        delta_b = min(delta, 0.05) if kind == "supg" and boundary == "dirichlet" else delta
-        for flux, U, bc, speed_ref in _flux_cases(rng, n_nodes):
-            mesh = Mesh1D(0.0, 2.0, n, boundary)
-            stab = StabilizationSpec(kind, delta_b, speed_ref)
-            system = assemble_system(mesh, build_reference_element(family, degree), stab,
-                                     flux, bc=bc if boundary == "dirichlet" else None)
-            new = system.residual(U, 0.37)
-            ref = reference_residual(system, U, 0.37)
-            assert new.shape == ref.shape
-            assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # at 0.31 a linear SUPG end row sums to a nonpositive weight (basic
+        # p2) until its identity row is imposed; 0.05 stays below that
+        deltas = (0.05, delta) if kind == "supg" and boundary == "dirichlet" else (delta,)
+        for delta_b in deltas:
+            for flux, U, bc, speed_ref in _flux_cases(rng, n_nodes):
+                mesh = Mesh1D(0.0, 2.0, n, boundary)
+                stab = StabilizationSpec(kind, delta_b, speed_ref)
+                system = assemble_system(mesh, build_reference_element(family, degree), stab,
+                                         flux, bc=bc if boundary == "dirichlet" else None)
+                new = system.residual(U, 0.37)
+                ref = reference_residual(system, U, 0.37)
+                assert new.shape == ref.shape
+                assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+                if system.mass_matrix is not None:
+                    rowsum = np.asarray(system.mass_matrix.sum(axis=1)).ravel()
+                    assert np.array_equal(system.lumped, rowsum)
 
 
 @pytest.mark.parametrize("family,kind,delta", [
@@ -370,7 +374,8 @@ def test_linear_residual_is_one_csr_matrix(family, kind, delta):
 
 def reference_mass(system, U):
     """The SUPG mass and its row sums as assembled before the block pattern:
-    COO blocks added to the Galerkin mass, identity rows through LIL."""
+    COO blocks added to the Galerkin mass, identity rows through LIL, then
+    the row sums of that operator."""
     mesh, ref = system.mesh, system.ref
     nb = ref.degree + 1
     rows = system.cell_dofs[:, :, None]
@@ -388,12 +393,12 @@ def reference_mass(system, U):
     tau = np.asarray(tau_cell(system.stab, mesh.dx, np.full(mesh.n_cells, np.abs(jac).max())))
     w = ref.quad_weights
     M = M + scatter(np.einsum("c,q,cq,qi,qj->cij", tau, w, jac, system.Vd, system.V))
-    lumped = np.asarray(M.sum(axis=1)).ravel()
     M = M.tolil()
     for node in (0, system.n_nodes - 1):
         M.rows[node] = [node]
         M.data[node] = [1.0]
-    return M.tocsc(), lumped
+    M = M.tocsc()
+    return M, np.asarray(M.sum(axis=1)).ravel()
 
 
 def test_supg_mass_matches_coo_assembly_dirichlet_burgers():

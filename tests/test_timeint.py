@@ -5,6 +5,8 @@ import pytest
 
 from cgstab import build_reference_element
 from cgstab.fluxes import LinearAdvection
+from cgstab.problems import burgers_problem
+from cgstab.solver import build_problem_system
 from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
 from cgstab.timeint import (
     BlowUp,
@@ -16,7 +18,6 @@ from cgstab.timeint import (
     expand_ssprk_coefficients,
     make_scheme,
     rk_step,
-    ssprk_step,
 )
 
 from conftest import ALL_DEGREES
@@ -49,13 +50,13 @@ class ScalarODE:
 
 
 def test_tableau_values():
-    assert RK_TABLEAUX[2].alpha == ((1.0,),)
-    assert RK_TABLEAUX[2].beta == (0.5, 0.5)
+    assert RK_TABLEAUX[2].mu == ((1.0,), (0.5, 0.5))
+    assert RK_TABLEAUX[2].gamma == ((1.0,), (1.0, 0.0))
     assert SSPRK_TABLEAUX[2].gamma[-1] == (1 / 3, 0.0, 2 / 3)
     assert SSPRK_TABLEAUX[2].mu[-1][-1] == pytest.approx(1 / 3)
     assert SSPRK_TABLEAUX[4].mu[0][0] == pytest.approx(0.391752226571890, abs=1e-15)
     for tab in RK_TABLEAUX.values():
-        assert sum(tab.beta) == pytest.approx(1.0, abs=1e-14)
+        assert sum(tab.mu[-1]) == pytest.approx(1.0, abs=1e-14)
     for tab in SSPRK_TABLEAUX.values():
         for grow in tab.gamma:
             assert sum(grow) == pytest.approx(1.0, abs=1e-14)
@@ -133,20 +134,94 @@ def test_zero_residual_identity():
 
 
 def test_ssprk_equals_expanded_polynomial():
+    """Every explicit tableau: classical RK, SSPRK and DeC on a diagonal mass."""
     rng = np.random.default_rng(0)
     A = rng.normal(size=(5, 5)) * 0.4
     ode = ScalarODE(lambda U, t: A @ U, n=5)
     U = rng.normal(size=5)
     dt = 0.37
-    for order in (2, 3, 4):
-        out = ssprk_step(ode, U.copy(), 0.0, dt, SSPRK_TABLEAUX[order])
-        nu = expand_ssprk_coefficients(SSPRK_TABLEAUX[order])
+    dec_tableaux = [dec_equivalent_butcher(cfg) for cfg in DEC_CONFIGS.values()]
+    for tableau in [*RK_TABLEAUX.values(), *SSPRK_TABLEAUX.values(), *dec_tableaux]:
+        out = rk_step(ode, U.copy(), 0.0, dt, tableau)
+        nu = expand_ssprk_coefficients(tableau)
         expected = U.copy()
         P = U.copy()
         for nj in nu:
             P = dt * (A @ P)
             expected = expected + nj * P
-        assert np.max(np.abs(out - expected)) < 1e-12
+        assert np.max(np.abs(out - expected)) < 1e-12, tableau.name
+
+
+# -- the Butcher-form stepper and expansion the Shu-Osher ones replaced -------
+
+BUTCHER_RK = {  # (alpha rows, beta) of the classical tableaux
+    2: (((1.0,),), (0.5, 0.5)),
+    3: (((0.5,), (-1.0, 2.0)), (1 / 6, 2 / 3, 1 / 6)),
+    4: (((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
+}
+
+
+def _butcher_form(tableau):
+    """(alpha, beta) of a Shu-Osher tableau whose gamma rows are (1, 0, ...)."""
+    for row in tableau.gamma:
+        assert row == (1.0,) + (0.0,) * (len(row) - 1)
+    return tableau.mu[:-1], tableau.mu[-1]
+
+
+def reference_butcher_step(system, U, t, dt, alpha, beta):
+    """One explicit RK step written on the Butcher tableau."""
+    system.refresh_mass(U)
+    ks = [system.solve_mass(system.residual(U, t))]
+    for row in alpha:
+        c = sum(row)
+        V = U + dt * sum(a * k for a, k in zip(row, ks) if a != 0.0)
+        system.apply_bc(V, t + c * dt)
+        ks.append(system.solve_mass(system.residual(V, t + c * dt)))
+    U_next = U + dt * sum(b * k for b, k in zip(beta, ks) if b != 0.0)
+    system.apply_bc(U_next, t + dt)
+    return U_next
+
+
+def reference_butcher_expansion(alpha, beta):
+    """Stability-polynomial coefficients nu_1..nu_S from the Butcher tableau."""
+    n = len(beta)
+    e0 = np.zeros(n + 1)
+    e0[0] = 1.0
+    coeffs = [e0]
+    for row in alpha:
+        c = e0.copy()
+        for j, a in enumerate(row):
+            c[1:] += a * coeffs[j][:-1]
+        coeffs.append(c)
+    final = e0.copy()
+    for b, cj in zip(beta, coeffs):
+        final[1:] += b * cj[:-1]
+    return final[1 : n + 1]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_rk_tableaux_are_the_butcher_tableaux(order):
+    assert _butcher_form(RK_TABLEAUX[order]) == BUTCHER_RK[order]
+
+
+@pytest.mark.parametrize("tableau", list(RK_TABLEAUX.values())
+                         + [dec_equivalent_butcher(cfg) for cfg in DEC_CONFIGS.values()],
+                         ids=lambda tab: tab.name)
+def test_shu_osher_step_matches_butcher_form(tableau):
+    """Bit for bit on Burgers with Dirichlet data, so the stage times at
+    which the boundary values are imposed are exercised too."""
+    alpha, beta = _butcher_form(tableau)
+    assert np.array_equal(expand_ssprk_coefficients(tableau),
+                          reference_butcher_expansion(alpha, beta))
+    problem = burgers_problem()
+    system = build_problem_system(problem, "basic", 2, StabilizationSpec("supg", 0.1), 12)
+    U = system.interpolate(problem.exact, 0.0)
+    t, dt = 0.0, 0.01
+    for _ in range(3):
+        new = rk_step(system, U.copy(), t, dt, tableau)
+        ref = reference_butcher_step(system, U.copy(), t, dt, alpha, beta)
+        assert np.array_equal(new, ref)
+        U, t = new, t + dt
 
 
 @pytest.mark.parametrize("kind", ["rk", "ssprk", "dec"])
