@@ -43,9 +43,9 @@ from .fourier import (
     SymbolPair,
     amplification_matrix,
     assemble_symbol,
+    eigvals_batched,
     extract_modes,
     semidiscrete_modes,
-    small_complex_eigenvalues,
 )
 from .scan import (
     Combination,

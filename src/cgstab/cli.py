@@ -252,9 +252,9 @@ def cmd_convergence(cfg, out_dir):
     summary = [_resolved_header(cfg), "problem,combination,order",
                f"{name},{comb.label()},{rep.order:.6g}"]
     _write(out_dir / f"orders_{base}.csv", "\n".join(summary) + "\n")
-    tve = [_resolved_header(cfg), "wall_time_s,l2_error"]
+    tve = [_resolved_header(cfg), "dof_steps,l2_error"]
     for lv in rep.levels:
-        tve.append(f"{lv['wall_time_s']:.6g},{lv['l2_error']:.12g}")
+        tve.append(f"{lv['dof_steps']},{lv['l2_error']:.12g}")
     path = _write(out_dir / f"time_vs_error_{base}.csv", "\n".join(tve) + "\n")
     print(path)
     return EXIT_OK

@@ -108,15 +108,12 @@ def _eig3(A):
 
 
 def _char_residual(A, lam):
-    """|det(A - lam I)| for each eigenvalue, batched, n <= 4.
+    """|det(A - lam I)| for each eigenvalue, batched, n <= 3.
 
-    Up to n = 3 the cofactor expansion reads A's entries directly and
-    shifts only the diagonal, so no shifted copy of A is formed.
+    The cofactor expansion reads A's entries directly and shifts only the
+    diagonal, so no shifted copy of A is formed.
     """
     n = A.shape[-1]
-    if n > 3:
-        return np.stack([np.abs(np.linalg.det(A - lam[..., i, None, None] * np.eye(n)))
-                         for i in range(lam.shape[-1])], axis=-1)
     a = [[A[..., r, c] for c in range(n)] for r in range(n)]
     out = np.empty(lam.shape)
     for i in range(lam.shape[-1]):
@@ -136,40 +133,45 @@ def _char_residual(A, lam):
 
 
 def eigvals_batched(A, residual_tol=1e-9):
-    """Eigenvalues of a batch of small complex matrices, shape (..., n).
+    """Eigenvalues of complex n x n matrices, 1 <= n <= 3: (..., n, n) -> (..., n).
 
-    Closed forms handle n <= 3 (quadratic formula, Cardano); n = 4 and any
-    batch entry failing the characteristic residual check fall back to the
-    LAPACK QR iteration.
+    Closed forms (quadratic formula, Cardano) solve every matrix; one whose
+    characteristic residual exceeds residual_tol * |A|^n is re-solved by
+    LAPACK, and one still above it raises EigenSolveFailure.  The closed
+    forms always run on a batch axis: on a lone matrix NumPy's scalar
+    paths would change the last bits.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
-    if n == 1:
-        lam = _eig1(A)
-    elif n == 2:
-        lam = _eig2(A)
-    elif n == 3:
-        lam = _eig3(A)
-    else:
-        return np.linalg.eigvals(A)
+    if A.ndim < 2 or A.shape[-2] != n or not 1 <= n <= 3:
+        raise ValueError(f"expected square matrices of size 1 to 3, got shape {A.shape}")
+    shape = A.shape[:-1]
+    A = A.reshape(-1, n, n)
+    lam = (_eig1, _eig2, _eig3)[n - 1](A)
     scale = np.maximum(np.linalg.norm(A, axis=(-2, -1)) ** n, 1e-300)
-    bad = np.any(_char_residual(A, lam) > residual_tol * scale[..., None], axis=-1)
+    bad = np.any(_char_residual(A, lam) > residual_tol * scale[:, None], axis=-1)
     if np.any(bad):
         lam[bad] = np.linalg.eigvals(A[bad])
-    return lam
+        if np.any(_char_residual(A[bad], lam[bad]) > residual_tol * scale[bad, None]):
+            raise EigenSolveFailure("characteristic residual above tolerance")
+    return lam.reshape(shape)
 
 
-def small_complex_eigenvalues(A, residual_tol=1e-9):
-    """All eigenvalues of one n x n complex matrix, n <= 4, residual checked."""
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[-1]
-    if A.ndim != 2 or A.shape != (n, n) or n > 4:
-        raise ValueError("expected one square matrix of size <= 4")
-    lam = eigvals_batched(A[None])[0]
-    scale = max(np.linalg.norm(A) ** n, 1e-300)
-    if np.any(_char_residual(A[None], lam[None])[0] > residual_tol * scale):
-        raise EigenSolveFailure("characteristic residual above tolerance")
-    return lam
+def phase_damping(lam, dt):
+    """Phase and damping of propagator eigenvalues mu over one step dt.
+
+    omega = atan2(-Im mu, Re mu) / dt, so omega dt lies in (-pi, pi], and
+    eps = log|mu| / dt, with eps = -inf where mu = 0 (total damping).
+    """
+    mod = np.abs(lam)
+    with np.errstate(divide="ignore"):
+        eps = np.where(mod > 0.0, np.log(np.where(mod > 0.0, mod, 1.0)), -np.inf) / dt
+    return np.arctan2(-np.imag(lam), np.real(lam)) / dt, eps
+
+
+def principal_mode(omega, target):
+    """Index over the last axis of the mode whose omega is nearest target."""
+    return np.argmin(np.abs(omega - target), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +302,10 @@ def semidiscrete_modes(symbol, k, speed=1.0):
     omega = Im(lambda), eps = -Re(lambda); the principal mode minimizes
     |omega - speed k|.
     """
-    A = speed * np.linalg.solve(symbol.mass_sym, symbol.conv_sym)
-    lam = small_complex_eigenvalues(A)
+    lam = eigvals_batched(speed * np.linalg.solve(symbol.mass_sym, symbol.conv_sym))
     omega = np.imag(lam)
     eps = -np.real(lam)
-    principal = int(np.argmin(np.abs(omega - speed * k)))
-    return ModeAnalysis(symbol.theta, omega / k, eps, lam, principal)
+    return ModeAnalysis(symbol.theta, omega / k, eps, lam, int(principal_mode(omega, speed * k)))
 
 
 @dataclass(frozen=True)
@@ -316,15 +316,6 @@ class AmplificationMatrix:
     cfl: float
     delta: float
     G: np.ndarray
-
-
-def _z_matrix(builder, theta, delta, cfl, convention):
-    """dt * (ODE operator) in Fourier space: -cfl * scale/dx * M^{-1} K."""
-    p = builder.ref.degree
-    factor = dt_scale(convention, 1.0, p)  # dx cancels, keep the 1/p choice
-    M = builder.mass(theta, delta)
-    K = builder.conv(theta, delta)
-    return -cfl * factor * np.linalg.solve(M, K)
 
 
 def _dec_cfl_polynomial(M, K, Dvec, scale, config):
@@ -375,13 +366,13 @@ def amplification_matrix(ref, stab, scheme, theta, cfl, delta,
         scheme = make_scheme(scheme, ref.degree + 1)
     b = _builder(ref.family, ref.degree, stab.kind)
     theta_arr = np.asarray(float(theta))
+    M, K = b.mass(theta_arr, delta), b.conv(theta_arr, delta)
+    scale = dt_scale(convention, 1.0, ref.degree)  # dt / (cfl dx): dx cancels
     if scheme.kind == "dec":
-        H = _dec_cfl_polynomial(b.mass(theta_arr, delta), b.conv(theta_arr, delta),
-                                b.lumped_diag(delta), dt_scale(convention, 1.0, ref.degree),
-                                scheme.tableau)
+        H = _dec_cfl_polynomial(M, K, b.lumped_diag(delta), scale, scheme.tableau)
         G = np.tensordot(cfl ** np.arange(len(H)), H, axes=1)
     else:
-        Z = _z_matrix(b, theta_arr, delta, cfl, convention)
+        Z = -cfl * scale * np.linalg.solve(M, K)   # dt times the ODE operator
         nu = expand_ssprk_coefficients(scheme.tableau)
         G = np.eye(ref.degree, dtype=complex)
         Zp = np.eye(ref.degree, dtype=complex)
@@ -400,10 +391,6 @@ def extract_modes(amp_or_G, k, dt, speed=1.0):
     """
     G = amp_or_G.G if isinstance(amp_or_G, AmplificationMatrix) else amp_or_G
     theta = amp_or_G.theta if isinstance(amp_or_G, AmplificationMatrix) else float("nan")
-    lam = small_complex_eigenvalues(G)
-    mod = np.abs(lam)
-    omega = np.arctan2(-np.imag(lam), np.real(lam)) / dt
-    with np.errstate(divide="ignore"):
-        eps = np.where(mod > 0.0, np.log(np.where(mod > 0, mod, 1.0)) / dt, -np.inf)
-    principal = int(np.argmin(np.abs(omega - speed * k)))
-    return ModeAnalysis(theta, omega / k, eps, lam, principal)
+    lam = eigvals_batched(G)
+    omega, eps = phase_damping(lam, dt)
+    return ModeAnalysis(theta, omega / k, eps, lam, int(principal_mode(omega, speed * k)))

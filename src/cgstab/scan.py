@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import (DEFAULT_CONVENTION, EigenSolveFailure, _builder, _dec_cfl_polynomial,
-                      dt_scale, eigvals_batched)
+                      dt_scale, eigvals_batched, phase_damping, principal_mode)
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 K_MAX = 2.0 * np.pi / 3.0
@@ -202,17 +202,12 @@ def _scan_fields(comb, grid, convention):
         except (EigenSolveFailure, np.linalg.LinAlgError):
             failures += 1
             continue
-        mod = np.abs(lam)
-        rows = mod.max(axis=(1, 2)) <= np.exp(EPS_TOL * dt_row)
+        rows = np.abs(lam).max(axis=(1, 2)) <= np.exp(EPS_TOL * dt_row)
         stable[:, j] = rows
         if not rows.any():
             continue
-        lam, mod = lam[rows], mod[rows]
-        dt = dt_row[rows, None, None]
-        omega = np.arctan2(-lam.imag, lam.real) / dt
-        with np.errstate(divide="ignore"):
-            eps = np.where(mod > 0.0, np.log(np.where(mod > 0.0, mod, 1.0)), -np.inf) / dt
-        pick = np.argmin(np.abs(omega - k[None, :, None]), axis=-1)[..., None]
+        omega, eps = phase_damping(lam[rows], dt_row[rows, None, None])
+        pick = principal_mode(omega, k[:, None])[..., None]
         omega_p = np.take_along_axis(omega, pick, axis=-1)[..., 0]
         eu[rows, j] = eta_u(k, omega_p, np.take_along_axis(eps, pick, axis=-1)[..., 0])
         ew[rows, j] = eta_w(k, omega_p)

@@ -60,14 +60,16 @@ def test_output_directory_changes_no_byte(tmp_path):
                   "--jobs", jobs, "--out", str(tmp_path / out)]
         assert run_cli(["scan", "--theta-samples", "12"] + common) == 0
         assert run_cli(["solve", "--delta", "0.094", "--cells", "12"] + common) == 0
+        assert run_cli(["modes", "--delta", "0.094", "--theta-samples", "12"] + common) == 0
+        assert run_cli(["convergence", "--delta", "0.094", "--cfl", "1.0", "--levels", "3",
+                        "--problem", "advection"] + common) == 0
     header = (tmp_path / "a" / "mask_cubature-p1-cip-ssprk.csv").read_text().splitlines()[0]
     assert "out=" not in header and "jobs=" not in header
-    for name in ("scan_cubature-p1-cip-ssprk.json", "mask_cubature-p1-cip-ssprk.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    # a solve records its wall time, so only its configuration block must agree
-    solves = [json.loads((tmp_path / out / "solve_cubature-p1-cip-ssprk_12.json").read_text())
-              for out in ("a", "b")]
-    assert solves[0]["config"] == solves[1]["config"]
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+    assert len(names) == 7   # scan, mask, solve, modes, convergence, orders, time_vs_error
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_scan_no_stable_region_exit_code(tmp_path):
@@ -115,7 +117,9 @@ def test_convergence_outputs(tmp_path):
     order = float(orders.strip().splitlines()[-1].split(",")[-1])
     assert 1.7 < order < 2.5
     tve = (tmp_path / "time_vs_error_burgers_cubature-p1-cip-ssprk.csv").read_text()
-    assert tve.splitlines()[1] == "wall_time_s,l2_error"
+    assert tve.splitlines()[1] == "dof_steps,l2_error"
+    dof_steps = [int(line.split(",")[0]) for line in tve.splitlines()[2:]]
+    assert len(dof_steps) == 3 and dof_steps == sorted(dof_steps)
 
 
 def test_levels_validation(tmp_path):

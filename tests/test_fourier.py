@@ -14,7 +14,6 @@ from cgstab.fourier import (
     eigvals_batched,
     extract_modes,
     semidiscrete_modes,
-    small_complex_eigenvalues,
 )
 from cgstab.stabilization import StabilizationSpec
 from cgstab.timeint import make_scheme
@@ -46,13 +45,13 @@ def closed_form_p2(theta):
 # ---------------------------------------------------------------- eigenvalues
 
 def test_eig_diagonal():
-    lam = small_complex_eigenvalues(np.diag([2.0, 3.0j]))
+    lam = eigvals_batched(np.diag([2.0, 3.0j]))
     assert np.allclose(sorted(lam, key=np.abs), [2.0, 3.0j])
 
 
 def test_eig_companion_cube_roots():
     A = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-    lam = small_complex_eigenvalues(A)
+    lam = eigvals_batched(A)
     expected = np.exp(2j * np.pi * np.arange(3) / 3)
     for mu in expected:
         assert np.min(np.abs(lam - mu)) < 1e-9
@@ -70,7 +69,7 @@ def test_eig_product_matches_cofactor_determinant():
     rng = np.random.default_rng(0)
     for _ in range(50):
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lam = small_complex_eigenvalues(A)
+        lam = eigvals_batched(A)
         det = _det3(A)  # independent cofactor expansion
         assert abs(np.prod(lam) - det) < 1e-9 * max(abs(det), 1.0)
 
@@ -84,16 +83,42 @@ def test_eig_batched_matches_lapack():
         assert np.max(np.abs(mine - ref)) < 1e-8
 
 
-def test_eig_4x4_uses_fallback():
+def test_eig_4x4_is_rejected():
+    """Degrees 1-3 give symbols of size at most 3, the closed forms' range."""
     rng = np.random.default_rng(2)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    lam = small_complex_eigenvalues(A)
-    assert np.allclose(np.sort_complex(lam), np.sort_complex(np.linalg.eigvals(A)), atol=1e-9)
+    with pytest.raises(ValueError):
+        eigvals_batched(A)
+    with pytest.raises(ValueError):
+        eigvals_batched(A[None])
 
 
 def test_eig_rejects_large_matrices():
     with pytest.raises(ValueError):
-        small_complex_eigenvalues(np.eye(5))
+        eigvals_batched(np.eye(5))
+
+
+def test_eig_single_matrix_runs_on_a_batch_axis():
+    """A lone matrix gives the bits of a batch of one, not of NumPy's scalar paths."""
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        for A in rng.normal(size=(40, n, n)) + 1j * rng.normal(size=(40, n, n)):
+            assert eigvals_batched(A).tobytes() == eigvals_batched(A[None])[0].tobytes()
+
+
+def test_eig_failure_after_lapack_is_classified(monkeypatch):
+    """Closed form and LAPACK both off: EigenSolveFailure, not a wrong answer."""
+    import cgstab.fourier as fourier
+
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
+    garbage = lambda M: np.full(np.shape(M)[:-1], 1e3 + 0j)  # noqa: E731
+    monkeypatch.setattr(fourier, "_eig3", garbage)
+    assert np.allclose(np.sort_complex(eigvals_batched(A)),
+                       np.sort_complex(np.linalg.eigvals(A)))   # LAPACK repairs it
+    monkeypatch.setattr(np.linalg, "eigvals", garbage)
+    with pytest.raises(fourier.EigenSolveFailure):
+        eigvals_batched(A)
 
 
 def test_char_residual_matches_shifted_copy():
@@ -237,7 +262,7 @@ def test_amplification_identity_at_zero_cfl():
 def test_amplification_constant_mode_at_small_theta():
     amp = amplification_matrix(("basic", 3), StabilizationSpec("lps", 0.2),
                                "rk", 1e-8, 0.4, 0.2)
-    lam = small_complex_eigenvalues(amp.G)
+    lam = eigvals_batched(amp.G)
     assert np.min(np.abs(lam - 1.0)) < 1e-6
 
 
@@ -289,8 +314,8 @@ def test_conjugate_symmetry():
     for theta in (0.7, 1.9):
         a = amplification_matrix(("cubature", 3), stab, "ssprk", theta, 0.4, 0.004)
         b = amplification_matrix(("cubature", 3), stab, "ssprk", 2 * np.pi - theta, 0.4, 0.004)
-        la = small_complex_eigenvalues(a.G)
-        lb = np.conj(small_complex_eigenvalues(b.G))
+        la = eigvals_batched(a.G)
+        lb = np.conj(eigvals_batched(b.G))
         scale = np.max(np.abs(la))
         for mu in la:  # multiset equality up to round-off
             assert np.min(np.abs(lb - mu)) < 1e-11 * scale

@@ -174,17 +174,44 @@ def test_dec_basic_p3_has_no_practical_stable_region():
 def test_bernstein_matches_basic_spectrum_without_lumping():
     """Bernstein and equispaced Lagrange differ by a change of basis, so
     RK/SSPRK amplification spectra coincide; DeC breaks this via lumping."""
-    from cgstab.fourier import amplification_matrix, small_complex_eigenvalues
+    from cgstab.fourier import amplification_matrix, eigvals_batched
     from cgstab.stabilization import StabilizationSpec
 
     stab = StabilizationSpec("cip", 0.01)
     for theta, cfl in ((0.9, 0.3), (2.0, 0.5)):
         a = amplification_matrix(("basic", 2), stab, "ssprk", theta, cfl, 0.01)
         b = amplification_matrix(("bernstein", 2), stab, "ssprk", theta, cfl, 0.01)
-        la = small_complex_eigenvalues(a.G)
-        lb = small_complex_eigenvalues(b.G)
+        la = eigvals_batched(a.G)
+        lb = eigvals_batched(b.G)
         for mu in la:
             assert np.min(np.abs(lb - mu)) < 1e-10
+
+
+def test_failed_eigen_solve_leaves_its_delta_column_unstable(monkeypatch):
+    """Every other delta column's eigen solve fails: each counts once and
+    stays unstable, the others keep their values."""
+    import cgstab.scan as scan
+    from cgstab.fourier import EigenSolveFailure
+
+    comb = Combination("cubature", 1, "cip", "ssprk")
+    want = scan_combination(comb, SMALL)
+    solve, calls = scan.eigvals_batched, []
+
+    def every_other(A):
+        calls.append(None)
+        if len(calls) % 2:
+            raise EigenSolveFailure("injected")
+        return solve(A)
+
+    monkeypatch.setattr(scan, "eigvals_batched", every_other)
+    got = scan_combination(comb, SMALL)
+    failed = np.arange(len(SMALL.delta_values)) % 2 == 0
+    assert len(calls) == len(SMALL.delta_values)
+    assert got.eig_failures == failed.sum()
+    assert want.stable[:, failed].any() and not got.stable[:, failed].any()
+    assert np.isnan(got.eta_u[:, failed]).all()
+    assert np.array_equal(got.stable[:, ~failed], want.stable[:, ~failed])
+    assert np.array_equal(got.eta_u[:, ~failed], want.eta_u[:, ~failed], equal_nan=True)
 
 
 def test_eta_refinement_stability():

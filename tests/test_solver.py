@@ -136,7 +136,7 @@ def test_convergence_report_csv():
     rep = convergence_study(problem, "cubature", 1, StabilizationSpec("cip", 0.094),
                             "ssprk", 1.0, dx1_values=(0.1, 0.05, 0.025))
     text = rep.csv()
-    assert text.startswith("dx,dofs,l2_error,wall_time_s")
+    assert text.startswith("dx,dofs,l2_error\n")
     assert len(text.strip().splitlines()) == 4
     assert 1.5 < rep.order < 2.6
 
@@ -151,6 +151,24 @@ def test_nan_step_lands_in_failed_levels():
         run_simulation(*args, cells_for_level(args[0], 2, 0.5))
     with pytest.raises(BlowUp, match="fewer than 3 levels survived"):
         convergence_study(*args, dx1_values=(1.0, 0.5, 0.25))
+
+
+def test_stalled_time_is_a_blowup():
+    """A shallow-water depth decaying to zero drives dt to 0; the run stops
+    with BlowUp instead of looping at a fixed t."""
+    from cgstab.problems import shallow_water_problem
+
+    steps = []
+
+    def monitor(t, U, system):
+        steps.append(t)
+        if len(steps) >= 100:
+            raise AssertionError(f"still stepping at t = {t}")
+
+    with pytest.raises(BlowUp, match="does not advance t"):
+        run_simulation(shallow_water_problem(t_final=2.0), "bernstein", 2,
+                       StabilizationSpec(), "rk", 0.2, 24, monitor=monitor)
+    assert 0.0 < steps[-1] < 2.0
 
 
 def test_zero_wave_speed_steps_to_t_final():
