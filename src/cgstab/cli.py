@@ -122,7 +122,8 @@ def cmd_modes(cfg, out_dir):
     semi = bool(cfg.get("semi_discrete", False))
     cfl = float(cfg.get("cfl", 0.5))
     scheme = make_scheme(comb.scheme_kind, comb.degree + 1)
-    closed_form = comb.family == "basic" and comb.degree == 1 and comb.stab_kind == "none"
+    # the semi-discrete basic-p1 curve: no reference for fully discrete omega/k
+    closed_form = semi and (comb.family, comb.degree, comb.stab_kind) == ("basic", 1, "none")
 
     lines = [_resolved_header(cfg)]
     header = "theta,mode_index,omega_over_k,epsilon,is_principal"

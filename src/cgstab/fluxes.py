@@ -11,6 +11,8 @@ shallow water carries two interleaved components (h, hu).
 
 import numpy as np
 
+from .timeint import BlowUp
+
 
 class _Flux:
     is_linear = False
@@ -76,7 +78,11 @@ class ShallowWater(_Flux):
         return out
 
     def speed(self, u):
+        """|u| + sqrt(g h); raises BlowUp if any depth h <= 0."""
         h, q = u[..., 0], u[..., 1]
-        return np.abs(q / h) + np.sqrt(self.g * h)
+        gh = self.g * h
+        if np.any(gh <= 0.0):
+            raise BlowUp(f"non-positive depth: min h = {np.nanmin(h):.6g}")
+        return np.abs(q / h) + np.sqrt(gh)
 
     jacobian = speed

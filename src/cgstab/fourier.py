@@ -57,6 +57,12 @@ def dt_scale(convention, dx, p):
 
 _OMEGA3 = np.exp(2j * np.pi / 3)
 
+# Matrices per closed-form call.  NumPy computes an operation on a temporary
+# of 256 KiB or more (16,384 complex values) in place, through a complex
+# multiply loop that rounds differently; with 4,096 matrices every
+# per-matrix temporary stays below that size.
+_EIG_CHUNK = 4096
+
 
 def _eig1(A):
     return A[..., 0, 0][..., None].astype(complex)
@@ -139,7 +145,8 @@ def eigvals_batched(A, residual_tol=1e-9):
     characteristic residual exceeds residual_tol * |A|^n is re-solved by
     LAPACK, and one still above it raises EigenSolveFailure.  The closed
     forms always run on a batch axis: on a lone matrix NumPy's scalar
-    paths would change the last bits.
+    paths would change the last bits.  They run in chunks of _EIG_CHUNK
+    matrices, so a matrix gets the same bits in a batch of any size.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
@@ -147,6 +154,15 @@ def eigvals_batched(A, residual_tol=1e-9):
         raise ValueError(f"expected square matrices of size 1 to 3, got shape {A.shape}")
     shape = A.shape[:-1]
     A = A.reshape(-1, n, n)
+    lam = np.empty(A.shape[:-1], dtype=complex)
+    for i in range(0, len(A), _EIG_CHUNK):
+        lam[i:i + _EIG_CHUNK] = _eig_checked(A[i:i + _EIG_CHUNK], residual_tol)
+    return lam.reshape(shape)
+
+
+def _eig_checked(A, residual_tol):
+    """Closed-form eigenvalues of a (m, n, n) batch, residual-checked."""
+    n = A.shape[-1]
     lam = (_eig1, _eig2, _eig3)[n - 1](A)
     scale = np.maximum(np.linalg.norm(A, axis=(-2, -1)) ** n, 1e-300)
     bad = np.any(_char_residual(A, lam) > residual_tol * scale[:, None], axis=-1)
@@ -154,7 +170,7 @@ def eigvals_batched(A, residual_tol=1e-9):
         lam[bad] = np.linalg.eigvals(A[bad])
         if np.any(_char_residual(A[bad], lam[bad]) > residual_tol * scale[bad, None]):
             raise EigenSolveFailure("characteristic residual above tolerance")
-    return lam.reshape(shape)
+    return lam
 
 
 def phase_damping(lam, dt):

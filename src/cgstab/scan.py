@@ -31,6 +31,7 @@ from .timeint import expand_ssprk_coefficients, make_scheme
 
 K_MAX = 2.0 * np.pi / 3.0
 EPS_TOL = 1e-12
+_PROBE_STRIDE = 10
 
 
 class NoStableRegion(RuntimeError):
@@ -149,11 +150,14 @@ def _wavenumbers(n):
     return K_MAX * np.arange(1, n + 1) / n
 
 
-def _mode_fields(b, scheme, nu, theta, cfls, scale, delta):
-    """lambda(G) for every (cfl, k, mode) at one delta, shape (n_cfl, n_k, p).
+def _mode_fields(b, scheme, nu, theta, cfls, scale, delta, bound):
+    """Stable rows at one delta and lambda(G) on them: (rows, lam[rows]).
 
-    ``nu`` holds the stability-polynomial coefficients of an RK scheme;
-    deferred correction evaluates the cfl polynomial of its iterated update.
+    lam holds every (cfl, k, mode), shape (n_cfl, n_k, p); a row is stable
+    iff every |lambda| <= bound[row].  ``nu`` holds the stability-polynomial
+    coefficients of an RK scheme; deferred correction evaluates the cfl
+    polynomial of its iterated update and solves every _PROBE_STRIDE-th
+    wavenumber first, so a row unstable there never solves the others.
     """
     M = b.mass(theta, delta)
     Kt = b.conv(theta, delta)
@@ -161,25 +165,38 @@ def _mode_fields(b, scheme, nu, theta, cfls, scale, delta):
         H = _dec_cfl_polynomial(M, Kt, b.lumped_diag(delta), scale, scheme.tableau)
         powers = cfls[:, None] ** np.arange(H.shape[0])[None, :]
         G = np.tensordot(powers, H, axes=(1, 0))      # (ncfl, nk, p, p)
-        p = G.shape[-1]
-        return eigvals_batched(G.reshape(-1, p, p)).reshape(G.shape[:-1])
+        probe = np.zeros(G.shape[1], dtype=bool)
+        probe[_PROBE_STRIDE - 1::_PROBE_STRIDE] = True
+        lam_probe = eigvals_batched(G[:, probe])
+        rows = _bounded(lam_probe, bound)
+        lam = np.empty((rows.sum(),) + G.shape[1:-1], dtype=complex)
+        lam[:, probe] = lam_probe[rows]
+        lam[:, ~probe] = eigvals_batched(G[np.ix_(rows, ~probe)])
+        rest = _bounded(lam[:, ~probe], bound[rows])
+        rows[rows] = rest
+        return rows, lam[rest]
     lamA = eigvals_batched(np.linalg.solve(M, Kt))
     z = -scale * np.multiply.outer(cfls, lamA)        # (ncfl, nk, p)
-    G = np.ones_like(z)
+    lam = np.ones_like(z)
     zp = np.ones_like(z)
     for nu_j in nu:
         zp = zp * z
-        G = G + nu_j * zp
-    return G
+        lam = lam + nu_j * zp
+    rows = _bounded(lam, bound)
+    return rows, lam[rows]
+
+
+def _bounded(lam, bound):
+    """Rows of a (n_rows, n_k, p) block whose every |lambda| <= bound[row]."""
+    return np.all(np.abs(lam) <= bound[:, None, None], axis=(1, 2))
 
 
 def _scan_fields(comb, grid, convention):
     """Mask and error fields on the (n_cfl, n_delta) grid, one delta column at a time.
 
-    Each column's lambda block is reduced right away: the mask from the
-    largest modulus, then the principal-mode phase and damping and the two
-    functionals on the stable rows only (NaN elsewhere).  A column whose
-    eigen solve fails stays unstable.  Returns (stable, eta_u, eta_w,
+    Each column's stable rows are reduced right away: the principal-mode
+    phase and damping and the two functionals (NaN elsewhere).  A column
+    whose eigen solve fails stays unstable.  Returns (stable, eta_u, eta_w,
     failed delta columns).
     """
     p = comb.degree
@@ -191,6 +208,7 @@ def _scan_fields(comb, grid, convention):
     cfls = grid.cfl_values
     scale = dt_scale(convention, 1.0, p)   # dt = cfl*scale*dx/speed, dx folded out
     dt_row = cfls * scale * p          # dx = p, speed = 1
+    bound = np.exp(EPS_TOL * dt_row)
     shape = (len(cfls), len(grid.delta_values))
     stable = np.zeros(shape, dtype=bool)
     eu = np.full(shape, np.nan)
@@ -198,15 +216,14 @@ def _scan_fields(comb, grid, convention):
     failures = 0
     for j, d in enumerate(grid.delta_values):
         try:
-            lam = _mode_fields(b, scheme, nu, theta, cfls, scale, d)
+            rows, lam = _mode_fields(b, scheme, nu, theta, cfls, scale, d, bound)
         except (EigenSolveFailure, np.linalg.LinAlgError):
             failures += 1
             continue
-        rows = np.abs(lam).max(axis=(1, 2)) <= np.exp(EPS_TOL * dt_row)
         stable[:, j] = rows
         if not rows.any():
             continue
-        omega, eps = phase_damping(lam[rows], dt_row[rows, None, None])
+        omega, eps = phase_damping(lam, dt_row[rows, None, None])
         pick = principal_mode(omega, k[:, None])[..., None]
         omega_p = np.take_along_axis(omega, pick, axis=-1)[..., 0]
         eu[rows, j] = eta_u(k, omega_p, np.take_along_axis(eps, pick, axis=-1)[..., 0])

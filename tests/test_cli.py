@@ -26,6 +26,17 @@ def test_modes_semidiscrete_nostab_zero_damping(tmp_path):
         assert float(cells[2]) == pytest.approx(float(cells[cf_col]), abs=1e-10)
 
 
+def test_modes_propagator_has_no_closed_form_column(tmp_path):
+    """The closed form is the semi-discrete curve: a propagator's fully
+    discrete omega/k is not compared with it."""
+    assert run_cli(["modes", "--family", "basic", "--degree", "1", "--stab", "none",
+                    "--time", "rk", "--cfl", "0.4", "--theta-samples", "8",
+                    "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "modes_basic-p1-none-rk.csv").read_text().splitlines()
+    assert rows[1] == "theta,mode_index,omega_over_k,epsilon,is_principal"
+    assert all(len(row.split(",")) == 5 for row in rows[2:])
+
+
 def test_modes_cip_delta_zero_matches_nostab(tmp_path):
     run_cli(["modes", "--family", "cubature", "--degree", "2", "--stab", "cip",
              "--delta", "0.0", "--cfl", "0.3", "--theta-samples", "20",

@@ -106,6 +106,25 @@ def test_eig_single_matrix_runs_on_a_batch_axis():
             assert eigvals_batched(A).tobytes() == eigvals_batched(A[None])[0].tobytes()
 
 
+def test_eig_bits_do_not_depend_on_batch_size():
+    """The cubature-p3-lps-dec propagators at delta 0.01 on the default CFL
+    grid: a matrix gets the same bits alone, in a slice and in the whole
+    batch, which exceeds NumPy's 16,384-element in-place threshold."""
+    from cgstab.scan import ScanGrid, _wavenumbers
+
+    b = _builder("cubature", 3, "lps")
+    theta = 3 * _wavenumbers(100)
+    H = _dec_cfl_polynomial(b.mass(theta, 0.01), b.conv(theta, 0.01), b.lumped_diag(0.01),
+                            1.0, make_scheme("dec", 4).tableau)
+    cfls = ScanGrid.default().cfl_values
+    G = np.tensordot(cfls[:, None] ** np.arange(len(H)), H, axes=(1, 0)).reshape(-1, 3, 3)
+    assert len(G) == 20200
+    lam = eigvals_batched(G)
+    for i in range(0, len(G), 97):
+        assert eigvals_batched(G[i]).tobytes() == lam[i].tobytes(), i
+    assert eigvals_batched(G[:8000]).tobytes() == lam[:8000].tobytes()
+
+
 def test_eig_failure_after_lapack_is_classified(monkeypatch):
     """Closed form and LAPACK both off: EigenSolveFailure, not a wrong answer."""
     import cgstab.fourier as fourier

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from cgstab.fourier import (DEFAULT_CONVENTION, EigenSolveFailure, _builder,
+                            _dec_cfl_polynomial, dt_scale, eigvals_batched, phase_damping,
+                            principal_mode)
 from cgstab.scan import (
+    EPS_TOL,
     Combination,
     NoStableRegion,
     ScanGrid,
@@ -14,7 +18,10 @@ from cgstab.scan import (
     optimize,
     scan_combination,
     stability_mask,
+    _wavenumbers,
 )
+from cgstab.timeint import make_scheme
+from conftest import ALL_DEGREES, ALL_FAMILIES, ALL_STABS
 
 SMALL = ScanGrid(geometric_grid(0.05, 1.8, ratio=1.06), geometric_grid(0.02, 0.8, ratio=1.1), 48)
 
@@ -261,6 +268,81 @@ def test_scan_equals_concatenated_delta_subgrids(comb):
 @pytest.mark.parametrize("comb", STREAM_COMBOS, ids=Combination.label)
 def test_stability_mask_equals_scan_mask(comb):
     assert np.array_equal(stability_mask(comb, STREAM), scan_combination(comb, STREAM).stable)
+
+
+COARSE = ScanGrid.default(ratio_cfl=1.3, ratio_delta=1.3, theta_samples=24)
+DEC_COMBOS = [Combination(fam, p, stab, "dec") for fam in ALL_FAMILIES
+              for p in ALL_DEGREES for stab, _ in ALL_STABS]
+
+
+def _unscreened_dec_fields(comb, grid):
+    """The scan's fields with every wavenumber of a delta column solved in
+    one call, then reduced as the scan reduces: the screening's oracle."""
+    p = comb.degree
+    b = _builder(comb.family, p, comb.stab_kind)
+    config = make_scheme("dec", p + 1).tableau
+    k = _wavenumbers(grid.theta_samples)
+    cfls = grid.cfl_values
+    scale = dt_scale(DEFAULT_CONVENTION, 1.0, p)
+    dt_row = cfls * scale * p
+    fields = [np.zeros((len(cfls), len(grid.delta_values)), dtype=bool),
+              np.full((len(cfls), len(grid.delta_values)), np.nan),
+              np.full((len(cfls), len(grid.delta_values)), np.nan)]
+    for j, d in enumerate(grid.delta_values):
+        H = _dec_cfl_polynomial(b.mass(p * k, d), b.conv(p * k, d), b.lumped_diag(d), scale,
+                                config)
+        G = np.tensordot(cfls[:, None] ** np.arange(len(H))[None, :], H, axes=(1, 0))
+        lam = eigvals_batched(G)
+        rows = np.abs(lam).max(axis=(1, 2)) <= np.exp(EPS_TOL * dt_row)
+        if not rows.any():
+            continue
+        omega, eps = phase_damping(lam[rows], dt_row[rows, None, None])
+        pick = principal_mode(omega, k[:, None])[..., None]
+        omega_p = np.take_along_axis(omega, pick, axis=-1)[..., 0]
+        fields[0][:, j] = rows
+        fields[1][rows, j] = eta_u(k, omega_p, np.take_along_axis(eps, pick, axis=-1)[..., 0])
+        fields[2][rows, j] = eta_w(k, omega_p)
+    return fields
+
+
+@pytest.mark.parametrize("comb", DEC_COMBOS, ids=Combination.label)
+def test_dec_screening_equals_solving_every_wavenumber(comb):
+    """Settling a row on every tenth wavenumber changes no bit of a scan."""
+    grids = [COARSE]
+    if comb.degree == 3 and comb.stab_kind == "lps":   # fewer samples than the stride
+        grids.append(ScanGrid(COARSE.cfl_values[::2], COARSE.delta_values[::3], 7))
+    for grid in grids:
+        res = scan_combination(comb, grid)
+        assert res.eig_failures == 0
+        for name, want in zip(("stable", "eta_u", "eta_w"), _unscreened_dec_fields(comb, grid)):
+            assert getattr(res, name).tobytes() == want.tobytes(), name
+
+
+def test_failed_dec_probe_or_rest_solve_leaves_its_delta_column_unstable(monkeypatch):
+    """A DeC column solves its probe wavenumbers, then the rest on the rows
+    that survive: a failure in either call fails only that column, once."""
+    import cgstab.scan as scan
+
+    comb = Combination("cubature", 2, "lps", "dec")
+    grid = ScanGrid(np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.1, 0.15, 0.2]), 20)
+    want = scan_combination(comb, grid)
+    solve, calls = scan.eigvals_batched, []
+
+    def failing(A):
+        calls.append(np.shape(A))
+        if len(calls) in (3, 7):   # column 1's probe, column 3's rest
+            raise EigenSolveFailure("injected")
+        return solve(A)
+
+    monkeypatch.setattr(scan, "eigvals_batched", failing)
+    got = scan_combination(comb, grid)
+    assert [shape[:2] for shape in calls[2::4]] == [(3, 2), (3, 18)]
+    failed = np.array([False, True, False, True])
+    assert got.eig_failures == 2
+    assert want.stable[:, failed].all() and not got.stable[:, failed].any()
+    assert np.isnan(got.eta_u[:, failed]).all() and np.isnan(got.eta_w[:, failed]).all()
+    for name in ("stable", "eta_u", "eta_w"):
+        assert getattr(got, name)[:, ~failed].tobytes() == getattr(want, name)[:, ~failed].tobytes()
 
 
 @pytest.mark.xfail(strict=True, reason="Cardano's error in max|lambda| - 1 on near-identity "

@@ -3,9 +3,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgstab import build_reference_element
 from cgstab.fluxes import Burgers, LinearAdvection, ShallowWater
+from cgstab.timeint import BlowUp
 from cgstab.stabilization import (
     Mesh1D,
     StabilizationSpec,
@@ -81,6 +84,36 @@ def test_conservation_burgers():
     U = rng.normal(size=system.n_nodes)
     r = system.residual(U)
     assert abs(r.sum()) < 1e-12 * max(np.linalg.norm(r), 1.0)
+
+
+SPEEDS = st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(family=st.sampled_from(ALL_FAMILIES), degree=st.sampled_from(ALL_DEGREES),
+       kind=st.sampled_from([kind for kind, _ in ALL_STABS]), delta=st.floats(0.0, 1.0),
+       burgers=st.booleans(), a=SPEEDS, n=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+def test_conservation_periodic_property(family, degree, kind, delta, burgers, a, n, seed):
+    """On a periodic mesh the residual sums to zero up to round-off."""
+    flux = Burgers() if burgers else LinearAdvection(a)
+    system = make_system(family, degree, kind, delta, n=n, flux=flux)
+    r = system.residual(np.random.default_rng(seed).normal(size=system.n_nodes))
+    assert abs(r.sum()) <= 1e-12 * np.abs(r).sum()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(family=st.sampled_from(ALL_FAMILIES), degree=st.sampled_from(ALL_DEGREES),
+       kind=st.sampled_from(["none", "cip", "lps"]), delta=st.floats(0.0, 1.0),
+       a=SPEEDS, n=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+def test_energy_rate_sign_property(family, degree, kind, delta, a, n, seed):
+    """Galerkin conserves the discrete energy; CIP and LPS only dissipate it."""
+    system = make_system(family, degree, kind, delta, n=n, flux=LinearAdvection(a))
+    U = np.random.default_rng(seed).normal(size=system.n_nodes)
+    rate = semi_discrete_energy_rate(system, U)
+    if kind == "none":
+        assert abs(rate) <= 1e-10 * (U @ U)
+    else:
+        assert rate <= 1e-12 * (U @ U)
 
 
 def test_residual_linear_in_state():
@@ -411,6 +444,23 @@ def test_supg_mass_matches_coo_assembly_dirichlet_burgers():
     assert np.max(np.abs(diff)) <= 1e-15 * np.max(np.abs(M_ref.toarray()))
     assert np.max(np.abs(system.lumped - lumped_ref)) <= 1e-15 * np.max(lumped_ref)
     assert not system._mass_is_diagonal
+
+
+def test_shallow_water_dry_node_is_a_blowup():
+    """One node at zero depth: speed, max_speed and the SUPG tau scaling
+    raise BlowUp naming the depth, and sqrt never sees it."""
+    u = np.array([[1.0, 0.1], [0.0, 0.0], [1.2, -0.1]])
+    flux = ShallowWater()
+    system = make_system("cubature", 1, "supg", 0.1, n=4, flux=flux)   # nodal quadrature
+    U = np.tile([1.0, 0.0], (system.n_nodes, 1))
+    U[2, 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (flux.speed, flux.max_speed, flux.jacobian):
+            with pytest.raises(BlowUp, match="non-positive depth: min h = 0"):
+                call(u)
+        with pytest.raises(BlowUp, match="non-positive depth"):
+            system.refresh_mass(U)
 
 
 @pytest.mark.parametrize("flux", [LinearAdvection(-0.7), Burgers(), ShallowWater()])
