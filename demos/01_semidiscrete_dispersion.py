@@ -12,27 +12,28 @@ Run:  python demos/01_semidiscrete_dispersion.py
 
 import numpy as np
 
-from cgstab import assemble_symbol, semidiscrete_modes
+from cgstab import semidiscrete_modes
 from cgstab.stabilization import StabilizationSpec
 
 thetas = np.pi * np.arange(1, 201) / 200
 
 print("P1 without stabilization reproduces the classical closed form:")
-for theta in (0.5, np.pi / 2, 2.5):
-    ma = semidiscrete_modes(assemble_symbol(("basic", 1), StabilizationSpec(), theta), k=theta)
-    closed = np.sin(theta) / theta * 3 / (2 + np.cos(theta))
-    print(f"  theta={theta:5.3f}  omega/k = {ma.omega_over_k[ma.principal]:+.12f}"
-          f"  closed form {closed:+.12f}  eps = {ma.epsilon[ma.principal]:+.1e}")
+probe = np.array([0.5, np.pi / 2, 2.5])
+ma = semidiscrete_modes("basic", 1, StabilizationSpec(), probe)   # one mode per theta
+closed = np.sin(probe) / probe * 3 / (2 + np.cos(probe))
+for theta, w, cf, eps in zip(probe, ma.omega_over_k[:, 0], closed, ma.epsilon[:, 0]):
+    print(f"  theta={theta:5.3f}  omega/k = {w:+.12f}  closed form {cf:+.12f}  eps = {eps:+.1e}")
 
 rows = ["family,degree,stab,theta,omega_over_k,epsilon"]
 for family in ("basic", "cubature", "bernstein"):
     for degree in (1, 2, 3):
         for stab in (StabilizationSpec(), StabilizationSpec("lps", 0.05)):
-            for theta in thetas:
-                ma = semidiscrete_modes(assemble_symbol((family, degree), stab, theta), k=theta)
-                i = ma.principal
-                rows.append(f"{family},{degree},{stab.kind},{theta:.10g},"
-                            f"{ma.omega_over_k[i]:.10g},{ma.epsilon[i]:.10g}")
+            ma = semidiscrete_modes(family, degree, stab, thetas)
+            pick = ma.principal[:, None]
+            w = np.take_along_axis(ma.omega_over_k, pick, axis=-1)[:, 0]
+            eps = np.take_along_axis(ma.epsilon, pick, axis=-1)[:, 0]
+            rows.extend(f"{family},{degree},{stab.kind},{t:.10g},{wi:.10g},{ei:.10g}"
+                        for t, wi, ei in zip(thetas, w, eps))
 
 out = "demo_out_semidiscrete_dispersion.csv"
 with open(out, "w") as fh:

@@ -38,14 +38,12 @@ from .timeint import (
     rk_step,
 )
 from .fourier import (
-    AmplificationMatrix,
     ModeAnalysis,
-    SymbolPair,
     amplification_matrix,
-    assemble_symbol,
     eigvals_batched,
     extract_modes,
     semidiscrete_modes,
+    symbol_builder,
 )
 from .scan import (
     Combination,
@@ -58,7 +56,6 @@ from .scan import (
     monotone_safety_check,
     optimize,
     scan_combination,
-    stability_mask,
 )
 from .problems import (
     PROBLEMS,

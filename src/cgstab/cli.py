@@ -8,10 +8,10 @@ Subcommands:
     solve        one time-domain run
     convergence  mesh-refinement study with order fit
 
-All outputs are plain CSV or JSON carrying the fully resolved
-configuration, so reruns with the same inputs reproduce files byte for
-byte.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 no stable region.
+All outputs are plain CSV or JSON.  They record the options given (flags
+and config file; not the defaults, nor --out and --jobs), and reruns with
+the same inputs reproduce them byte for byte.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure, 4 no stable region.
 """
 
 import argparse
@@ -22,12 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .elements import FAMILIES, UnsupportedDegree, build_reference_element
+from .elements import FAMILIES, UnsupportedDegree
 from .fourier import (
     DEFAULT_CONVENTION,
     EigenSolveFailure,
     amplification_matrix,
-    assemble_symbol,
     dt_scale,
     extract_modes,
     semidiscrete_modes,
@@ -36,7 +35,7 @@ from .problems import PROBLEMS
 from .scan import Combination, NoStableRegion, ScanGrid, geometric_grid, scan_combination
 from .solver import BlowUp, DX1_DEFAULT, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, SingularMass, StabilizationSpec
-from .timeint import SCHEME_KINDS, make_scheme
+from .timeint import SCHEME_KINDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,13 +114,19 @@ def _grid(cfg):
 
 def cmd_modes(cfg, out_dir):
     comb = _combination(cfg)
-    ref = build_reference_element(comb.family, comb.degree)
     stab = StabilizationSpec(comb.stab_kind, float(cfg.get("delta", 0.0)))
     n_theta = int(cfg.get("theta_samples", 200))
     thetas = np.pi * np.arange(1, n_theta + 1) / n_theta
     semi = bool(cfg.get("semi_discrete", False))
-    cfl = float(cfg.get("cfl", 0.5))
-    scheme = make_scheme(comb.scheme_kind, comb.degree + 1)
+    if semi:
+        # the semi-discrete curves depend on neither the time scheme nor the step
+        cfg = {k: v for k, v in cfg.items() if k not in ("time", "cfl", "convention")}
+        name = f"modes_{comb.family}-p{comb.degree}-{comb.stab_kind}.csv"
+    else:
+        cfl = float(cfg.get("cfl", 0.5))
+        convention = cfg.get("convention", DEFAULT_CONVENTION)
+        dt = cfl * dt_scale(convention, 1.0, comb.degree)
+        name = f"modes_{comb.label()}.csv"
     # the semi-discrete basic-p1 curve: no reference for fully discrete omega/k
     closed_form = semi and (comb.family, comb.degree, comb.stab_kind) == ("basic", 1, "none")
 
@@ -130,15 +135,14 @@ def cmd_modes(cfg, out_dir):
     if closed_form:
         header += ",omega_over_k_closed_form"
     lines.append(header)
+    # one theta at a time (k = theta, dx = 1): a batch would move the DeC bits
     for theta in thetas:
-        k = theta  # dx = 1 for the curves
         if semi:
-            ma = semidiscrete_modes(assemble_symbol(ref, stab, theta), k)
+            ma = semidiscrete_modes(comb.family, comb.degree, stab, theta)
         else:
-            convention = cfg.get("convention", DEFAULT_CONVENTION)
-            amp = amplification_matrix(ref, stab, scheme, theta, cfl,
-                                       stab.delta, convention=convention)
-            ma = extract_modes(amp, k, cfl * dt_scale(convention, 1.0, comb.degree))
+            G = amplification_matrix(comb.family, comb.degree, stab, comb.scheme_kind, theta,
+                                     cfl, convention=convention)
+            ma = extract_modes(G, theta, dt)
         for i in range(len(ma.omega_over_k)):
             row = (f"{theta:.12g},{i},{ma.omega_over_k[i]:.12g},"
                    f"{ma.epsilon[i]:.12g},{int(i == ma.principal)}")
@@ -146,7 +150,7 @@ def cmd_modes(cfg, out_dir):
                 exact = np.sin(theta) / theta * 3.0 / (2.0 + np.cos(theta))
                 row += f",{exact:.12g}"
             lines.append(row)
-    path = _write(out_dir / f"modes_{comb.label()}.csv", "\n".join(lines) + "\n")
+    path = _write(out_dir / name, "\n".join(lines) + "\n")
     print(path)
     return EXIT_OK
 

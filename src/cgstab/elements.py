@@ -40,47 +40,17 @@ def gauss_legendre(n):
 
 
 def gauss_lobatto(n):
-    """n-point Gauss-Lobatto rule on [0, 1] (n >= 2); weights sum to 1.
-
-    Interior nodes are the roots of P'_{n-1}, found by Newton iteration
-    from Chebyshev initial guesses to a residual below 1e-14, so the rule
-    stays available beyond the tabulated low orders.
-    """
-    if n < 2:
-        raise ValueError("Gauss-Lobatto needs at least the two endpoints")
-    m = n - 1
-    nodes = np.empty(n)
-    nodes[0], nodes[-1] = -1.0, 1.0
-    for j in range(1, m):
-        x = -np.cos(np.pi * j / m)
-        for _ in range(100):
-            p, dp = _legendre_deriv(m, x)
-            step = p / dp
-            x -= step
-            if abs(step) < 1e-14:
-                break
-        nodes[j] = x
-    nodes = np.sort(nodes)
-    pm = np.array([_legendre(m, x) for x in nodes])
-    weights = 2.0 / (m * (m + 1) * pm**2)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def _legendre(m, x):
-    """Legendre polynomial P_m(x) by the three-term recurrence."""
-    p0, p1 = 1.0, x
-    if m == 0:
-        return p0
-    for k in range(1, m):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1
-def _legendre_deriv(m, x):
-    """(P'_m(x), P''_m(x)) via the standard identities."""
-    p = _legendre(m, x)
-    pm1 = _legendre(m - 1, x)
-    dp = m * (pm1 - x * p) / (1.0 - x * x)
-    d2p = (2.0 * x * dp - m * (m + 1) * p) / (1.0 - x * x)
-    return dp, d2p
+    """n-point Gauss-Lobatto rule on [0, 1], n = 2..4 (degrees 1 to 3); weights sum to 1."""
+    r = 0.5 / np.sqrt(5.0)
+    rules = {
+        2: ([0.0, 1.0], [0.5, 0.5]),
+        3: ([0.0, 0.5, 1.0], [1 / 6, 2 / 3, 1 / 6]),
+        4: ([0.0, 0.5 - r, 0.5 + r, 1.0], [1 / 12, 5 / 12, 5 / 12, 1 / 12]),
+    }
+    if n not in rules:
+        raise ValueError(f"Gauss-Lobatto rules are tabulated for 2 to 4 points, got {n}")
+    nodes, weights = rules[n]
+    return np.array(nodes), np.array(weights)
 
 
 @dataclass(frozen=True)
@@ -170,7 +140,6 @@ class LocalMatrices:
     mass      : int phi_i phi_j
     deriv     : int phi_i phi_j'
     grad_grad : int phi_i' phi_j'
-    lumped    : row sums of mass (positive for p <= 3, every family)
     jump      : [-phi'(1), phi'(0)], the gradient jump [dx_u] across a face
                 on the dofs of the left cell, then the right cell (CIP)
     """
@@ -178,7 +147,6 @@ class LocalMatrices:
     mass: np.ndarray
     deriv: np.ndarray
     grad_grad: np.ndarray
-    lumped: np.ndarray
     jump: np.ndarray
 
 
@@ -191,4 +159,4 @@ def local_matrices(ref):
     deriv = (v * w[:, None]).T @ dv
     grad_grad = (dv * w[:, None]).T @ dv
     jump = np.concatenate([-ref.eval_basis_deriv(1.0), ref.eval_basis_deriv(0.0)])
-    return LocalMatrices(mass, deriv, grad_grad, mass.sum(axis=1), jump)
+    return LocalMatrices(mass, deriv, grad_grad, jump)

@@ -68,10 +68,20 @@ class ShallowWater(_Flux):
         self.g = float(g)
         self.source = source  # callable (x, t) -> momentum source, or None
 
+    def _velocity(self, u):
+        """(h, q / h); raises BlowUp if the smallest depth is <= 0.
+
+        ``h.min()`` is cheaper than ``np.any(h <= 0)`` on every residual's
+        quadrature points; a NaN depth is left to the steppers' finite check.
+        """
+        h = u[..., 0]
+        if h.min() <= 0.0:
+            raise BlowUp(f"non-positive depth: min h = {np.nanmin(h):.6g}")
+        return h, u[..., 1] / h
+
     def flux_x(self, u, ux):
-        h, q = u[..., 0], u[..., 1]
+        h, vel = self._velocity(u)
         hx, qx = ux[..., 0], ux[..., 1]
-        vel = q / h
         out = np.empty_like(u)
         out[..., 0] = qx
         out[..., 1] = (self.g * h - vel**2) * hx + 2.0 * vel * qx
@@ -79,10 +89,7 @@ class ShallowWater(_Flux):
 
     def speed(self, u):
         """|u| + sqrt(g h); raises BlowUp if any depth h <= 0."""
-        h, q = u[..., 0], u[..., 1]
-        gh = self.g * h
-        if np.any(gh <= 0.0):
-            raise BlowUp(f"non-positive depth: min h = {np.nanmin(h):.6g}")
-        return np.abs(q / h) + np.sqrt(gh)
+        h, vel = self._velocity(u)
+        return np.abs(vel) + np.sqrt(self.g * h)
 
     jacobian = speed

@@ -7,17 +7,18 @@ complex symbol
 
     M~(theta) u' = -speed K~(theta) u,
 
-with theta = k dx the reduced wavenumber.  Symbols here are stored with
-unit conventions: ``mass_sym`` carries the dx factor, ``conv_sym`` is the
-unit-speed convection-plus-stabilization symbol (every stabilization term
-is exactly linear in the speed by construction of the delta scalings, so
-speed folds in downstream).
+with theta = k dx the reduced wavenumber.  The symbols are formed at unit
+dx and unit speed (every stabilization term is exactly linear in the speed
+by construction of the delta scalings), so dx and the speed enter only
+through k and the time step.
 
-Eigenvalues lambda of speed * M~^{-1} K~ give the semi-discrete phase and
-damping, omega = Im(lambda), eps = -Re(lambda).  Fully discrete, the one
-step propagator G has eigenvalues mu with
+Eigenvalues lambda of M~^{-1} K~ give the semi-discrete phase and damping,
+omega = Im(lambda), eps = -Re(lambda).  Fully discrete, the one step
+propagator G has eigenvalues mu with
 
     omega = atan2(-Im mu, Re mu) / dt,   eps = log|mu| / dt.
+
+Every entry point takes theta as a scalar or an array.
 """
 
 from dataclasses import dataclass
@@ -275,63 +276,35 @@ class SymbolBuilder:
 
 
 @lru_cache(maxsize=None)
-def _builder(family, degree, stab_kind):
+def symbol_builder(family, degree, stab_kind):
+    """The SymbolBuilder of one (family, degree, stabilization kind), built once."""
     return SymbolBuilder(family, degree, stab_kind)
 
 
 @dataclass(frozen=True)
-class SymbolPair:
-    """Fourier-space mass and convection+stabilization matrices at theta."""
-
-    theta: float
-    mass_sym: np.ndarray   # includes the dx scaling
-    conv_sym: np.ndarray   # unit speed; multiply by the speed downstream
-
-
-def assemble_symbol(ref, stab, theta, dx=1.0):
-    """Reduced p x p symbol pair at theta in (0, pi]."""
-    if isinstance(ref, tuple):
-        ref = build_reference_element(*ref)
-    b = _builder(ref.family, ref.degree, stab.kind)
-    theta_arr = np.asarray(float(theta))
-    return SymbolPair(
-        float(theta),
-        dx * b.mass(theta_arr, stab.delta),
-        b.conv(theta_arr, stab.delta),
-    )
-
-
-@dataclass(frozen=True)
 class ModeAnalysis:
-    """Per-mode dispersion and damping at one theta."""
+    """Per-mode dispersion and damping; the modes run over the last axis."""
 
-    theta: float
     omega_over_k: np.ndarray
     epsilon: np.ndarray
     eigenvalues: np.ndarray
-    principal: int
+    principal: np.ndarray   # index of the mode whose omega is nearest k
 
 
-def semidiscrete_modes(symbol, k, speed=1.0):
-    """Semi-discrete modes: eigenvalues of speed M~^{-1} K~.
+def _mode_analysis(lam, omega, eps, k):
+    k = np.asarray(k, dtype=float)[..., None]
+    return ModeAnalysis(omega / k, eps, lam, principal_mode(omega, k))
 
-    omega = Im(lambda), eps = -Re(lambda); the principal mode minimizes
-    |omega - speed k|.
+
+def semidiscrete_modes(family, degree, stab, theta):
+    """Semi-discrete modes at unit dx and unit speed: eigenvalues of M~^{-1} K~.
+
+    omega = Im(lambda), eps = -Re(lambda), k = theta; theta may be an array.
     """
-    lam = eigvals_batched(speed * np.linalg.solve(symbol.mass_sym, symbol.conv_sym))
-    omega = np.imag(lam)
-    eps = -np.real(lam)
-    return ModeAnalysis(symbol.theta, omega / k, eps, lam, int(principal_mode(omega, speed * k)))
-
-
-@dataclass(frozen=True)
-class AmplificationMatrix:
-    """One-step Fourier propagator G at (theta, cfl, delta)."""
-
-    theta: float
-    cfl: float
-    delta: float
-    G: np.ndarray
+    b = symbol_builder(family, degree, stab.kind)
+    theta = np.asarray(theta, dtype=float)
+    lam = eigvals_batched(np.linalg.solve(b.mass(theta, stab.delta), b.conv(theta, stab.delta)))
+    return _mode_analysis(lam, np.imag(lam), -np.real(lam), theta)
 
 
 def _dec_cfl_polynomial(M, K, Dvec, scale, config):
@@ -367,46 +340,38 @@ def _dec_cfl_polynomial(M, K, Dvec, scale, config):
     return np.stack(subs[config.n_sub], axis=0)  # (n_iter + 1, ..., p, p)
 
 
-def amplification_matrix(ref, stab, scheme, theta, cfl, delta,
+def amplification_matrix(family, degree, stab, scheme_kind, theta, cfl,
                          convention=DEFAULT_CONVENTION):
-    """Fully discrete propagator G for one parameter point.
+    """Fully discrete one-step propagator G at unit dx and unit speed.
 
-    RK and SSPRK use the expanded stability-polynomial form; deferred
-    correction evaluates the cfl polynomial of the iterated matrix update
-    (the one the scans use), with the lumped diagonal taken from the row
-    sums of the (possibly SUPG-augmented) mass symbol.
+    theta may be an array, G then has shape theta.shape + (p, p).  RK and
+    SSPRK use the expanded stability-polynomial form; deferred correction
+    evaluates the cfl polynomial of the iterated matrix update (the one
+    the scans use), with the lumped diagonal taken from the row sums of
+    the (possibly SUPG-augmented) mass symbol.
     """
-    if isinstance(ref, tuple):
-        ref = build_reference_element(*ref)
-    if isinstance(scheme, str):
-        scheme = make_scheme(scheme, ref.degree + 1)
-    b = _builder(ref.family, ref.degree, stab.kind)
-    theta_arr = np.asarray(float(theta))
-    M, K = b.mass(theta_arr, delta), b.conv(theta_arr, delta)
-    scale = dt_scale(convention, 1.0, ref.degree)  # dt / (cfl dx): dx cancels
+    b = symbol_builder(family, degree, stab.kind)
+    scheme = make_scheme(scheme_kind, degree + 1)
+    theta = np.asarray(theta, dtype=float)
+    M, K = b.mass(theta, stab.delta), b.conv(theta, stab.delta)
+    scale = dt_scale(convention, 1.0, degree)  # dt / (cfl dx): dx cancels
     if scheme.kind == "dec":
-        H = _dec_cfl_polynomial(M, K, b.lumped_diag(delta), scale, scheme.tableau)
-        G = np.tensordot(cfl ** np.arange(len(H)), H, axes=1)
-    else:
-        Z = -cfl * scale * np.linalg.solve(M, K)   # dt times the ODE operator
-        nu = expand_ssprk_coefficients(scheme.tableau)
-        G = np.eye(ref.degree, dtype=complex)
-        Zp = np.eye(ref.degree, dtype=complex)
-        for nu_j in nu:
-            Zp = Zp @ Z
-            G = G + nu_j * Zp
-    return AmplificationMatrix(float(theta), float(cfl), float(delta), G)
+        H = _dec_cfl_polynomial(M, K, b.lumped_diag(stab.delta), scale, scheme.tableau)
+        return np.tensordot(cfl ** np.arange(len(H)), H, axes=1)
+    Z = -cfl * scale * np.linalg.solve(M, K)   # dt times the ODE operator
+    G = Zp = np.eye(degree, dtype=complex)
+    for nu_j in expand_ssprk_coefficients(scheme.tableau):
+        Zp = Zp @ Z
+        G = G + nu_j * Zp
+    return G
 
 
-def extract_modes(amp_or_G, k, dt, speed=1.0):
-    """Phase and damping of each eigenvalue of G.
+def extract_modes(G, k, dt):
+    """Phase and damping of each eigenvalue of the propagators G (..., p, p).
 
     omega dt lands in (-pi, pi] through atan2; a zero eigenvalue maps to
-    eps = -inf (total damping).  The principal mode minimizes
-    |omega - speed k|.
+    eps = -inf (total damping).  The principal mode minimizes |omega - k|.
     """
-    G = amp_or_G.G if isinstance(amp_or_G, AmplificationMatrix) else amp_or_G
-    theta = amp_or_G.theta if isinstance(amp_or_G, AmplificationMatrix) else float("nan")
     lam = eigvals_batched(G)
     omega, eps = phase_damping(lam, dt)
-    return ModeAnalysis(theta, omega / k, eps, lam, int(principal_mode(omega, speed * k)))
+    return _mode_analysis(lam, omega, eps, k)

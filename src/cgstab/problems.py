@@ -33,9 +33,6 @@ class ProblemSpec:
     def n_comp(self):
         return self.flux.n_comp
 
-    def initial(self, x):
-        return self.exact(x, 0.0)
-
     def bc(self, t):
         left = np.atleast_1d(self.exact(np.array(self.x_left), t))
         right = np.atleast_1d(self.exact(np.array(self.x_right), t))

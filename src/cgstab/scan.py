@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import (DEFAULT_CONVENTION, EigenSolveFailure, _builder, _dec_cfl_polynomial,
-                      dt_scale, eigvals_batched, phase_damping, principal_mode)
+from .fourier import (DEFAULT_CONVENTION, EigenSolveFailure, _dec_cfl_polynomial, dt_scale,
+                      eigvals_batched, phase_damping, principal_mode, symbol_builder)
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 K_MAX = 2.0 * np.pi / 3.0
@@ -200,7 +200,7 @@ def _scan_fields(comb, grid, convention):
     failed delta columns).
     """
     p = comb.degree
-    b = _builder(comb.family, p, comb.stab_kind)
+    b = symbol_builder(comb.family, p, comb.stab_kind)
     scheme = make_scheme(comb.scheme_kind, p + 1)
     nu = None if scheme.kind == "dec" else expand_ssprk_coefficients(scheme.tableau)
     k = _wavenumbers(grid.theta_samples)
@@ -229,11 +229,6 @@ def _scan_fields(comb, grid, convention):
         eu[rows, j] = eta_u(k, omega_p, np.take_along_axis(eps, pick, axis=-1)[..., 0])
         ew[rows, j] = eta_w(k, omega_p)
     return stable, eu, ew, failures
-
-
-def stability_mask(comb, grid, convention=DEFAULT_CONVENTION):
-    """Boolean (n_cfl, n_delta) mask: True where max eps <= 1e-12."""
-    return _scan_fields(comb, grid, convention)[0]
 
 
 def eta_u(k, omega, epsilon):
@@ -274,17 +269,14 @@ def scan_combination(comb, grid=None, convention=DEFAULT_CONVENTION, mu=1.3):
     return result
 
 
-def optimize(result, strategy, mu=1.3, grid=None, convention=DEFAULT_CONVENTION):
-    """Pick (CFL*, delta*) for one strategy.
+def optimize(result, strategy, mu=1.3):
+    """Pick (CFL*, delta*) for one strategy from a completed ScanResult.
 
-    Accepts either a completed ScanResult or a Combination (which is then
-    scanned first).  max_cfl: largest stable CFL, ties broken by the
-    largest delta.  min_eta_u / min_eta_w: among stable cells whose
-    objective stays below mu times the global stable minimum, the largest
-    CFL; ties prefer the smaller objective, then the larger delta.
+    max_cfl: largest stable CFL, ties broken by the largest delta.
+    min_eta_u / min_eta_w: among stable cells whose objective stays below
+    mu times the global stable minimum, the largest CFL; ties prefer the
+    smaller objective, then the larger delta.
     """
-    if isinstance(result, Combination):
-        result = scan_combination(result, grid, convention=convention, mu=mu)
     stable = result.stable
     if not stable.any():
         raise NoStableRegion(result.combination.label())

@@ -142,7 +142,6 @@ class DiscreteSystem:
         self.n_nodes = mesh.n_nodes(p)
         self.n_mass_solves = 0
         self.n_mass_factorizations = 0
-        self.n_projection_solves = 0
 
         # connectivity: cell c owns nodes c*p .. c*p+p, last one wrapping
         cells = np.arange(mesh.n_cells)[:, None] * p + np.arange(p + 1)[None, :]
@@ -348,7 +347,6 @@ class DiscreteSystem:
         """Global L2 projection w of dx_u, one solve per component."""
         if self.stab.kind != LPS:
             raise ValueError("gradient projection is only defined for LPS systems")
-        self.n_projection_solves += 1
         U2 = U.reshape(self.n_nodes, self.n_comp)
         rhs = self._lps_weak_grad @ U2
         if self._proj_diag is not None:

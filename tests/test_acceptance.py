@@ -19,9 +19,9 @@ import time
 import numpy as np
 
 from cgstab import build_reference_element
-from cgstab.fourier import assemble_symbol, semidiscrete_modes
+from cgstab.fourier import semidiscrete_modes
 from cgstab.problems import burgers_problem, linear_advection_problem, shallow_water_problem
-from cgstab.scan import Combination, ScanGrid, stability_mask
+from cgstab.scan import Combination, ScanGrid, scan_combination
 from cgstab.solver import convergence_study, run_simulation
 from cgstab.stabilization import StabilizationSpec, semi_discrete_energy_rate
 from cgstab.timeint import DEC_CONFIGS, dec_equivalent_butcher, dec_step, rk_step
@@ -52,11 +52,11 @@ def test_criterion_1_closed_form_dispersion():
     thetas = np.pi * np.arange(1, 51) / 50
     worst = 0.0
     for theta in thetas:
-        ma = semidiscrete_modes(assemble_symbol(("basic", 1), NOSTAB, theta), k=theta)
+        ma = semidiscrete_modes("basic", 1, NOSTAB, theta)
         exact = np.sin(theta) / theta * 3.0 / (2.0 + np.cos(theta))
         worst = max(worst, abs(ma.omega_over_k[ma.principal] - exact))
         worst = max(worst, abs(ma.epsilon[ma.principal]))
-        ma2 = semidiscrete_modes(assemble_symbol(("basic", 2), NOSTAB, theta), k=theta)
+        ma2 = semidiscrete_modes("basic", 2, NOSTAB, theta)
         root = np.sqrt(40 * np.sin(theta / 2) ** 2 - np.sin(theta) ** 2)
         exact2 = np.sort([
             (4 * np.sin(theta) + s * 2 * root) / (theta * (np.cos(theta) - 3))
@@ -101,7 +101,7 @@ def test_criterion_2_amplification_oracle():
 def _point_stable(family, p, kind, scheme, cfl, delta, convention="cell"):
     comb = Combination(family, p, kind, scheme)
     grid = ScanGrid(np.array([cfl]), np.array([max(delta, 1e-300)]), 100)
-    return bool(stability_mask(comb, grid, convention=convention)[0, 0])
+    return bool(scan_combination(comb, grid, convention=convention).stable[0, 0])
 
 
 def _boundary_cfl(family, p, kind, scheme, delta, convention="cell"):

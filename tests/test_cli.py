@@ -15,7 +15,7 @@ def test_modes_semidiscrete_nostab_zero_damping(tmp_path):
                   "--time", "rk", "--semi-discrete", "--theta-samples", "40",
                   "--out", str(tmp_path)])
     assert rc == 0
-    rows = (tmp_path / "modes_basic-p1-none-rk.csv").read_text().splitlines()
+    rows = (tmp_path / "modes_basic-p1-none.csv").read_text().splitlines()
     assert rows[0].startswith("# cgstab config:")
     header = rows[1].split(",")
     eps_col = header.index("epsilon")
@@ -24,6 +24,23 @@ def test_modes_semidiscrete_nostab_zero_damping(tmp_path):
         cells = row.split(",")
         assert abs(float(cells[eps_col])) < 1e-10
         assert float(cells[2]) == pytest.approx(float(cells[cf_col]), abs=1e-10)
+
+
+def test_modes_semidiscrete_file_ignores_the_time_scheme(tmp_path):
+    """The semi-discrete curves do not depend on the scheme or the step:
+    one file per (family, degree, stab), its header free of those keys."""
+    common = ["modes", "--family", "cubature", "--degree", "2", "--stab", "cip",
+              "--delta", "0.05", "--semi-discrete", "--theta-samples", "12"]
+    texts = []
+    for scheme, cfl in (("rk", "0.3"), ("dec", "0.7")):
+        out = tmp_path / scheme
+        assert run_cli(common + ["--time", scheme, "--cfl", cfl, "--convention", "dof",
+                                 "--out", str(out)]) == 0
+        assert [path.name for path in out.iterdir()] == ["modes_cubature-p2-cip.csv"]
+        texts.append((out / "modes_cubature-p2-cip.csv").read_bytes())
+    assert texts[0] == texts[1]
+    header = texts[0].decode().splitlines()[0]
+    assert not any(key in header for key in ("time=", "cfl=", "convention="))
 
 
 def test_modes_propagator_has_no_closed_form_column(tmp_path):

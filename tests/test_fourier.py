@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from cgstab import build_reference_element, local_matrices
 from cgstab.fourier import (
     _bands,
-    _builder,
     _char_residual,
     _dec_cfl_polynomial,
     amplification_matrix,
-    assemble_symbol,
     eigvals_batched,
     extract_modes,
     semidiscrete_modes,
+    symbol_builder,
 )
 from cgstab.stabilization import StabilizationSpec
 from cgstab.timeint import make_scheme
@@ -112,7 +111,7 @@ def test_eig_bits_do_not_depend_on_batch_size():
     batch, which exceeds NumPy's 16,384-element in-place threshold."""
     from cgstab.scan import ScanGrid, _wavenumbers
 
-    b = _builder("cubature", 3, "lps")
+    b = symbol_builder("cubature", 3, "lps")
     theta = 3 * _wavenumbers(100)
     H = _dec_cfl_polynomial(b.mass(theta, 0.01), b.conv(theta, 0.01), b.lumped_diag(0.01),
                             1.0, make_scheme("dec", 4).tableau)
@@ -212,18 +211,18 @@ def test_bands_match_former_folds(family, degree):
 
 def test_p1_symbol_matches_hand_formulas():
     theta = 1.1
-    sym = assemble_symbol(("basic", 1), NOSTAB, theta, dx=0.5)
-    assert sym.mass_sym[0, 0] == pytest.approx(0.5 * (2 + np.cos(theta)) / 3, abs=1e-14)
-    assert sym.conv_sym[0, 0] == pytest.approx(1j * np.sin(theta), abs=1e-14)
+    b = symbol_builder("basic", 1, "none")
+    assert 0.5 * b.mass(theta, 0.0)[0, 0] == pytest.approx(0.5 * (2 + np.cos(theta)) / 3,
+                                                          abs=1e-14)
+    assert b.conv(theta, 0.0)[0, 0] == pytest.approx(1j * np.sin(theta), abs=1e-14)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("kind,delta", [("none", 0.0), ("cip", 0.2), ("lps", 0.2)])
 def test_mass_symbol_hermitian_pd(family, kind, delta):
-    stab = StabilizationSpec(kind, delta)
+    b = symbol_builder(family, 2, kind)
     for theta in (0.3, 1.7, np.pi):
-        sym = assemble_symbol((family, 2), stab, theta)
-        M = sym.mass_sym
+        M = b.mass(theta, delta)
         assert np.allclose(M, M.conj().T, atol=1e-13)
         assert np.all(np.linalg.eigvalsh(M) > 0)
 
@@ -231,12 +230,11 @@ def test_mass_symbol_hermitian_pd(family, kind, delta):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("kind,delta", ALL_STABS)
 def test_conv_symbol_annihilates_constants_at_small_theta(family, kind, delta):
-    stab = StabilizationSpec(kind, delta)
     p = 2
+    b = symbol_builder(family, p, kind)
     norms = []
     for theta in (1e-3, 1e-4):
-        sym = assemble_symbol((family, p), stab, theta)
-        norms.append(np.linalg.norm(sym.conv_sym @ np.ones(p)))
+        norms.append(np.linalg.norm(b.conv(theta, delta) @ np.ones(p)))
     assert norms[0] < 10.0 * 1e-3
     assert norms[1] < norms[0]
 
@@ -244,20 +242,20 @@ def test_conv_symbol_annihilates_constants_at_small_theta(family, kind, delta):
 def test_p1_closed_form_50_samples():
     thetas = np.pi * np.arange(1, 51) / 50
     for theta in thetas:
-        ma = semidiscrete_modes(assemble_symbol(("basic", 1), NOSTAB, theta), k=theta)
+        ma = semidiscrete_modes("basic", 1, NOSTAB, theta)
         assert ma.omega_over_k[ma.principal] == pytest.approx(closed_form_p1(theta), abs=1e-10)
         assert abs(ma.epsilon[ma.principal]) < 1e-10
 
 
 def test_p1_quarter_band_value():
     theta = np.pi / 2
-    ma = semidiscrete_modes(assemble_symbol(("basic", 1), NOSTAB, theta), k=theta)
+    ma = semidiscrete_modes("basic", 1, NOSTAB, theta)
     assert ma.omega_over_k[ma.principal] == pytest.approx(3.0 / np.pi, abs=1e-12)
 
 
 def test_p2_closed_form_both_modes():
     for theta in np.pi * np.arange(1, 51) / 50:
-        ma = semidiscrete_modes(assemble_symbol(("basic", 2), NOSTAB, theta), k=theta)
+        ma = semidiscrete_modes("basic", 2, NOSTAB, theta)
         mine = np.sort(ma.omega_over_k)
         assert np.allclose(mine, np.sort(closed_form_p2(theta)), atol=1e-10)
         assert np.max(np.abs(ma.epsilon)) < 1e-10
@@ -266,23 +264,49 @@ def test_p2_closed_form_both_modes():
 def test_lps_semidiscrete_damps_every_mode():
     stab = StabilizationSpec("lps", 0.3)
     for theta in np.linspace(0.1, np.pi, 20):
-        ma = semidiscrete_modes(assemble_symbol(("basic", 2), stab, theta), k=theta)
+        ma = semidiscrete_modes("basic", 2, stab, theta)
         assert np.max(ma.epsilon) < 0.0
 
 
 # --------------------------------------------------------------- propagators
 
 def test_amplification_identity_at_zero_cfl():
-    amp = amplification_matrix(("cubature", 2), StabilizationSpec("cip", 0.1),
-                               "ssprk", 1.0, 0.0, 0.1)
-    assert np.allclose(amp.G, np.eye(2), atol=1e-14)
+    G = amplification_matrix("cubature", 2, StabilizationSpec("cip", 0.1), "ssprk", 1.0, 0.0)
+    assert np.allclose(G, np.eye(2), atol=1e-14)
 
 
 def test_amplification_constant_mode_at_small_theta():
-    amp = amplification_matrix(("basic", 3), StabilizationSpec("lps", 0.2),
-                               "rk", 1e-8, 0.4, 0.2)
-    lam = eigvals_batched(amp.G)
+    G = amplification_matrix("basic", 3, StabilizationSpec("lps", 0.2), "rk", 1e-8, 0.4)
+    lam = eigvals_batched(G)
     assert np.min(np.abs(lam - 1.0)) < 1e-6
+
+
+def test_amplification_takes_delta_from_stab():
+    cip = amplification_matrix("cubature", 2, StabilizationSpec("cip", 0.1), "ssprk", 1.0, 0.4)
+    off = amplification_matrix("cubature", 2, StabilizationSpec("cip", 0.0), "ssprk", 1.0, 0.4)
+    plain = amplification_matrix("cubature", 2, NOSTAB, "ssprk", 1.0, 0.4)
+    assert off.tobytes() == plain.tobytes()
+    assert np.max(np.abs(cip - plain)) > 1e-3
+
+
+@pytest.mark.parametrize("family,degree,kind,delta", [("basic", 3, "supg", 0.31),
+                                                      ("cubature", 3, "cip", 0.11),
+                                                      ("bernstein", 2, "lps", 0.23)])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_array_theta_matches_scalar_calls(family, degree, kind, delta, scheme):
+    """An array of theta gives, to round-off, the stack of the scalar calls."""
+    stab = StabilizationSpec(kind, delta)
+    theta = np.linspace(0.1, np.pi, 7)
+    G = amplification_matrix(family, degree, stab, scheme, theta, 0.3)
+    assert G.shape == (7, degree, degree)
+    one = np.stack([amplification_matrix(family, degree, stab, scheme, t, 0.3) for t in theta])
+    assert np.max(np.abs(G - one)) <= 1e-13 * np.max(np.abs(one))
+    ma = semidiscrete_modes(family, degree, stab, theta)
+    assert ma.omega_over_k.shape == (7, degree) and ma.principal.shape == (7,)
+    for i, t in enumerate(theta):
+        mi = semidiscrete_modes(family, degree, stab, t)
+        assert ma.principal[i] == mi.principal
+        assert np.allclose(ma.eigenvalues[i], mi.eigenvalues, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -331,10 +355,10 @@ def test_oracle_per_dof_convention():
 def test_conjugate_symmetry():
     stab = StabilizationSpec("cip", 0.004)
     for theta in (0.7, 1.9):
-        a = amplification_matrix(("cubature", 3), stab, "ssprk", theta, 0.4, 0.004)
-        b = amplification_matrix(("cubature", 3), stab, "ssprk", 2 * np.pi - theta, 0.4, 0.004)
-        la = eigvals_batched(a.G)
-        lb = np.conj(eigvals_batched(b.G))
+        a = amplification_matrix("cubature", 3, stab, "ssprk", theta, 0.4)
+        b = amplification_matrix("cubature", 3, stab, "ssprk", 2 * np.pi - theta, 0.4)
+        la = eigvals_batched(a)
+        lb = np.conj(eigvals_batched(b))
         scale = np.max(np.abs(la))
         for mu in la:  # multiset equality up to round-off
             assert np.min(np.abs(lb - mu)) < 1e-11 * scale
@@ -344,8 +368,8 @@ def test_modes_deterministic():
     stab = StabilizationSpec("lps", 0.2)
     runs = []
     for _ in range(2):
-        amp = amplification_matrix(("basic", 3), stab, "ssprk", 2.1, 0.45, 0.2)
-        ma = extract_modes(amp, k=2.1, dt=0.45)
+        G = amplification_matrix("basic", 3, stab, "ssprk", 2.1, 0.45)
+        ma = extract_modes(G, k=2.1, dt=0.45)
         runs.append((ma.omega_over_k.copy(), ma.epsilon.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -416,7 +440,7 @@ def _dec_polynomial_loop(M, K, Dvec, scale, config):
 def test_dec_cfl_polynomial_matches_full_loop(family, kind, degree):
     """Skipping the zero blocks and sharing W @ S across subtimesteps
     changes no bit of the coefficients."""
-    b = _builder(family, degree, kind)
+    b = symbol_builder(family, degree, kind)
     theta = np.linspace(0.05, np.pi, 23)
     args = (b.mass(theta, 0.07), b.conv(theta, 0.07), b.lumped_diag(0.07), 1.0,
             make_scheme("dec", degree + 1).tableau)

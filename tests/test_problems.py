@@ -97,7 +97,7 @@ def test_manufactured_solution_residuals_by_finite_differences():
 def test_problem_specs():
     adv = linear_advection_problem()
     assert adv.boundary == "periodic" and adv.t_final == 5.0
-    assert np.allclose(adv.initial(np.array([0.5])), 0.1 * np.sin(np.pi * 0.5))
+    assert np.allclose(adv.exact(np.array([0.5]), 0.0), 0.1 * np.sin(np.pi * 0.5))
     bur = burgers_problem()
     assert bur.t_final == 0.125 < 0.25
     left, right = bur.bc(0.05)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from cgstab.fourier import (DEFAULT_CONVENTION, EigenSolveFailure, _builder,
-                            _dec_cfl_polynomial, dt_scale, eigvals_batched, phase_damping,
-                            principal_mode)
+from cgstab.fourier import (DEFAULT_CONVENTION, EigenSolveFailure, _dec_cfl_polynomial,
+                            dt_scale, eigvals_batched, phase_damping, principal_mode,
+                            symbol_builder)
 from cgstab.scan import (
     EPS_TOL,
     Combination,
@@ -17,7 +17,6 @@ from cgstab.scan import (
     monotone_safety_check,
     optimize,
     scan_combination,
-    stability_mask,
     _wavenumbers,
 )
 from cgstab.timeint import make_scheme
@@ -74,13 +73,13 @@ def test_eta_u_exact_advection_propagator():
 
 
 def test_p1_nostab_semidiscrete_eta_w_positive_finite():
-    from cgstab.fourier import assemble_symbol, semidiscrete_modes
+    from cgstab.fourier import semidiscrete_modes
     from cgstab.stabilization import StabilizationSpec
 
     k = np.linspace(0.01, 2 * np.pi / 3, 100)
     omega = []
     for kk in k:
-        ma = semidiscrete_modes(assemble_symbol(("basic", 1), StabilizationSpec(), kk), k=kk)
+        ma = semidiscrete_modes("basic", 1, StabilizationSpec(), kk)
         omega.append(ma.omega_over_k[ma.principal] * kk)
     val = eta_w(k, np.array(omega))
     assert np.isfinite(val) and val > 0
@@ -88,7 +87,7 @@ def test_p1_nostab_semidiscrete_eta_w_positive_finite():
 
 def test_mask_nostab_p1_all_unstable():
     comb = Combination("basic", 1, "none", "rk")
-    mask = stability_mask(comb, SMALL)
+    mask = scan_combination(comb, SMALL).stable
     assert not mask.any()
 
 
@@ -96,19 +95,19 @@ def test_mask_small_delta_small_cfl_stable():
     for kind in ("cip", "lps"):
         comb = Combination("cubature", 1, kind, "ssprk")
         grid = ScanGrid(np.array([0.01]), np.array([0.05]), 48)
-        assert stability_mask(comb, grid)[0, 0]
+        assert scan_combination(comb, grid).stable[0, 0]
 
 
 def test_mask_paper_point_stable():
     comb = Combination("cubature", 1, "cip", "ssprk")
     grid = ScanGrid(np.array([1.512]), np.array([0.242]), 100)
-    assert stability_mask(comb, grid)[0, 0]
+    assert scan_combination(comb, grid).stable[0, 0]
 
 
 def test_mask_deterministic():
     comb = Combination("bernstein", 2, "lps", "dec")
-    a = stability_mask(comb, SMALL)
-    b = stability_mask(comb, SMALL)
+    a = scan_combination(comb, SMALL).stable
+    b = scan_combination(comb, SMALL).stable
     assert np.array_equal(a, b)
 
 
@@ -157,10 +156,10 @@ def test_monotone_safety_truncated_grid():
     assert monotone_safety_check(res, 0.3, 0.2)
 
 
-def test_optimize_accepts_combination():
+def test_optimize_max_cfl_takes_the_largest_stable_row():
     comb = Combination("cubature", 1, "lps", "ssprk")
     grid = ScanGrid(np.array([0.2, 0.4]), np.array([0.3]), 24)
-    cfl, delta, _ = optimize(comb, "max_cfl", grid=grid)
+    cfl, delta, _ = optimize(scan_combination(comb, grid), "max_cfl")
     assert cfl == pytest.approx(0.4)
     assert delta == pytest.approx(0.3)
 
@@ -175,7 +174,7 @@ def test_dec_basic_p3_has_no_practical_stable_region():
         comb = Combination("basic", 3, kind, "dec")
         grid = ScanGrid(geometric_grid(0.2, 2.0, ratio=1.25),
                         geometric_grid(5e-4, 1.0, ratio=1.5), 40)
-        assert not stability_mask(comb, grid).any(), kind
+        assert not scan_combination(comb, grid).stable.any(), kind
 
 
 def test_bernstein_matches_basic_spectrum_without_lumping():
@@ -186,10 +185,8 @@ def test_bernstein_matches_basic_spectrum_without_lumping():
 
     stab = StabilizationSpec("cip", 0.01)
     for theta, cfl in ((0.9, 0.3), (2.0, 0.5)):
-        a = amplification_matrix(("basic", 2), stab, "ssprk", theta, cfl, 0.01)
-        b = amplification_matrix(("bernstein", 2), stab, "ssprk", theta, cfl, 0.01)
-        la = eigvals_batched(a.G)
-        lb = eigvals_batched(b.G)
+        la = eigvals_batched(amplification_matrix("basic", 2, stab, "ssprk", theta, cfl))
+        lb = eigvals_batched(amplification_matrix("bernstein", 2, stab, "ssprk", theta, cfl))
         for mu in la:
             assert np.min(np.abs(lb - mu)) < 1e-10
 
@@ -266,8 +263,27 @@ def test_scan_equals_concatenated_delta_subgrids(comb):
 
 
 @pytest.mark.parametrize("comb", STREAM_COMBOS, ids=Combination.label)
-def test_stability_mask_equals_scan_mask(comb):
-    assert np.array_equal(stability_mask(comb, STREAM), scan_combination(comb, STREAM).stable)
+def test_scan_mask_agrees_with_propagator(comb):
+    """The scan's mask matches LAPACK's spectral radius of the public
+    propagator on every fourth delta column, wherever that radius is
+    1e-10 or more away from the threshold."""
+    from cgstab.fourier import amplification_matrix
+    from cgstab.stabilization import StabilizationSpec
+
+    res = scan_combination(comb, STREAM)
+    p = comb.degree
+    theta = p * _wavenumbers(STREAM.theta_samples)
+    bound = np.exp(EPS_TOL * STREAM.cfl_values * p)
+    decided = 0
+    for j in range(0, len(STREAM.delta_values), 4):
+        stab = StabilizationSpec(comb.stab_kind, STREAM.delta_values[j])
+        for i, cfl in enumerate(STREAM.cfl_values):
+            G = amplification_matrix(comb.family, p, stab, comb.scheme_kind, theta, cfl)
+            margin = np.abs(np.linalg.eigvals(G)).max() - bound[i]
+            if abs(margin) > 1e-10:
+                decided += 1
+                assert res.stable[i, j] == (margin < 0.0), (cfl, stab.delta)
+    assert decided > len(STREAM.cfl_values)
 
 
 COARSE = ScanGrid.default(ratio_cfl=1.3, ratio_delta=1.3, theta_samples=24)
@@ -279,7 +295,7 @@ def _unscreened_dec_fields(comb, grid):
     """The scan's fields with every wavenumber of a delta column solved in
     one call, then reduced as the scan reduces: the screening's oracle."""
     p = comb.degree
-    b = _builder(comb.family, p, comb.stab_kind)
+    b = symbol_builder(comb.family, p, comb.stab_kind)
     config = make_scheme("dec", p + 1).tableau
     k = _wavenumbers(grid.theta_samples)
     cfls = grid.cfl_values
@@ -353,7 +369,7 @@ def test_low_cfl_cubature_dec_is_stable():
     <= 1e-15, so every one of these cells is stable."""
     default = ScanGrid.default()
     grid = ScanGrid(default.cfl_values[:14], default.delta_values[:1])
-    assert stability_mask(Combination("cubature", 3, "lps", "dec"), grid).all()
+    assert scan_combination(Combination("cubature", 3, "lps", "dec"), grid).stable.all()
 
 
 def test_to_json_matches_indented_json_dumps():

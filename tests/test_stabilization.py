@@ -463,6 +463,18 @@ def test_shallow_water_dry_node_is_a_blowup():
             system.refresh_mass(U)
 
 
+def test_shallow_water_dry_node_residual_is_a_blowup():
+    """Without stabilization no tau is formed: the momentum flux's q / h
+    raises BlowUp before it divides by the dry node's zero depth."""
+    system = make_system("cubature", 1, "none", 0.0, n=4, flux=ShallowWater())
+    U = np.tile([1.0, 0.1], (system.n_nodes, 1))
+    U[2, 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUp, match="non-positive depth: min h = 0"):
+            system.residual(U.ravel())
+
+
 @pytest.mark.parametrize("flux", [LinearAdvection(-0.7), Burgers(), ShallowWater()])
 def test_flux_jacobian_and_linearity(flux):
     rng = np.random.default_rng(9)
