@@ -116,6 +116,8 @@ def cmd_modes(cfg, out_dir):
     comb = _combination(cfg)
     stab = StabilizationSpec(comb.stab_kind, float(cfg.get("delta", 0.0)))
     n_theta = int(cfg.get("theta_samples", 200))
+    if n_theta < 1:
+        raise ValueError(f"need at least 1 wavenumber sample, got {n_theta}")
     thetas = np.pi * np.arange(1, n_theta + 1) / n_theta
     semi = bool(cfg.get("semi_discrete", False))
     if semi:

@@ -10,7 +10,11 @@ functionals
     eta_u^2 = 3/(2pi) [ int (e^eps - 1)^2 dk + int e^eps (w - w_ex)^2 dk ]
     eta_w^2 = int ((w - w_ex)/w_ex)^2 dk,
 
-evaluated on the principal mode with w_ex = k.  Three selection strategies
+evaluated on the principal mode with w_ex = k.  The reduced angles
+theta = p k reach 2pi p/3, so for p >= 2 samples pair up across the half
+turn: the symbols and the propagator at 2pi - theta are the conjugates of
+those at theta.  A scan solves one sample of each pair and mirrors the
+other (omega -> -omega, eps as is).  Three selection strategies
 are offered: plain CFL maximization over the stable cells, and CFL
 maximization subject to eta <= mu * min(eta) for either functional
 (mu = 1.3 by default).  Ties prefer the largest delta, matching how the
@@ -60,6 +64,8 @@ class ScanGrid:
             v = np.asarray(vals, dtype=float)
             if v.ndim != 1 or len(v) == 0 or np.any(np.diff(v) <= 0) or v[0] <= 0:
                 raise ValueError("grids must be strictly increasing and positive")
+        if self.theta_samples < 2:
+            raise ValueError(f"need at least 2 wavenumber samples, got {self.theta_samples}")
 
     @classmethod
     def default(cls, cfl_range=(0.01, 4.0), delta_range=(1e-4, 4.0),
@@ -150,6 +156,24 @@ def _wavenumbers(n):
     return K_MAX * np.arange(1, n + 1) / n
 
 
+def _half_turn(n, p):
+    """Which of the n wavenumber samples to solve, and how to fill the rest.
+
+    Sample j = 1..n sits at theta_j = p k_j = 2 pi p j / (3n).  When 3n is
+    divisible by p, sample 3n/p - j sits at 2 pi - theta_j, where every
+    symbol and propagator is the conjugate; of such a pair the one with
+    the smaller j is solved.  Returns (kept, src, mirrored): the 0-based
+    samples solved, each sample's position among them and whether it is
+    its source's conjugate.
+    """
+    j = np.arange(1, n + 1)
+    partner = 3 * n // p - j if (3 * n) % p == 0 else np.zeros_like(j)
+    mirrored = (partner >= 1) & (partner < j)
+    kept = np.flatnonzero(~mirrored)
+    src = np.searchsorted(kept, np.where(mirrored, partner, j) - 1)
+    return kept, src, mirrored
+
+
 def _mode_fields(b, scheme, nu, theta, cfls, scale, delta, bound):
     """Stable rows at one delta and lambda(G) on them: (rows, lam[rows]).
 
@@ -194,9 +218,12 @@ def _bounded(lam, bound):
 def _scan_fields(comb, grid, convention):
     """Mask and error fields on the (n_cfl, n_delta) grid, one delta column at a time.
 
-    Each column's stable rows are reduced right away: the principal-mode
-    phase and damping and the two functionals (NaN elsewhere).  A column
-    whose eigen solve fails stays unstable.  Returns (stable, eta_u, eta_w,
+    Only the samples ``_half_turn`` keeps are solved; a row is stable iff
+    they all are, since |conj lambda| = |lambda|.  Each column's stable rows
+    are reduced right away: phase and damping on the kept samples, mirrored
+    to the others (omega -> -omega, eps as is), then the principal mode and
+    the two functionals on every sample (NaN elsewhere).  A column whose
+    eigen solve fails stays unstable.  Returns (stable, eta_u, eta_w,
     failed delta columns).
     """
     p = comb.degree
@@ -204,7 +231,9 @@ def _scan_fields(comb, grid, convention):
     scheme = make_scheme(comb.scheme_kind, p + 1)
     nu = None if scheme.kind == "dec" else expand_ssprk_coefficients(scheme.tableau)
     k = _wavenumbers(grid.theta_samples)
-    theta = p * k                     # dx = p when dx_p = 1
+    kept, src, mirrored = _half_turn(grid.theta_samples, p)
+    theta = p * k[kept]               # dx = p when dx_p = 1
+    sign = np.where(mirrored, -1.0, 1.0)[:, None]
     cfls = grid.cfl_values
     scale = dt_scale(convention, 1.0, p)   # dt = cfl*scale*dx/speed, dx folded out
     dt_row = cfls * scale * p          # dx = p, speed = 1
@@ -224,6 +253,7 @@ def _scan_fields(comb, grid, convention):
         if not rows.any():
             continue
         omega, eps = phase_damping(lam, dt_row[rows, None, None])
+        omega, eps = omega[:, src] * sign, eps[:, src]
         pick = principal_mode(omega, k[:, None])[..., None]
         omega_p = np.take_along_axis(omega, pick, axis=-1)[..., 0]
         eu[rows, j] = eta_u(k, omega_p, np.take_along_axis(eps, pick, axis=-1)[..., 0])

@@ -162,6 +162,15 @@ def test_bad_grid_is_config_error(tmp_path):
     assert rc == 2  # missing config file -> config error
 
 
+@pytest.mark.parametrize("command,n", [("scan", "0"), ("scan", "-3"), ("scan", "1"),
+                                       ("modes", "0"), ("modes", "-3")])
+def test_too_few_wavenumber_samples_is_config_error(tmp_path, command, n):
+    rc = run_cli([command, "--family", "cubature", "--degree", "1", "--stab", "cip",
+                  "--time", "ssprk", "--theta-samples", n, "--out", str(tmp_path)])
+    assert rc == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = {"family": "cubature", "degree": 1, "stab": "cip", "time": "ssprk",
            "cfl": 0.9, "delta": 0.094, "problem": "advection", "cells": 16}

@@ -11,6 +11,7 @@ from cgstab.fourier import (
     amplification_matrix,
     eigvals_batched,
     extract_modes,
+    phase_damping,
     semidiscrete_modes,
     symbol_builder,
 )
@@ -362,6 +363,34 @@ def test_conjugate_symmetry():
         scale = np.max(np.abs(la))
         for mu in la:  # multiset equality up to round-off
             assert np.min(np.abs(lb - mu)) < 1e-11 * scale
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+@pytest.mark.parametrize("kind,delta", ALL_STABS)
+def test_symbols_at_the_mirrored_angle_are_conjugates(family, degree, kind, delta):
+    """The bands are real and their shifts integers, so both symbols at
+    2 pi - theta are the conjugates of those at theta (relative to the
+    largest entry: the p = 1 convection symbol vanishes at theta = pi)."""
+    b = symbol_builder(family, degree, kind)
+    theta = np.linspace(0.05, np.pi, 29)
+    for symbol in (b.mass, b.conv):
+        want = np.conj(symbol(theta, delta))
+        err = np.abs(symbol(2 * np.pi - theta, delta) - want).max()
+        assert err <= 1e-14 * np.abs(want).max(), symbol.__name__
+
+
+def test_conjugate_eigenvalue_negates_the_phase_bit_for_bit():
+    """arctan2 is odd in y, signed zeros included: mirroring a mode's
+    omega by negation gives the bits phase_damping gives its conjugate."""
+    rng = np.random.default_rng(7)
+    signed = [complex(re, im) for re in (-2.0, -0.0, 0.0, 2.0) for im in (-0.0, 0.0)]
+    lam = np.concatenate([rng.normal(size=400) + 1j * rng.normal(size=400),
+                          signed, [1j, -1j, complex(1e-300, -2.0)]])
+    omega, eps = phase_damping(lam, 0.37)
+    omega_c, eps_c = phase_damping(np.conj(lam), 0.37)
+    assert (-omega).tobytes() == omega_c.tobytes()
+    assert eps.tobytes() == eps_c.tobytes()
 
 
 def test_modes_deterministic():

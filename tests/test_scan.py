@@ -17,6 +17,7 @@ from cgstab.scan import (
     monotone_safety_check,
     optimize,
     scan_combination,
+    _half_turn,
     _wavenumbers,
 )
 from cgstab.timeint import make_scheme
@@ -37,6 +38,28 @@ def test_geometric_grid_properties():
 def test_scan_grid_validation():
     with pytest.raises(ValueError):
         ScanGrid(np.array([0.5, 0.4]), np.array([0.1]))
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_scan_grid_needs_two_wavenumbers(n):
+    with pytest.raises(ValueError, match="wavenumber"):
+        ScanGrid(np.array([0.5]), np.array([0.1]), n)
+
+
+@pytest.mark.parametrize("p,n,mirrors", [(1, 100, 0), (2, 100, 25), (3, 100, 49),
+                                         (3, 7, 3), (2, 7, 0), (1, 2, 0)])
+def test_half_turn_pairs_each_sample_with_its_mirror(p, n, mirrors):
+    """Sample j mirrors sample 3n/p - j (theta -> 2 pi - theta) when 3n is
+    divisible by p; the smaller j of a pair is solved."""
+    kept, src, mirrored = _half_turn(n, p)
+    j = np.arange(1, n + 1)
+    assert mirrored.sum() == mirrors
+    assert np.array_equal(kept, np.flatnonzero(~mirrored))
+    assert np.array_equal(kept[src[~mirrored]], np.flatnonzero(~mirrored))
+    partner = kept[src[mirrored]] + 1
+    assert np.array_equal(partner, 3 * n // p - j[mirrored]) and np.all(partner < j[mirrored])
+    theta = p * _wavenumbers(n)
+    assert np.allclose(theta[mirrored] + theta[partner - 1], 2 * np.pi, rtol=0, atol=1e-14)
 
 
 def test_eta_u_exact_curve_is_zero():
@@ -287,17 +310,51 @@ def test_scan_mask_agrees_with_propagator(comb):
 
 
 COARSE = ScanGrid.default(ratio_cfl=1.3, ratio_delta=1.3, theta_samples=24)
+ALL_COMBOS = [Combination(fam, p, stab, scheme) for fam in ALL_FAMILIES for p in ALL_DEGREES
+              for stab, _ in ALL_STABS for scheme in ("rk", "ssprk", "dec")]
+
+
+@pytest.mark.parametrize("comb", ALL_COMBOS, ids=Combination.label)
+def test_half_turn_scan_agrees_with_solving_every_sample(comb, monkeypatch):
+    """Mirrored samples moved no decision LAPACK disputes: a mask cell that
+    differs from solving every sample is one that solve marked unstable,
+    the half turn stable and LAPACK stable; eta agrees to 1e-10 elsewhere."""
+    import cgstab.scan as scan
+    from cgstab.fourier import amplification_matrix
+    from cgstab.stabilization import StabilizationSpec
+
+    res = scan_combination(comb, COARSE)
+    n = COARSE.theta_samples
+    monkeypatch.setattr(scan, "_half_turn",
+                        lambda n, p: (np.arange(n), np.arange(n), np.zeros(n, dtype=bool)))
+    direct = scan_combination(comb, COARSE)
+    assert res.eig_failures == direct.eig_failures == 0
+    p = comb.degree
+    theta = p * _wavenumbers(n)
+    for i, j in zip(*np.nonzero(res.stable != direct.stable)):
+        assert res.stable[i, j] and not direct.stable[i, j]
+        cfl, stab = COARSE.cfl_values[i], StabilizationSpec(comb.stab_kind, COARSE.delta_values[j])
+        G = amplification_matrix(comb.family, p, stab, comb.scheme_kind, theta, cfl)
+        assert np.abs(np.linalg.eigvals(G)).max() <= np.exp(EPS_TOL * cfl * p), (cfl, stab.delta)
+    both = res.stable & direct.stable
+    for name in ("eta_u", "eta_w"):
+        got, want = getattr(res, name)[both], getattr(direct, name)[both]
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), name
+
+
 DEC_COMBOS = [Combination(fam, p, stab, "dec") for fam in ALL_FAMILIES
               for p in ALL_DEGREES for stab, _ in ALL_STABS]
 
 
 def _unscreened_dec_fields(comb, grid):
-    """The scan's fields with every wavenumber of a delta column solved in
-    one call, then reduced as the scan reduces: the screening's oracle."""
+    """The scan's fields with every kept wavenumber of a delta column solved
+    in one call, then mirrored and reduced as the scan does: the
+    screening's oracle."""
     p = comb.degree
     b = symbol_builder(comb.family, p, comb.stab_kind)
     config = make_scheme("dec", p + 1).tableau
     k = _wavenumbers(grid.theta_samples)
+    kept, src, mirrored = _half_turn(grid.theta_samples, p)
     cfls = grid.cfl_values
     scale = dt_scale(DEFAULT_CONVENTION, 1.0, p)
     dt_row = cfls * scale * p
@@ -305,7 +362,8 @@ def _unscreened_dec_fields(comb, grid):
               np.full((len(cfls), len(grid.delta_values)), np.nan),
               np.full((len(cfls), len(grid.delta_values)), np.nan)]
     for j, d in enumerate(grid.delta_values):
-        H = _dec_cfl_polynomial(b.mass(p * k, d), b.conv(p * k, d), b.lumped_diag(d), scale,
+        theta = p * k[kept]
+        H = _dec_cfl_polynomial(b.mass(theta, d), b.conv(theta, d), b.lumped_diag(d), scale,
                                 config)
         G = np.tensordot(cfls[:, None] ** np.arange(len(H))[None, :], H, axes=(1, 0))
         lam = eigvals_batched(G)
@@ -313,6 +371,8 @@ def _unscreened_dec_fields(comb, grid):
         if not rows.any():
             continue
         omega, eps = phase_damping(lam[rows], dt_row[rows, None, None])
+        omega, eps = omega[:, src], eps[:, src]
+        omega[:, mirrored] = -omega[:, mirrored]
         pick = principal_mode(omega, k[:, None])[..., None]
         omega_p = np.take_along_axis(omega, pick, axis=-1)[..., 0]
         fields[0][:, j] = rows
@@ -352,7 +412,7 @@ def test_failed_dec_probe_or_rest_solve_leaves_its_delta_column_unstable(monkeyp
 
     monkeypatch.setattr(scan, "eigvals_batched", failing)
     got = scan_combination(comb, grid)
-    assert [shape[:2] for shape in calls[2::4]] == [(3, 2), (3, 18)]
+    assert [shape[:2] for shape in calls[2::4]] == [(3, 1), (3, 14)]
     failed = np.array([False, True, False, True])
     assert got.eig_failures == 2
     assert want.stable[:, failed].all() and not got.stable[:, failed].any()
