@@ -33,7 +33,7 @@ from .fourier import (
 )
 from .problems import PROBLEMS
 from .scan import Combination, NoStableRegion, ScanGrid, geometric_grid, scan_combination
-from .solver import BlowUp, DX1_DEFAULT, convergence_study, run_simulation
+from .solver import BlowUp, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, SingularMass, StabilizationSpec
 from .timeint import SCHEME_KINDS
 
@@ -126,6 +126,8 @@ def cmd_modes(cfg, out_dir):
         name = f"modes_{comb.family}-p{comb.degree}-{comb.stab_kind}.csv"
     else:
         cfl = float(cfg.get("cfl", 0.5))
+        if not 0 < cfl < np.inf:
+            raise ValueError(f"cfl must be positive and finite, got {cfl}")
         convention = cfg.get("convention", DEFAULT_CONVENTION)
         dt = cfl * dt_scale(convention, 1.0, comb.degree)
         name = f"modes_{comb.label()}.csv"
@@ -207,8 +209,9 @@ def cmd_optimize(cfg, out_dir):
          cfg.get("convention", DEFAULT_CONVENTION), float(cfg.get("mu", 1.3)))
         for comb in combos
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_optimize_one, tasks))
     else:
         blocks = [_optimize_one(t) for t in tasks]
@@ -244,9 +247,8 @@ def cmd_convergence(cfg, out_dir):
     levels = int(cfg.get("levels", 4))
     if levels < 3:
         raise ValueError("need at least 3 levels")
-    dx1 = tuple(cfg["dx1"]) if "dx1" in cfg else DX1_DEFAULT[:levels]
-    if name == "sw" and "dx1" not in cfg:
-        dx1 = (0.5, 0.25, 0.125, 0.0625)[:levels]
+    first = 0.5 if name == "sw" else 0.05
+    dx1 = tuple(cfg["dx1"]) if "dx1" in cfg else tuple(first / 2**k for k in range(levels))
     problem = PROBLEMS[name]()
     stab = StabilizationSpec(comb.stab_kind, float(cfg.get("delta", 0.0)))
     rep = convergence_study(problem, comb.family, comb.degree, stab,

@@ -281,6 +281,8 @@ def eta_w(k, omega):
 
 def scan_combination(comb, grid=None, convention=DEFAULT_CONVENTION, mu=1.3):
     """Full sweep: mask, error fields, and the three optima."""
+    if not 1 <= mu < np.inf:
+        raise ValueError(f"mu must be finite and at least 1, got {mu}")
     grid = grid or ScanGrid.default()
     stable, eu, ew, failures = _scan_fields(comb, grid, convention)
     result = ScanResult(comb, grid, stable, eu, ew, {}, convention, mu, failures)
@@ -305,8 +307,11 @@ def optimize(result, strategy, mu=1.3):
     max_cfl: largest stable CFL, ties broken by the largest delta.
     min_eta_u / min_eta_w: among stable cells whose objective stays below
     mu times the global stable minimum, the largest CFL; ties prefer the
-    smaller objective, then the larger delta.
+    smaller objective, then the larger delta.  Below mu = 1 not even the
+    minimum is feasible, so mu must be finite and at least 1.
     """
+    if not 1 <= mu < np.inf:
+        raise ValueError(f"mu must be finite and at least 1, got {mu}")
     stable = result.stable
     if not stable.any():
         raise NoStableRegion(result.combination.label())

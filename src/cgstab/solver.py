@@ -88,8 +88,11 @@ def run_simulation(problem, family, degree, stab, scheme, cfl, n_cells,
     last step is clipped to land on t_final exactly.  With a zero wave
     speed every dt is stable, so the run takes one step to t_final.  A
     step that no longer advances t (dt vanishing under a growing, infinite
-    or NaN wave speed) raises BlowUp.
+    or NaN wave speed) raises BlowUp.  A CFL that is not positive and
+    finite raises ValueError.
     """
+    if not 0 < cfl < np.inf:
+        raise ValueError(f"cfl must be positive and finite, got {cfl}")
     if isinstance(stab, tuple):
         stab = StabilizationSpec(*stab)
     if isinstance(scheme, str):

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .elements import CUBATURE, local_matrices
+from .elements import local_matrices
 
 NONE = "none"
 SUPG = "supg"
@@ -45,6 +45,31 @@ DIRICHLET = "dirichlet"
 
 class SingularMass(RuntimeError):
     """Mass (or projection) factorization failed."""
+
+
+class _Inverse:
+    """Inverse of a CSC matrix on the block pattern, decided once.
+
+    The matrix counts as diagonal when every off-diagonal magnitude is
+    below 1e-12 times the smallest |diagonal| entry (so a zero diagonal
+    never does); it is then inverted by a division by ``diag``, otherwise
+    factorized once into ``lu``.  ``solve`` takes an (n_nodes, n_comp)
+    right-hand side.
+    """
+
+    def __init__(self, matrix, diag_pos):
+        self.diag, self.lu = matrix.data[diag_pos], None
+        offdiag = np.abs(matrix.data)
+        offdiag[diag_pos] = 0.0
+        if np.max(offdiag) >= 1e-12 * np.min(np.abs(self.diag)):
+            self.diag = None
+            try:
+                self.lu = spla.splu(matrix)
+            except RuntimeError as exc:
+                raise SingularMass(str(exc)) from exc
+
+    def solve(self, b):
+        return b / self.diag[:, None] if self.lu is None else self.lu.solve(b)
 
 
 @dataclass(frozen=True)
@@ -164,9 +189,12 @@ class DiscreteSystem:
 
         self._setup_block_pattern()
         self.M_galerkin = self._assemble_pairwise(self.local.mass * mesh.dx)
-        self._mass_matrix = None
-        self._lumped = None
-        self._setup_lps()
+        # the mass and its row sums (positive for p <= 3), set by _set_mass;
+        # None until a state-dependent mass is first built
+        self.mass_matrix = self.lumped = self._mass_inverse = None
+        if stab.kind == LPS:
+            self._lps_weak_grad = self._assemble_pairwise(self.local.deriv)
+            self._proj_inverse = _Inverse(self.M_galerkin, self._diag_pos)
 
         self.Q = self._quad_operator(self.V)
         self.J = self._setup_jumps() if stab.kind == CIP else None
@@ -242,8 +270,9 @@ class DiscreteSystem:
         R = self._assemble_pairwise(block)
         if stab.kind == CIP:
             R = R - tau * (self.J.T @ self.J)
-        if R_proj is not None and self._proj_diag is not None:
-            R, R_proj = R + R_proj @ sp.diags(1.0 / self._proj_diag) @ self._lps_weak_grad, None
+        diag = None if R_proj is None else self._proj_inverse.diag
+        if diag is not None:
+            R, R_proj = R + R_proj @ sp.diags(1.0 / diag) @ self._lps_weak_grad, None
         return R.tocsr(), R_proj
 
     @property
@@ -280,15 +309,11 @@ class DiscreteSystem:
         if self.mesh.boundary == DIRICHLET:
             data[(rows == 0) | (rows == self.n_nodes - 1)] = 0.0
             data[self._diag_pos[[0, -1]]] = 1.0
-        self._lumped = np.bincount(rows, data, minlength=self.n_nodes)
-        if np.any(self._lumped <= 0):
+        self.lumped = np.bincount(rows, data, minlength=self.n_nodes)
+        if np.any(self.lumped <= 0):
             raise SingularMass("lumped mass has nonpositive entries")
-        self._mass_matrix = sp.csc_matrix((data,) + self._pattern, shape=(self.n_nodes,) * 2)
-        offdiag = np.abs(data)
-        offdiag[self._diag_pos] = 0.0
-        self._mass_is_diagonal = np.max(offdiag) < 1e-15
-        self._mass_diag = data[self._diag_pos] if self._mass_is_diagonal else None
-        self._mass_solver = None
+        self.mass_matrix = sp.csc_matrix((data,) + self._pattern, shape=(self.n_nodes,) * 2)
+        self._mass_inverse = None
 
     def refresh_mass(self, U=None):
         """Reassemble the SUPG-augmented mass for the current state.
@@ -300,60 +325,20 @@ class DiscreteSystem:
         if self.mass_is_state_dependent:
             self._set_mass(self._build_mass(U))
 
-    @property
-    def mass_matrix(self):
-        return self._mass_matrix
-
-    @property
-    def lumped(self):
-        """Row sums of the full mass operator (positive for p <= 3)."""
-        return self._lumped
-
     def solve_mass(self, b):
-        """M^{-1} b, one solve per component; the factorization is reused."""
+        """M^{-1} b for every component at once; the inverse is built on the
+        first solve after each mass update."""
         self.n_mass_solves += 1
-        b2 = b.reshape(self.n_nodes, self.n_comp)
-        if self._mass_is_diagonal:
-            return (b2 / self._mass_diag[:, None]).reshape(b.shape)
-        if self._mass_solver is None:
-            self.n_mass_factorizations += 1
-            try:
-                self._mass_solver = spla.splu(self._mass_matrix.tocsc())
-            except RuntimeError as exc:  # pragma: no cover - defensive
-                raise SingularMass(str(exc)) from exc
-        out = np.column_stack(
-            [self._mass_solver.solve(np.ascontiguousarray(b2[:, c])) for c in range(self.n_comp)]
-        )
-        return out.reshape(b.shape)
-
-    # -- LPS projection ----------------------------------------------------
-
-    def _setup_lps(self):
-        self._proj_solver = None
-        if self.stab.kind != LPS:
-            self._lps_weak_grad = None
-            return
-        self._lps_weak_grad = self._assemble_pairwise(self.local.deriv)
-        if self.ref.family == CUBATURE:
-            self._proj_diag = np.asarray(self.M_galerkin.sum(axis=1)).ravel()
-        else:
-            self._proj_diag = None
-            try:
-                self._proj_solver = spla.splu(self.M_galerkin.tocsc())
-            except RuntimeError as exc:  # pragma: no cover - defensive
-                raise SingularMass(str(exc)) from exc
+        if self._mass_inverse is None:
+            self._mass_inverse = _Inverse(self.mass_matrix, self._diag_pos)
+            self.n_mass_factorizations += self._mass_inverse.lu is not None
+        return self._mass_inverse.solve(b.reshape(self.n_nodes, self.n_comp)).reshape(b.shape)
 
     def project_gradient(self, U):
-        """Global L2 projection w of dx_u, one solve per component."""
+        """Global L2 projection w of dx_u."""
         if self.stab.kind != LPS:
             raise ValueError("gradient projection is only defined for LPS systems")
-        U2 = U.reshape(self.n_nodes, self.n_comp)
-        rhs = self._lps_weak_grad @ U2
-        if self._proj_diag is not None:
-            return rhs / self._proj_diag[:, None]
-        return np.column_stack(
-            [self._proj_solver.solve(np.ascontiguousarray(rhs[:, c])) for c in range(self.n_comp)]
-        )
+        return self._proj_inverse.solve(self._lps_weak_grad @ U.reshape(self.n_nodes, self.n_comp))
 
     # -- residual ----------------------------------------------------------
 

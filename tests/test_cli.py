@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cgstab import cli
 from cgstab.cli import main
 
 
@@ -153,6 +154,70 @@ def test_convergence_outputs(tmp_path):
 def test_levels_validation(tmp_path):
     rc = run_cli(["convergence", "--levels", "1", "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_levels_beyond_four_run_every_level(tmp_path):
+    """Each level halves dx1, so the first levels match a shorter study."""
+    base = ["convergence", "--family", "cubature", "--degree", "1", "--stab", "cip",
+            "--time", "ssprk", "--cfl", "1.304", "--delta", "0.094", "--problem", "burgers"]
+    assert run_cli(base + ["--levels", "5", "--out", str(tmp_path / "five")]) == 0
+    assert run_cli(base + ["--levels", "3", "--out", str(tmp_path / "three")]) == 0
+    name = "convergence_burgers_cubature-p1-cip-ssprk.csv"
+    five = (tmp_path / "five" / name).read_text().splitlines()[2:]
+    three = (tmp_path / "three" / name).read_text().splitlines()[2:]
+    assert len(five) == 5 and five[:3] == three
+
+
+@pytest.mark.parametrize("cfl", ["-0.5", "0", "nan"])
+@pytest.mark.parametrize("command", ["solve", "convergence", "modes"])
+def test_cfl_not_positive_and_finite_is_config_error(tmp_path, capsys, command, cfl):
+    rc = run_cli([command, "--family", "cubature", "--degree", "1", "--stab", "cip",
+                  "--time", "ssprk", "--cfl", cfl, "--levels", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "cfl" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_mu_below_one_is_config_error(tmp_path, capsys):
+    rc = run_cli(["scan", "--family", "cubature", "--degree", "1", "--stab", "cip",
+                  "--time", "ssprk", "--mu", "0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "mu must be finite and at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count, maps serially."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_optimize_starts_no_more_workers_than_combinations(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    cfg = {"cfl_min": 0.2, "cfl_max": 0.3, "delta_min": 0.05, "delta_max": 0.1,
+           "grid_ratio": 1.4, "theta_samples": 4}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    rc = run_cli(["optimize", "--config", str(path), "--jobs", "500",
+                  "--out", str(tmp_path / "all")])
+    assert rc == 0 and _RecordingPool.workers == [108]
+    rc = run_cli(["optimize", "--config", str(path), "--family", "cubature", "--degree", "1",
+                  "--stab", "cip", "--time", "ssprk", "--jobs", "4",
+                  "--out", str(tmp_path / "one")])
+    assert rc == 0 and _RecordingPool.workers == [108]   # one combination: no pool
 
 
 def test_bad_grid_is_config_error(tmp_path):

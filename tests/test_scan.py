@@ -162,6 +162,18 @@ def test_optimize_no_stable_region():
         optimize(res, "max_cfl")
 
 
+@pytest.mark.parametrize("mu", [0.5, 0.0, -1.0, np.nan, np.inf])
+def test_mu_below_one_or_not_finite_is_rejected(mu, monkeypatch):
+    comb = Combination("cubature", 1, "lps", "ssprk")
+    res = scan_combination(comb, ScanGrid(np.array([0.2]), np.array([0.3]), 32))
+    with pytest.raises(ValueError, match="mu"):
+        optimize(res, "min_eta_u", mu=mu)
+    # checked before the sweep, not after it
+    monkeypatch.setattr("cgstab.scan._scan_fields", lambda *a: pytest.fail("scanned"))
+    with pytest.raises(ValueError, match="mu"):
+        scan_combination(comb, res.grid, mu=mu)
+
+
 def test_monotone_safety_flags_stripe():
     """Cubature DeC SUPG p=2 near the footnoted entry (1.0, 0.081)."""
     comb = Combination("cubature", 2, "supg", "dec")

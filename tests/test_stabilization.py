@@ -3,11 +3,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgstab import build_reference_element
 from cgstab.fluxes import Burgers, LinearAdvection, ShallowWater
+from cgstab.problems import shallow_water_problem
+from cgstab.solver import build_problem_system
 from cgstab.timeint import BlowUp
 from cgstab.stabilization import (
     Mesh1D,
@@ -161,13 +164,70 @@ def test_lps_projection_constant_and_linear():
 
 def test_lps_projection_cubature_needs_no_factorization():
     system = make_system("cubature", 2, "lps", 0.3)
-    assert system._proj_solver is None and system._proj_diag is not None
+    assert system._proj_inverse.lu is None and system._proj_inverse.diag is not None
     rng = np.random.default_rng(8)
     U = rng.normal(size=system.n_nodes)
     W = system.project_gradient(U)
     # diagonal projection solves the lumped system, not the consistent one
     lumped = np.asarray(system.M_galerkin.sum(axis=1)).ravel()
     assert np.max(np.abs(lumped[:, None] * W - system._lps_weak_grad @ U[:, None])) < 1e-12
+
+
+SCALES = [1e-3, 1.0, 20.0, 1e3]
+
+
+@pytest.mark.parametrize("dx", SCALES)
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_cubature_p3_mass_is_divided_at_every_scale(dx, boundary):
+    """The diagonal test is relative to the diagonal, so no dx factorizes
+    the collocated mass (off-diagonals of about 1.8e-16 dx)."""
+    system = assemble_system(Mesh1D(0.0, 10 * dx, 10, boundary),
+                             build_reference_element("cubature", 3),
+                             StabilizationSpec("cip", 0.01), ShallowWater(),
+                             bc=lambda t: (np.array([1.0, 0.0]), np.array([1.0, 0.0])))
+    b = np.random.default_rng(31).normal(size=2 * system.n_nodes)
+    out = system.solve_mass(b)
+    assert system.n_mass_factorizations == 0
+    expected = b.reshape(-1, 2) / system.mass_matrix.diagonal()[:, None]
+    assert np.array_equal(out, expected.ravel())
+
+
+@pytest.mark.parametrize("dx", SCALES)
+def test_basic_p1_mass_factorizes_once_at_every_scale(dx):
+    system = assemble_system(Mesh1D(0.0, 10 * dx, 10), build_reference_element("basic", 1),
+                             StabilizationSpec("none"), LinearAdvection(1.0))
+    b = np.random.default_rng(32).normal(size=system.n_nodes)
+    for _ in range(2):
+        out = system.solve_mass(b)
+    assert system.n_mass_factorizations == 1
+    assert np.max(np.abs(system.mass_matrix @ out - b)) < 1e-12 * np.max(np.abs(b))
+
+
+def test_cubature_p3_projection_divides_by_the_mass_diagonal():
+    system = make_system("cubature", 3, "lps", 0.3)
+    rng = np.random.default_rng(33)
+    U = rng.normal(size=system.n_nodes)
+    diag = system.mass_matrix.diagonal()
+    W = system.project_gradient(U)
+    assert np.array_equal(W, (system._lps_weak_grad @ U[:, None]) / diag[:, None])
+    assert np.array_equal(system.solve_mass(U), U / diag)
+
+
+def test_two_component_solves_match_per_column_lu():
+    system = build_problem_system(shallow_water_problem(), "basic", 2,
+                                  StabilizationSpec("lps", 0.1), 10)
+    rng = np.random.default_rng(34)
+    U = rng.normal(size=(system.n_nodes, 2))
+
+    def per_column(matrix, rhs):
+        lu = spla.splu(matrix.tocsc())
+        return np.column_stack([lu.solve(np.ascontiguousarray(c)) for c in rhs.T])
+
+    assert np.array_equal(system.solve_mass(U.ravel()),
+                          per_column(system.mass_matrix, U).ravel())
+    assert np.array_equal(system.project_gradient(U.ravel()),
+                          per_column(system.M_galerkin, system._lps_weak_grad @ U))
+    assert system.n_mass_factorizations == 1
 
 
 def test_energy_rate_none_zero():
@@ -443,7 +503,8 @@ def test_supg_mass_matches_coo_assembly_dirichlet_burgers():
     diff = (system.mass_matrix - M_ref).toarray()
     assert np.max(np.abs(diff)) <= 1e-15 * np.max(np.abs(M_ref.toarray()))
     assert np.max(np.abs(system.lumped - lumped_ref)) <= 1e-15 * np.max(lumped_ref)
-    assert not system._mass_is_diagonal
+    system.solve_mass(U)
+    assert system._mass_inverse.diag is None and system.n_mass_factorizations == 1
 
 
 def test_shallow_water_dry_node_is_a_blowup():
