@@ -14,7 +14,7 @@ import numpy as np
 
 from cgstab import build_reference_element
 from cgstab.fluxes import LinearAdvection
-from cgstab.fourier import amplification_matrix, extract_modes
+from cgstab.fourier import amplification_matrix, eigvals_batched, phase_damping, principal_mode
 from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
 from cgstab.timeint import make_scheme
 
@@ -50,8 +50,9 @@ for family in ("basic", "cubature", "bernstein"):
 
 # what the eigenvalues of G mean: phase and damping of the step
 G = amplification_matrix("cubature", 2, StabilizationSpec("cip", 0.014), "ssprk", 1.1, 0.8)
-ma = extract_modes(G, k=1.1 / 0.5, dt=0.8 * 0.5)
+k, dt = 1.1 / 0.5, 0.8 * 0.5
+omega, eps = phase_damping(eigvals_batched(G), dt)
 print("\ncubature p=2 CIP SSPRK at theta=1.1, cfl=0.8:")
 for i in range(2):
-    tag = "principal" if i == ma.principal else "parasite"
-    print(f"  mode {i} ({tag}): omega/k = {ma.omega_over_k[i]:+.4f}, eps = {ma.epsilon[i]:+.4f}")
+    tag = "principal" if i == principal_mode(omega, k) else "parasite"
+    print(f"  mode {i} ({tag}): omega/k = {omega[i] / k:+.4f}, eps = {eps[i]:+.4f}")

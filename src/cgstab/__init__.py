@@ -41,7 +41,6 @@ from .fourier import (
     ModeAnalysis,
     amplification_matrix,
     eigvals_batched,
-    extract_modes,
     semidiscrete_modes,
     symbol_builder,
 )

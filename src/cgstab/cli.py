@@ -23,16 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .elements import FAMILIES, UnsupportedDegree
-from .fourier import (
-    DEFAULT_CONVENTION,
-    EigenSolveFailure,
-    amplification_matrix,
-    dt_scale,
-    extract_modes,
-    semidiscrete_modes,
-)
+from .fourier import (DEFAULT_CONVENTION, EigenSolveFailure, dt_scale, phase_damping,
+                      principal_mode, semidiscrete_modes)
 from .problems import PROBLEMS
-from .scan import Combination, NoStableRegion, ScanGrid, geometric_grid, scan_combination
+from .scan import (Combination, NoStableRegion, ScanGrid, _engine, _mode_fields, geometric_grid,
+                   scan_combination)
 from .solver import BlowUp, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, SingularMass, StabilizationSpec
 from .timeint import SCHEME_KINDS
@@ -58,7 +53,7 @@ def _load_config(path):
     return data
 
 
-def _merge(args, parser):
+def _merge(args):
     """File config first, explicit flags override."""
     cfg = {}
     if args.config:
@@ -118,42 +113,39 @@ def cmd_modes(cfg, out_dir):
     n_theta = int(cfg.get("theta_samples", 200))
     if n_theta < 1:
         raise ValueError(f"need at least 1 wavenumber sample, got {n_theta}")
-    thetas = np.pi * np.arange(1, n_theta + 1) / n_theta
+    thetas = np.pi * np.arange(1, n_theta + 1) / n_theta   # k = theta at dx = 1
     semi = bool(cfg.get("semi_discrete", False))
     if semi:
         # the semi-discrete curves depend on neither the time scheme nor the step
         cfg = {k: v for k, v in cfg.items() if k not in ("time", "cfl", "convention")}
         name = f"modes_{comb.family}-p{comb.degree}-{comb.stab_kind}.csv"
+        ma = semidiscrete_modes(comb.family, comb.degree, stab, thetas)
+        omega_over_k, eps, principal = ma.omega_over_k, ma.epsilon, ma.principal
     else:
         cfl = float(cfg.get("cfl", 0.5))
         if not 0 < cfl < np.inf:
             raise ValueError(f"cfl must be positive and finite, got {cfl}")
-        convention = cfg.get("convention", DEFAULT_CONVENTION)
-        dt = cfl * dt_scale(convention, 1.0, comb.degree)
+        scale = dt_scale(cfg.get("convention", DEFAULT_CONVENTION), 1.0, comb.degree)
         name = f"modes_{comb.label()}.csv"
+        # the scans' solver on one cfl row, kept by an infinite bound unless it overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept, lam = _mode_fields(*_engine(comb), thetas, np.array([cfl]), scale, stab.delta,
+                                     np.array([np.inf]))
+        if not (kept.all() and np.isfinite(lam).all()):
+            raise EigenSolveFailure(f"non-finite propagator eigenvalues at cfl={cfl}")
+        omega, eps = phase_damping(lam[0], cfl * scale)
+        k = thetas[:, None]
+        omega_over_k, principal = omega / k, principal_mode(omega, k)
     # the semi-discrete basic-p1 curve: no reference for fully discrete omega/k
     closed_form = semi and (comb.family, comb.degree, comb.stab_kind) == ("basic", 1, "none")
 
-    lines = [_resolved_header(cfg)]
     header = "theta,mode_index,omega_over_k,epsilon,is_principal"
-    if closed_form:
-        header += ",omega_over_k_closed_form"
-    lines.append(header)
-    # one theta at a time (k = theta, dx = 1): a batch would move the DeC bits
-    for theta in thetas:
-        if semi:
-            ma = semidiscrete_modes(comb.family, comb.degree, stab, theta)
-        else:
-            G = amplification_matrix(comb.family, comb.degree, stab, comb.scheme_kind, theta,
-                                     cfl, convention=convention)
-            ma = extract_modes(G, theta, dt)
-        for i in range(len(ma.omega_over_k)):
-            row = (f"{theta:.12g},{i},{ma.omega_over_k[i]:.12g},"
-                   f"{ma.epsilon[i]:.12g},{int(i == ma.principal)}")
-            if closed_form:
-                exact = np.sin(theta) / theta * 3.0 / (2.0 + np.cos(theta))
-                row += f",{exact:.12g}"
-            lines.append(row)
+    lines = [_resolved_header(cfg), header + (",omega_over_k_closed_form" if closed_form else "")]
+    for theta, wk, ek, pick in zip(thetas.tolist(), omega_over_k.tolist(), eps.tolist(),
+                                   principal.tolist()):
+        tail = f",{np.sin(theta) / theta * 3.0 / (2.0 + np.cos(theta)):.12g}" if closed_form else ""
+        lines.extend(f"{theta:.12g},{i},{w:.12g},{e:.12g},{int(i == pick)}{tail}"
+                     for i, (w, e) in enumerate(zip(wk, ek)))
     path = _write(out_dir / name, "\n".join(lines) + "\n")
     print(path)
     return EXIT_OK
@@ -249,6 +241,8 @@ def cmd_convergence(cfg, out_dir):
         raise ValueError("need at least 3 levels")
     first = 0.5 if name == "sw" else 0.05
     dx1 = tuple(cfg["dx1"]) if "dx1" in cfg else tuple(first / 2**k for k in range(levels))
+    if "levels" in cfg and len(dx1) != levels:
+        raise ValueError(f"levels={levels} but dx1 lists {len(dx1)} mesh sizes")
     problem = PROBLEMS[name]()
     stab = StabilizationSpec(comb.stab_kind, float(cfg.get("delta", 0.0)))
     rep = convergence_study(problem, comb.family, comb.degree, stab,
@@ -298,7 +292,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge(args, parser)
+        cfg = _merge(args)
         out_dir = Path(cfg.get("out", "out"))
         handler = {
             "modes": cmd_modes,

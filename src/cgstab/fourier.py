@@ -144,10 +144,11 @@ def eigvals_batched(A, residual_tol=1e-9):
 
     Closed forms (quadratic formula, Cardano) solve every matrix; one whose
     characteristic residual exceeds residual_tol * |A|^n is re-solved by
-    LAPACK, and one still above it raises EigenSolveFailure.  The closed
-    forms always run on a batch axis: on a lone matrix NumPy's scalar
-    paths would change the last bits.  They run in chunks of _EIG_CHUNK
-    matrices, so a matrix gets the same bits in a batch of any size.
+    LAPACK, and one still above it, or with a NaN or infinite entry, raises
+    EigenSolveFailure.  The closed forms always run on a batch axis: on a
+    lone matrix NumPy's scalar paths would change the last bits.  They run
+    in chunks of _EIG_CHUNK matrices, so a matrix gets the same bits in a
+    batch of any size.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
@@ -162,15 +163,21 @@ def eigvals_batched(A, residual_tol=1e-9):
 
 
 def _eig_checked(A, residual_tol):
-    """Closed-form eigenvalues of a (m, n, n) batch, residual-checked."""
+    """Closed-form eigenvalues of a (m, n, n) batch, residual-checked.  A NaN
+    residual fails the check, and so does an infinite |A|^n, under which any
+    residual would pass."""
     n = A.shape[-1]
-    lam = (_eig1, _eig2, _eig3)[n - 1](A)
-    scale = np.maximum(np.linalg.norm(A, axis=(-2, -1)) ** n, 1e-300)
-    bad = np.any(_char_residual(A, lam) > residual_tol * scale[:, None], axis=-1)
-    if np.any(bad):
-        lam[bad] = np.linalg.eigvals(A[bad])
-        if np.any(_char_residual(A[bad], lam[bad]) > residual_tol * scale[bad, None]):
-            raise EigenSolveFailure("characteristic residual above tolerance")
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.maximum(np.linalg.norm(A, axis=(-2, -1)) ** n, 1e-300)
+        lam = (_eig1, _eig2, _eig3)[n - 1](A)
+        limit = residual_tol * scale[:, None]
+        bad = ~np.all(_char_residual(A, lam) <= limit, axis=-1) | (scale == np.inf)
+        if np.any(bad):
+            if not np.all(np.isfinite(A[bad])):
+                raise EigenSolveFailure("non-finite matrix")
+            lam[bad] = np.linalg.eigvals(A[bad])
+            if np.any(_char_residual(A[bad], lam[bad]) > limit[bad]):
+                raise EigenSolveFailure("characteristic residual above tolerance")
     return lam
 
 
@@ -291,11 +298,6 @@ class ModeAnalysis:
     principal: np.ndarray   # index of the mode whose omega is nearest k
 
 
-def _mode_analysis(lam, omega, eps, k):
-    k = np.asarray(k, dtype=float)[..., None]
-    return ModeAnalysis(omega / k, eps, lam, principal_mode(omega, k))
-
-
 def semidiscrete_modes(family, degree, stab, theta):
     """Semi-discrete modes at unit dx and unit speed: eigenvalues of M~^{-1} K~.
 
@@ -304,7 +306,8 @@ def semidiscrete_modes(family, degree, stab, theta):
     b = symbol_builder(family, degree, stab.kind)
     theta = np.asarray(theta, dtype=float)
     lam = eigvals_batched(np.linalg.solve(b.mass(theta, stab.delta), b.conv(theta, stab.delta)))
-    return _mode_analysis(lam, np.imag(lam), -np.real(lam), theta)
+    omega, k = np.imag(lam), theta[..., None]
+    return ModeAnalysis(omega / k, -np.real(lam), lam, principal_mode(omega, k))
 
 
 def _dec_cfl_polynomial(M, K, Dvec, scale, config):
@@ -365,13 +368,3 @@ def amplification_matrix(family, degree, stab, scheme_kind, theta, cfl,
         G = G + nu_j * Zp
     return G
 
-
-def extract_modes(G, k, dt):
-    """Phase and damping of each eigenvalue of the propagators G (..., p, p).
-
-    omega dt lands in (-pi, pi] through atan2; a zero eigenvalue maps to
-    eps = -inf (total damping).  The principal mode minimizes |omega - k|.
-    """
-    lam = eigvals_batched(G)
-    omega, eps = phase_damping(lam, dt)
-    return _mode_analysis(lam, omega, eps, k)

@@ -174,11 +174,21 @@ def _half_turn(n, p):
     return kept, src, mirrored
 
 
+def _engine(comb):
+    """What ``_mode_fields`` needs of a combination: its symbol builder, its
+    time scheme and the stability-polynomial coefficients (None for DeC)."""
+    b = symbol_builder(comb.family, comb.degree, comb.stab_kind)
+    scheme = make_scheme(comb.scheme_kind, comb.degree + 1)
+    return b, scheme, None if scheme.kind == "dec" else expand_ssprk_coefficients(scheme.tableau)
+
+
 def _mode_fields(b, scheme, nu, theta, cfls, scale, delta, bound):
     """Stable rows at one delta and lambda(G) on them: (rows, lam[rows]).
 
-    lam holds every (cfl, k, mode), shape (n_cfl, n_k, p); a row is stable
-    iff every |lambda| <= bound[row].  ``nu`` holds the stability-polynomial
+    The one producer of propagator eigenvalues: the scans and ``cgstab
+    modes`` (one cfl, an infinite bound) both call it.  lam holds every
+    (cfl, theta, mode), shape (n_cfl, n_theta, p); a row is stable iff
+    every |lambda| <= bound[row].  ``nu`` holds the stability-polynomial
     coefficients of an RK scheme; deferred correction evaluates the cfl
     polynomial of its iterated update and solves every _PROBE_STRIDE-th
     wavenumber first, so a row unstable there never solves the others.
@@ -227,9 +237,7 @@ def _scan_fields(comb, grid, convention):
     failed delta columns).
     """
     p = comb.degree
-    b = symbol_builder(comb.family, p, comb.stab_kind)
-    scheme = make_scheme(comb.scheme_kind, p + 1)
-    nu = None if scheme.kind == "dec" else expand_ssprk_coefficients(scheme.tableau)
+    b, scheme, nu = _engine(comb)
     k = _wavenumbers(grid.theta_samples)
     kept, src, mirrored = _half_turn(grid.theta_samples, p)
     theta = p * k[kept]               # dx = p when dx_p = 1

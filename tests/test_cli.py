@@ -1,10 +1,16 @@
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from cgstab import cli
 from cgstab.cli import main
+from cgstab.fourier import amplification_matrix, dt_scale, phase_damping, principal_mode
+from cgstab.scan import Combination, ScanGrid, _engine, _mode_fields, scan_combination
+from cgstab.stabilization import StabilizationSpec
+from conftest import ALL_DEGREES, ALL_FAMILIES, ALL_SCHEMES, ALL_STABS
 
 
 def run_cli(args):
@@ -67,6 +73,87 @@ def test_modes_cip_delta_zero_matches_nostab(tmp_path):
         va = [float(x) for x in ra.split(",")[:4]]
         vb = [float(x) for x in rb.split(",")[:4]]
         assert np.allclose(va, vb, atol=1e-12)
+
+
+def _modes_rows(tmp_path, comb, cfl, delta, n_theta):
+    """The data rows of ``cgstab modes`` for one combination and (cfl, delta)."""
+    assert run_cli(["modes", "--family", comb.family, "--degree", str(comb.degree),
+                    "--stab", comb.stab_kind, "--time", comb.scheme_kind, "--cfl", repr(cfl),
+                    "--delta", repr(delta), "--theta-samples", str(n_theta),
+                    "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / f"modes_{comb.label()}.csv").read_text().splitlines()[2:]
+    return [row.split(",") for row in rows]
+
+
+# one combination per scan path: the RK and SSPRK polynomials of eig(M^-1 K),
+# the screened DeC solve with a non-diagonal and with a diagonal mass
+@pytest.mark.parametrize("label", ["cubature-p3-cip-rk", "cubature-p3-lps-ssprk",
+                                   "basic-p3-supg-dec", "cubature-p3-lps-dec"])
+def test_modes_rows_are_the_scan_engine_reduction(tmp_path, label):
+    """modes writes the scans' own eigenvalues: _mode_fields on the whole
+    theta batch at one cfl, reduced by phase_damping and principal_mode."""
+    family, p, stab, scheme = label.split("-")
+    comb = Combination(family, int(p[1:]), stab, scheme)
+    cfl, delta, n = 0.3, 0.05, 37
+    rows = _modes_rows(tmp_path, comb, cfl, delta, n)
+    theta = np.pi * np.arange(1, n + 1) / n
+    scale = dt_scale("cell", 1.0, comb.degree)
+    kept, lam = _mode_fields(*_engine(comb), theta, np.array([cfl]), scale, delta,
+                             np.array([np.inf]))
+    omega, eps = phase_damping(lam[0], cfl * scale)
+    pick = principal_mode(omega, theta[:, None])
+    want = [[f"{t:.12g}", str(i), f"{omega[j, i] / t:.12g}", f"{eps[j, i]:.12g}",
+             str(int(i == pick[j]))] for j, t in enumerate(theta) for i in range(comb.degree)]
+    assert kept.all() and rows == want
+
+
+COARSE = ScanGrid.default(ratio_cfl=1.3, ratio_delta=1.3, theta_samples=24)
+ALL_COMBOS = [Combination(fam, p, stab, scheme) for fam in ALL_FAMILIES for p in ALL_DEGREES
+              for stab, _ in ALL_STABS for scheme in ALL_SCHEMES]
+
+
+@pytest.mark.parametrize("comb", ALL_COMBOS, ids=Combination.label)
+def test_modes_match_lapack_on_the_public_propagator(tmp_path, comb):
+    """At the min_eta_u optimum of a coarse scan (stable on its band; (0.1, 0.05)
+    for the 14 combinations with none), the eigenvalues modes writes match
+    LAPACK's of amplification_matrix to 1e-10 of max|lambda|, and the
+    principal mode agrees wherever the best |omega - k| leads the second
+    best by more than 1e-9."""
+    opt = scan_combination(comb, COARSE).optima["min_eta_u"]
+    cfl, delta = (opt["cfl"], opt["delta"]) if opt else (0.1, 0.05)
+    n, p = 50, comb.degree
+    rows = _modes_rows(tmp_path, comb, cfl, delta, n)
+    theta = np.pi * np.arange(1, n + 1) / n
+    dt = cfl * dt_scale("cell", 1.0, p)
+    w = np.array([[float(r[2]), float(r[3])] for r in rows]).reshape(n, p, 2)
+    mine = np.exp(w[..., 1] * dt - 1j * w[..., 0] * theta[:, None] * dt)
+    mine_pick = np.array([int(r[4]) for r in rows]).reshape(n, p).argmax(axis=-1)
+    G = amplification_matrix(comb.family, p, StabilizationSpec(comb.stab_kind, delta),
+                             comb.scheme_kind, theta, cfl)
+    ref = np.linalg.eigvals(G)
+    tol = 1e-10 * np.abs(ref).max()
+    omega, _ = phase_damping(ref, dt)
+    dist = np.sort(np.abs(omega - theta[:, None]), axis=-1)
+    ref_pick = principal_mode(omega, theta[:, None])
+    for j in range(n):
+        assert min(np.abs(mine[j, list(perm)] - ref[j]).max()
+                   for perm in itertools.permutations(range(p))) <= tol, theta[j]
+        if p == 1 or dist[j, 1] - dist[j, 0] > 1e-9:
+            assert abs(mine[j, mine_pick[j]] - ref[j, ref_pick[j]]) <= tol, theta[j]
+
+
+@pytest.mark.parametrize("scheme", ["rk", "dec"])
+def test_modes_non_finite_propagator_is_numerical_failure(tmp_path, capsys, scheme):
+    """A propagator that overflows exits 3 with no CSV and no RuntimeWarning,
+    not NaN rows with one of them marked principal."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(["modes", "--family", "basic", "--degree", "2", "--stab", "none",
+                      "--time", scheme, "--cfl", "1e200", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_scan_deterministic_bytes(tmp_path):
@@ -154,6 +241,18 @@ def test_convergence_outputs(tmp_path):
 def test_levels_validation(tmp_path):
     rc = run_cli(["convergence", "--levels", "1", "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_levels_and_dx1_of_different_counts_are_config_error(tmp_path, capsys):
+    """A dx1 list from the config file may not silently override --levels."""
+    path = tmp_path / "dx.json"
+    path.write_text(json.dumps({"dx1": [0.05, 0.025, 0.0125]}))
+    rc = run_cli(["convergence", "--problem", "burgers", "--family", "cubature", "--degree", "1",
+                  "--stab", "cip", "--time", "ssprk", "--config", str(path), "--levels", "5",
+                  "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "dx1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_levels_beyond_four_run_every_level(tmp_path):

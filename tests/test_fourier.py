@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from cgstab import build_reference_element, local_matrices
 from cgstab.fourier import (
+    EigenSolveFailure,
     _bands,
     _char_residual,
     _dec_cfl_polynomial,
     amplification_matrix,
     eigvals_batched,
-    extract_modes,
     phase_damping,
+    principal_mode,
     semidiscrete_modes,
     symbol_builder,
 )
@@ -398,35 +399,63 @@ def test_modes_deterministic():
     runs = []
     for _ in range(2):
         G = amplification_matrix("basic", 3, stab, "ssprk", 2.1, 0.45)
-        ma = extract_modes(G, k=2.1, dt=0.45)
-        runs.append((ma.omega_over_k.copy(), ma.epsilon.copy()))
+        omega, eps = phase_damping(eigvals_batched(G), 0.45)
+        runs.append((omega / 2.1, eps))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
 
 
 # ------------------------------------------------------------ mode extraction
+# the modes of a propagator G: phase_damping(eigvals_batched(G), dt), then
+# principal_mode(omega, k)
 
 def test_extract_modes_identity():
-    ma = extract_modes(np.array([[1.0 + 0j]]), k=1.0, dt=0.5)
-    assert ma.omega_over_k[0] == 0.0
-    assert ma.epsilon[0] == 0.0
+    omega, eps = phase_damping(eigvals_batched(np.array([[1.0 + 0j]])), 0.5)
+    assert omega[0] == 0.0
+    assert eps[0] == 0.0
+    assert principal_mode(omega, 1.0) == 0
 
 
 def test_extract_modes_damped_rotation():
     lam = 0.5 * np.exp(-1j * np.pi / 4)
-    ma = extract_modes(np.array([[lam]]), k=1.0, dt=1.0)
-    assert ma.omega_over_k[0] == pytest.approx(np.pi / 4, abs=1e-14)
-    assert ma.epsilon[0] == pytest.approx(np.log(0.5), abs=1e-14)
+    omega, eps = phase_damping(eigvals_batched(np.array([[lam]])), 1.0)
+    assert omega[0] == pytest.approx(np.pi / 4, abs=1e-14)
+    assert eps[0] == pytest.approx(np.log(0.5), abs=1e-14)
 
 
 def test_extract_modes_growth_flag():
-    ma = extract_modes(np.array([[1.2 + 0j]]), k=1.0, dt=1.0)
-    assert ma.epsilon[0] > 0
+    _, eps = phase_damping(eigvals_batched(np.array([[1.2 + 0j]])), 1.0)
+    assert eps[0] > 0
 
 
 def test_extract_modes_zero_eigenvalue_sentinel():
-    ma = extract_modes(np.diag([0.0j, 0.5 + 0j]), k=1.0, dt=1.0)
-    assert ma.epsilon[ma.eigenvalues == 0] == -np.inf
+    lam = eigvals_batched(np.diag([0.0j, 0.5 + 0j]))
+    _, eps = phase_damping(lam, 1.0)
+    assert eps[lam == 0] == -np.inf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigvals_batched_huge_finite_matrix_goes_to_lapack(n):
+    """Where |A|^n overflows, the residual check cannot vouch for the
+    closed forms (they may overflow too): such a matrix is solved by LAPACK."""
+    rng = np.random.default_rng(n)
+    A = 1e120 * (rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n)))
+    A[0] = 1e-20 * A[0]   # |A|^n finite, though for n = 3 Cardano's p^3 overflows
+    lam = eigvals_batched(A)
+    ref = np.linalg.eigvals(A)
+    for got, want in zip(lam, ref):
+        assert np.allclose(np.sort_complex(got), np.sort_complex(want), rtol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_eigvals_batched_non_finite_matrix_raises(n, bad):
+    """A NaN or infinite entry is a classified failure, not NaN eigenvalues,
+    and raises no RuntimeWarning on the way (warnings are errors here)."""
+    A = np.tile(np.eye(n, dtype=complex), (5, 1, 1))
+    A[3, 0, n - 1] = bad
+    with pytest.raises(EigenSolveFailure, match="non-finite"):
+        eigvals_batched(A)
 
 
 def _dec_polynomial_loop(M, K, Dvec, scale, config):
