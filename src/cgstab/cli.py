@@ -37,19 +37,32 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NO_STABLE = 4
 
-CONFIG_KEYS = {
-    "family", "degree", "stab", "delta", "time", "cfl", "theta_samples",
-    "problem", "cells", "levels", "out", "jobs", "convention",
-    "cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio",
-    "semi_discrete", "dx1", "mu",
+NUMBER = (int, float)
+# config key -> the Python types json.loads may give its value (true and
+# false load as bool, never int, so a boolean is no number)
+CONFIG_TYPES = {
+    **dict.fromkeys(("degree", "theta_samples", "cells", "levels", "jobs"), (int,)),
+    **dict.fromkeys(("delta", "cfl", "cfl_min", "cfl_max", "delta_min", "delta_max",
+                     "grid_ratio", "mu"), NUMBER),
+    **dict.fromkeys(("family", "stab", "time", "problem", "out", "convention"), (str,)),
+    "semi_discrete": (bool,),
+    "dx1": (list,),
 }
 
 
 def _load_config(path):
     data = json.loads(Path(path).read_text())
-    unknown = set(data) - CONFIG_KEYS
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(data) - set(CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in data.items():
+        if type(val) not in CONFIG_TYPES[key]:
+            names = " or ".join(t.__name__ for t in CONFIG_TYPES[key])
+            raise ValueError(f"config key {key!r} must be {names}, got {val!r}")
+    if not all(type(x) in NUMBER and x > 0 for x in data.get("dx1", ())):
+        raise ValueError(f"dx1 must list positive numbers, got {data['dx1']!r}")
     return data
 
 

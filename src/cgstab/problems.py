@@ -34,9 +34,8 @@ class ProblemSpec:
         return self.flux.n_comp
 
     def bc(self, t):
-        left = np.atleast_1d(self.exact(np.array(self.x_left), t))
-        right = np.atleast_1d(self.exact(np.array(self.x_right), t))
-        return left, right
+        left, right = self.exact(np.array([self.x_left, self.x_right]), t)
+        return np.atleast_1d(left), np.atleast_1d(right)
 
 
 def linear_advection_problem(a=1.0, t_final=5.0):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import build_reference_element
-from .stabilization import DIRICHLET, Mesh1D, StabilizationSpec, assemble_system
+from .stabilization import DIRICHLET, Mesh1D, assemble_system
 from .timeint import BlowUp, make_scheme
 from .fourier import DEFAULT_CONVENTION, dt_scale
 
@@ -83,20 +83,19 @@ def run_simulation(problem, family, degree, stab, scheme, cfl, n_cells,
                    convention=DEFAULT_CONVENTION, monitor=None):
     """Advance one configuration to t_final and report the L2 error.
 
-    dt follows the calibrated CFL convention with the instantaneous global
-    maximum wave speed (refreshed every step for nonlinear fluxes); the
-    last step is clipped to land on t_final exactly.  With a zero wave
-    speed every dt is stable, so the run takes one step to t_final.  A
-    step that no longer advances t (dt vanishing under a growing, infinite
-    or NaN wave speed) raises BlowUp.  A CFL that is not positive and
-    finite raises ValueError.
+    ``stab`` is a StabilizationSpec and ``scheme`` a time-scheme kind
+    ("rk", "ssprk" or "dec"), run at order degree + 1.  dt follows the
+    calibrated CFL convention with the instantaneous global maximum wave
+    speed (refreshed every step for nonlinear fluxes); the last step is
+    clipped to land on t_final exactly.  With a zero wave speed every dt
+    is stable, so the run takes one step to t_final.  A step that no
+    longer advances t (dt vanishing under a growing, infinite or NaN wave
+    speed) raises BlowUp.  A CFL that is not positive and finite raises
+    ValueError.
     """
     if not 0 < cfl < np.inf:
         raise ValueError(f"cfl must be positive and finite, got {cfl}")
-    if isinstance(stab, tuple):
-        stab = StabilizationSpec(*stab)
-    if isinstance(scheme, str):
-        scheme = make_scheme(scheme, degree + 1)
+    scheme = make_scheme(scheme, degree + 1)
     system = build_problem_system(problem, family, degree, stab, n_cells)
     U = system.interpolate(problem.exact, 0.0)
     t = 0.0

@@ -7,21 +7,21 @@ function phi_i,
 
 with S one of
 
-    SUPG : sum_K int_K (df/du dx_phi_i) tau_K (dt_u + dx_f + source),
+    SUPG : tau sum_K int_K (df/du dx_phi_i) (dt_u + dx_f + source),
            the dt part entering the mass operator,
-    CIP  : sum over interior faces of tau_f [dx_phi_i] [dx_u],
-    LPS  : sum_K tau_K int_K dx_phi_i (dx_u - w),  w the global L2
+    CIP  : tau sum over interior faces of [dx_phi_i] [dx_u],
+    LPS  : tau sum_K int_K dx_phi_i (dx_u - w),  w the global L2
            projection of dx_u,
 
-and the dimensionless coefficient delta entering through
+and the dimensionless coefficient delta entering through one tau
 
-    SUPG : tau_K = delta dx / speed
-    LPS  : tau_K = delta dx  speed
-    CIP  : tau_f = delta dx^2 speed.
+    SUPG : tau = delta dx / speed
+    LPS  : tau = delta dx  speed
+    CIP  : tau = delta dx^2 speed.
 
-Cell speeds are the per-cell maximum of |df/du| over quadrature points,
-refreshed on every residual evaluation; for faces the larger of the two
-adjacent cell values is used.
+The speed is the largest |df/du| over all quadrature points, refreshed on
+every residual evaluation, so CIP and LPS are tau times one fixed sparse
+matrix.
 """
 
 import warnings
@@ -74,27 +74,16 @@ class _Inverse:
 
 @dataclass(frozen=True)
 class StabilizationSpec:
-    """Stabilization kind plus the dimensionless coefficient delta.
-
-    ``speed_ref`` picks the reference |df/du| entering tau for nonlinear
-    fluxes: "global" (default) uses the instantaneous maximum over the
-    whole mesh, "cell" the per-cell quadrature maximum.  The global choice
-    keeps the stabilization active where the local wave speed vanishes
-    (e.g. at the center of the Burgers tanh profile) and reproduces the
-    reference convergence orders; both coincide for linear fluxes.
-    """
+    """Stabilization kind plus the dimensionless coefficient delta."""
 
     kind: str = NONE
     delta: float = 0.0
-    speed_ref: str = "global"
 
     def __post_init__(self):
         if self.kind not in STAB_KINDS:
             raise ValueError(f"unknown stabilization {self.kind!r}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.speed_ref not in ("global", "cell"):
-            raise ValueError(f"unknown speed reference {self.speed_ref!r}")
 
 
 @dataclass(frozen=True)
@@ -122,23 +111,22 @@ class Mesh1D:
 
 
 def tau_cell(stab, dx, speed):
-    """Stabilization time scale for one cell (or face, for CIP).
+    """Stabilization time scale for mesh size dx and reference speed.
 
     SUPG divides by the speed; a vanishing speed there returns tau = 0
     with a warning instead of raising.
     """
     if stab.kind == NONE or stab.delta == 0.0:
-        return np.zeros_like(np.asarray(speed, dtype=float)) if np.ndim(speed) else 0.0
+        return 0.0
+    speed = abs(speed)
     if stab.kind == SUPG:
-        speed_arr = np.asarray(speed, dtype=float)
-        if np.any(speed_arr == 0.0):
+        if speed == 0.0:
             warnings.warn("SUPG tau with zero speed; returning tau = 0", stacklevel=2)
-        with np.errstate(divide="ignore"):
-            tau = np.where(speed_arr == 0.0, 0.0, stab.delta * dx / np.abs(speed_arr))
-        return tau if np.ndim(speed) else float(tau)
+            return 0.0
+        return stab.delta * dx / speed
     if stab.kind == LPS:
-        return stab.delta * dx * np.abs(speed)
-    return stab.delta * dx**2 * np.abs(speed)  # CIP
+        return stab.delta * dx * speed
+    return stab.delta * dx**2 * speed  # CIP
 
 
 class DiscreteSystem:
@@ -146,8 +134,10 @@ class DiscreteSystem:
 
     The residual goes through sparse operators built once: ``Q`` and
     ``Qd`` (values and reference derivatives at the quadrature points, their
-    transposes the test integrals) and ``J`` (face gradient jumps, CIP); for
-    a linear flux it is one CSR matrix.
+    transposes the test integrals) and, for CIP and LPS, ``S`` and ``P``
+    with stabilization term -tau (S U - P W), W the LPS projection (``P`` is
+    None when that projection is diagonal and folded into ``S``).  For a
+    linear flux the residual is one CSR matrix.
 
     Mass solves and factorizations are counted so tests can assert that
     the deferred-correction stepper never touches the consistent mass.
@@ -198,15 +188,15 @@ class DiscreteSystem:
 
         self.Q = self._quad_operator(self.V)
         self.J = self._setup_jumps() if stab.kind == CIP else None
+        self.S, self.P = self._stabilization_operators()
         if flux.is_linear:
             self._R, self._R_proj = self._linear_residual_operators()
-            self.Qd = self.J = None
+            self.Qd = None
         else:
             # transposes are views on the same arrays, kept because forming
             # one costs more than the matvec it serves
             self.Qd = self._quad_operator(self.Vd)
             self._QT, self._QdT = self.Q.T, self.Qd.T
-            self._JT = None if self.J is None else self.J.T
             self._R = self._R_proj = None
         if not self.mass_is_state_dependent:
             self._set_mass(self._build_mass(np.zeros(self.n_nodes * self.n_comp)))
@@ -246,34 +236,41 @@ class DiscreteSystem:
         """Face-jump operator J: (J U)_f = [dx_u] across interior face f."""
         nc = self.mesh.n_cells
         right = np.arange(nc) if self.mesh.boundary == PERIODIC else np.arange(1, nc)
-        self._face_cells = (right - 1) % nc, right        # (left, right) cell of face
         cols = np.hstack([self.cell_dofs[right - 1], self.cell_dofs[right]])
         row = self.local.jump / self.mesh.dx
         return sp.csr_matrix((np.tile(row, len(right)), cols.ravel(),
                               np.arange(0, cols.size + 1, cols.shape[1])),
                              shape=(len(right), self.n_nodes))
 
-    def _linear_residual_operators(self):
-        """R and (consistent LPS projection) R_proj with r = R U + R_proj W.
+    def _stabilization_operators(self):
+        """S and P of the CIP / LPS term -tau (S U - P W), else (None, None).
 
-        With one Jacobian a and one tau every term is a multiple of a local
-        matrix or of J^T J; a lumped LPS projection is folded into R."""
-        dx, stab, local = self.mesh.dx, self.stab, self.local
-        a = float(self.flux.jacobian(np.zeros((1, self.n_comp)))[0])
-        tau = tau_cell(stab, dx, abs(a))
-        block, R_proj = -a * local.deriv, None                   # -int phi (a dx_u)
-        if stab.kind == SUPG:
-            block = block - tau * a * a / dx * local.grad_grad
-        elif stab.kind == LPS:
-            block = block - tau / dx * local.grad_grad
-            R_proj = tau * self._assemble_pairwise(local.deriv.T)
-        R = self._assemble_pairwise(block)
-        if stab.kind == CIP:
-            R = R - tau * (self.J.T @ self.J)
-        diag = None if R_proj is None else self._proj_inverse.diag
+        CIP: S = J^T J.  LPS: S = int dx_phi_i dx_phi_j and P = int dx_phi_i
+        phi_j; a diagonal projection W = diag^-1 G U is folded into S."""
+        if self.stab.kind == CIP:
+            return (self.J.T @ self.J).tocsr(), None
+        if self.stab.kind != LPS:
+            return None, None
+        S = self._assemble_pairwise(self.local.grad_grad / self.mesh.dx)
+        P = self._assemble_pairwise(self.local.deriv.T)
+        diag = self._proj_inverse.diag
         if diag is not None:
-            R, R_proj = R + R_proj @ sp.diags(1.0 / diag) @ self._lps_weak_grad, None
-        return R.tocsr(), R_proj
+            return (S - P @ sp.diags(1.0 / diag) @ self._lps_weak_grad).tocsr(), None
+        return S.tocsr(), P.tocsr()
+
+    def _linear_residual_operators(self):
+        """R and R_proj with r = R U + R_proj W: the Galerkin (+ SUPG) block
+        for the one Jacobian a, minus tau S, and tau P."""
+        dx, local = self.mesh.dx, self.local
+        a = float(self.flux.jacobian(np.zeros((1, self.n_comp)))[0])
+        tau = tau_cell(self.stab, dx, a)
+        block = -a * local.deriv                                 # -int phi (a dx_u)
+        if self.stab.kind == SUPG:
+            block = block - tau * a * a / dx * local.grad_grad
+        R = self._assemble_pairwise(block)
+        if self.S is not None:
+            R = R - tau * self.S
+        return R.tocsr(), None if self.P is None else tau * self.P
 
     @property
     def mass_is_state_dependent(self):
@@ -284,24 +281,15 @@ class DiscreteSystem:
         if self.stab.kind != SUPG:
             return self.M_galerkin.data.copy()
         u_q = self.eval_at_quads(U)
-        # per cell: tau_c * sum_q w phi_i' jac phi_j  (dx-free scaling)
-        coef = self._tau(u_q)[:, None] * self.ref.quad_weights * self.flux.jacobian(u_q)
+        # per cell: tau * sum_q w phi_i' jac phi_j  (dx-free scaling)
+        coef = self._tau(u_q) * self.ref.quad_weights * self.flux.jacobian(u_q)
         kernel = self.Vd[:, :, None] * self.V[:, None, :]
         blocks = (coef @ kernel.reshape(len(self.V), -1)).reshape((-1,) + kernel.shape[1:])
         return self.M_galerkin.data + self._assemble_pairwise(blocks).data
 
     def _tau(self, u_q):
-        """tau per cell, or per interior face for CIP (larger adjacent cell
-        speed); cell speeds honor stab.speed_ref."""
-        s = self.flux.speed(u_q)
-        if self.stab.speed_ref == "global":
-            speed = np.full(self.mesh.n_cells, float(s.max()))
-        else:
-            speed = s.max(axis=1)
-        if self.stab.kind == CIP:
-            left, right = self._face_cells
-            speed = np.maximum(speed[left], speed[right])
-        return np.asarray(tau_cell(self.stab, self.mesh.dx, speed))
+        """tau from the largest |df/du| over the quadrature points."""
+        return tau_cell(self.stab, self.mesh.dx, float(self.flux.speed(u_q).max()))
 
     def _set_mass(self, data):
         """Install mass values given on the block pattern."""
@@ -364,17 +352,15 @@ class DiscreteSystem:
                 strong[..., 1] += self.flux.source(self.quad_x, t)
             # - int phi_i (dx_f + source)
             r = -(self._QT @ (dx * w * strong).reshape(-1, self.n_comp))
-            if self.stab.delta > 0 and self.stab.kind == CIP:
-                r -= self._JT @ (self._tau(u_q)[:, None] * (self.J @ U2))
-            elif self.stab.delta > 0 and self.stab.kind != NONE:
-                # SUPG / LPS: a quadrature field tested against dx_phi_i
-                tau_w = self._tau(u_q)[:, None, None] * w
-                if self.stab.kind == SUPG:
-                    test = tau_w * self.flux.jacobian(u_q)[..., None] * strong
-                else:
-                    w_q = (self.Q @ self.project_gradient(U)).reshape(shape)
-                    test = tau_w * (uxi_q / dx - w_q)
+            if self.stab.delta > 0 and self.stab.kind == SUPG:
+                # a quadrature field tested against dx_phi_i
+                test = self._tau(u_q) * w * self.flux.jacobian(u_q)[..., None] * strong
                 r -= self._QdT @ test.reshape(-1, self.n_comp)
+            elif self.stab.delta > 0 and self.S is not None:
+                s_u = self.S @ U2
+                if self.P is not None:
+                    s_u -= self.P @ self.project_gradient(U)
+                r -= self._tau(u_q) * s_u
         if self.mesh.boundary == DIRICHLET:
             r[0] = 0.0
             r[-1] = 0.0

@@ -45,9 +45,17 @@ class ShuOsherTableau:
 @dataclass(frozen=True)
 class DeCConfig:
     n_sub: int            # M equispaced subtimesteps
-    n_iter: int           # K = M + 1 correction iterations
-    beta: tuple           # beta^m = m / M
     rho: tuple            # M x (M+1) quadrature weights, row m sums to beta^m
+
+    @property
+    def n_iter(self):
+        """K = M + 1 correction iterations."""
+        return self.n_sub + 1
+
+    @property
+    def beta(self):
+        """Subtimestep fractions beta^m = m / M."""
+        return tuple(m / self.n_sub for m in range(1, self.n_sub + 1))
 
     @property
     def order(self):
@@ -103,17 +111,10 @@ SSPRK_TABLEAUX = {
 # Equispaced-subtimestep quadrature weights.  The order-3 m=2 row is the
 # Simpson rule (1/6, 2/3, 1/6); every row must sum to beta^m.
 DEC_CONFIGS = {
-    2: DeCConfig(1, 2, (1.0,), ((0.5, 0.5),)),
-    3: DeCConfig(
-        2,
-        3,
-        (0.5, 1.0),
-        ((5 / 24, 1 / 3, -1 / 24), (1 / 6, 2 / 3, 1 / 6)),
-    ),
+    2: DeCConfig(1, ((0.5, 0.5),)),
+    3: DeCConfig(2, ((5 / 24, 1 / 3, -1 / 24), (1 / 6, 2 / 3, 1 / 6))),
     4: DeCConfig(
         3,
-        4,
-        (1 / 3, 2 / 3, 1.0),
         (
             (1 / 8, 19 / 72, -5 / 72, 1 / 72),
             (1 / 9, 4 / 9, 1 / 9, 0.0),

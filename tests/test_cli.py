@@ -353,6 +353,26 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("convergence", {"dx1": 0.05}),
+    ("convergence", {"dx1": [0.0, 0.025, 0.0125]}),
+    ("solve", {"cells": [40]}),
+    ("modes", {"degree": 2.9, "semi_discrete": True}),
+    ("modes", {"degree": True, "semi_discrete": True}),
+    ("modes", {"semi_discrete": "no"}),
+    ("modes", {"cfl": "0.5"}),
+    ("modes", {"out": 3, "semi_discrete": True}),
+    ("modes", 3),
+])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, cfg):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    rc = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_optimize_all_combinations_parallel_deterministic(tmp_path):
     """--jobs changes the worker count, never the bytes written."""
     cfg = {"cfl_min": 0.2, "cfl_max": 0.5, "delta_min": 0.05, "delta_max": 0.3,

@@ -106,3 +106,9 @@ def test_problem_specs():
     assert sw.n_comp == 2
     vals = sw.exact(np.array([50.0]), 0.0)
     assert vals[0, 0] == pytest.approx(2.2)
+    # one exact call on both ends gives the two single-point evaluations
+    for spec in (bur, sw):
+        for t in (0.0, 0.0123, 0.1, 0.124):
+            pair = spec.bc(t)
+            for got, x in zip(pair, (spec.x_left, spec.x_right)):
+                assert np.array_equal(got, np.atleast_1d(spec.exact(np.array(x), t)))

@@ -342,14 +342,9 @@ def reference_residual(system, U, t=0.0):
     cells = U2[system.cell_dofs]
     u_q = np.einsum("qi,cik->cqk", system.V, cells)
     uxi_q = np.einsum("qi,cik->cqk", system.Vd, cells)
-
-    def cell_speeds():
-        if isinstance(flux, LinearAdvection):
-            return np.full(nc, abs(flux.a))
-        s = flux.speed(u_q)
-        if stab.speed_ref == "global":
-            return np.full(nc, float(s.max()))
-        return s.max(axis=1)
+    if stab.kind != "none":
+        speed = abs(flux.a) if isinstance(flux, LinearAdvection) else flux.speed(u_q).max()
+        tau = tau_cell(stab, dx, float(speed))
 
     strong = flux.flux_x(u_q, uxi_q) / dx
     if getattr(flux, "source", None) is not None:
@@ -365,13 +360,11 @@ def reference_residual(system, U, t=0.0):
             jac = u_q[..., 0]
         else:
             jac = flux.speed(u_q)
-        tau = np.asarray(tau_cell(stab, dx, cell_speeds()))
-        r_cells -= np.einsum("c,q,cq,qi,cqk->cik", tau, w, jac, system.Vd, strong)
+        r_cells -= tau * np.einsum("q,cq,qi,cqk->cik", w, jac, system.Vd, strong)
     elif stab.kind == "lps" and stab.delta > 0:
         W = system.project_gradient(U)
         w_q = np.einsum("qi,cik->cqk", system.V, W[system.cell_dofs])
-        tau = np.asarray(tau_cell(stab, dx, cell_speeds()))
-        r_cells -= np.einsum("c,q,qi,cqk->cik", tau, w, system.Vd, uxi_q / dx - w_q)
+        r_cells -= tau * np.einsum("q,qi,cqk->cik", w, system.Vd, uxi_q / dx - w_q)
 
     r = np.zeros_like(U2)
     np.add.at(r, system.cell_dofs, r_cells)
@@ -388,12 +381,8 @@ def reference_residual(system, U, t=0.0):
         grad_l = np.einsum("i,cik->ck", d_right, cells[left]) / dx
         grad_r = np.einsum("i,cik->ck", d_left, cells[right]) / dx
         jump_u = grad_r - grad_l
-        speed = cell_speeds()
-        tau_f = np.asarray(tau_cell(stab, dx, np.maximum(speed[left], speed[right])))
-        np.add.at(r, system.cell_dofs[right],
-                  -np.einsum("f,i,fk->fik", tau_f, d_left / dx, jump_u))
-        np.add.at(r, system.cell_dofs[left],
-                  np.einsum("f,i,fk->fik", tau_f, d_right / dx, jump_u))
+        np.add.at(r, system.cell_dofs[right], -tau * np.einsum("i,fk->fik", d_left / dx, jump_u))
+        np.add.at(r, system.cell_dofs[left], tau * np.einsum("i,fk->fik", d_right / dx, jump_u))
 
     if mesh.boundary == "dirichlet":
         r[0] = 0.0
@@ -406,17 +395,16 @@ def _momentum_source(x, t):
 
 
 def _flux_cases(rng, n_nodes):
-    """(flux, state, Dirichlet data, speed_ref) for linear, Burgers, shallow water."""
+    """(flux, state, Dirichlet data) for linear, Burgers, shallow water."""
     h = 1.0 + 0.2 * rng.random(n_nodes)
     sw_state = np.column_stack([h, 0.3 * rng.normal(size=n_nodes)]).ravel()
     sw_bc = lambda t: (np.array([1.0, 0.0]), np.array([1.1, 0.2]))
     scalar_bc = lambda t: (np.array([0.5]), np.array([-0.5]))
     burgers_state = rng.normal(size=n_nodes)
     return (
-        (LinearAdvection(1.3), rng.normal(size=n_nodes), scalar_bc, "global"),
-        (Burgers(), burgers_state, scalar_bc, "global"),
-        (Burgers(), burgers_state, scalar_bc, "cell"),
-        (ShallowWater(source=_momentum_source), sw_state, sw_bc, "global"),
+        (LinearAdvection(1.3), rng.normal(size=n_nodes), scalar_bc),
+        (Burgers(), burgers_state, scalar_bc),
+        (ShallowWater(source=_momentum_source), sw_state, sw_bc),
     )
 
 
@@ -432,9 +420,9 @@ def test_residual_matches_element_loop_reference(family, degree, kind, delta):
         # p2) until its identity row is imposed; 0.05 stays below that
         deltas = (0.05, delta) if kind == "supg" and boundary == "dirichlet" else (delta,)
         for delta_b in deltas:
-            for flux, U, bc, speed_ref in _flux_cases(rng, n_nodes):
+            for flux, U, bc in _flux_cases(rng, n_nodes):
                 mesh = Mesh1D(0.0, 2.0, n, boundary)
-                stab = StabilizationSpec(kind, delta_b, speed_ref)
+                stab = StabilizationSpec(kind, delta_b)
                 system = assemble_system(mesh, build_reference_element(family, degree), stab,
                                          flux, bc=bc if boundary == "dirichlet" else None)
                 new = system.residual(U, 0.37)
@@ -465,6 +453,27 @@ def test_linear_residual_is_one_csr_matrix(family, kind, delta):
     assert np.max(np.abs(full - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+@pytest.mark.parametrize("kind", ["cip", "lps"])
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_burgers_stabilization_is_the_linear_operator(family, degree, kind, boundary):
+    """CIP and LPS are tau times one matrix: on a Burgers state the term
+    r(U) - r_{delta=0}(U) equals that of LinearAdvection(s), s = max |u_q|."""
+    bc = (lambda t: (np.array([0.5]), np.array([-0.5]))) if boundary == "dirichlet" else None
+
+    def stab_term(flux, U):
+        on, off = (make_system(family, degree, kind, delta, n=7, boundary=boundary,
+                               flux=flux, bc=bc) for delta in (0.4, 0.0))
+        return on.residual(U) - off.residual(U), on
+
+    n_nodes = Mesh1D(0.0, 2.0, 7, boundary).n_nodes(degree)
+    U = np.random.default_rng(degree + 3 * len(family)).normal(size=n_nodes)
+    burgers, system = stab_term(Burgers(), U)
+    linear, _ = stab_term(LinearAdvection(np.abs(system.eval_at_quads(U)).max()), U)
+    assert np.max(np.abs(burgers - linear)) <= 1e-13 * np.max(np.abs(linear))
+
+
 def reference_mass(system, U):
     """The SUPG mass and its row sums as assembled before the block pattern:
     COO blocks added to the Galerkin mass, identity rows through LIL, then
@@ -483,7 +492,7 @@ def reference_mass(system, U):
     M = scatter(np.broadcast_to(system.local.mass, shape)) * mesh.dx
     u_q = np.einsum("qi,cik->cqk", system.V, U.reshape(-1, 1)[system.cell_dofs])
     jac = u_q[..., 0]
-    tau = np.asarray(tau_cell(system.stab, mesh.dx, np.full(mesh.n_cells, np.abs(jac).max())))
+    tau = np.full(mesh.n_cells, tau_cell(system.stab, mesh.dx, np.abs(jac).max()))
     w = ref.quad_weights
     M = M + scatter(np.einsum("c,q,cq,qi,qj->cij", tau, w, jac, system.Vd, system.V))
     M = M.tolil()

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,7 +247,8 @@ def test_ode_convergence_order(kind, order):
 def test_dec_iterate_gain_order():
     """Iterate K vs K-1 differ at O(dt^K) on a smooth linear problem."""
     cfg = DEC_CONFIGS[3]
-    short = type(cfg)(cfg.n_sub, cfg.n_iter - 1, cfg.beta, cfg.rho)
+    # DeCConfig derives K = M + 1, so the K - 1 sweep stepper is a stand-in
+    short = SimpleNamespace(n_sub=cfg.n_sub, n_iter=cfg.n_iter - 1, beta=cfg.beta, rho=cfg.rho)
     ode = ScalarODE(lambda U, t: -U)
     diffs = []
     for dt in (0.1, 0.05):
