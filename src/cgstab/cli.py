@@ -142,8 +142,8 @@ def cmd_modes(cfg, out_dir):
         name = f"modes_{comb.label()}.csv"
         # the scans' solver on one cfl row, kept by an infinite bound unless it overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            kept, lam = _mode_fields(*_engine(comb), thetas, np.array([cfl]), scale, stab.delta,
-                                     np.array([np.inf]))
+            (kept, lam), = _mode_fields(*_engine(comb), thetas, np.array([cfl]), scale,
+                                        np.array([stab.delta]), np.array([np.inf]))
         if not (kept.all() and np.isfinite(lam).all()):
             raise EigenSolveFailure(f"non-finite propagator eigenvalues at cfl={cfl}")
         omega, eps = phase_damping(lam[0], cfl * scale)

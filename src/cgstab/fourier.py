@@ -58,10 +58,12 @@ def dt_scale(convention, dx, p):
 
 _OMEGA3 = np.exp(2j * np.pi / 3)
 
-# Matrices per closed-form call.  NumPy computes an operation on a temporary
-# of 256 KiB or more (16,384 complex values) in place, through a complex
-# multiply loop that rounds differently; with 4,096 matrices every
-# per-matrix temporary stays below that size.
+# NumPy computes an operation on a temporary of 256 KiB or more (16,384
+# complex values) in place, through a complex multiply loop that rounds
+# differently.  Batched work keeps its temporaries below that size, so a
+# matrix gets the same bits in a batch of any size.
+_ELIDE_VALUES = 16384
+# Matrices per closed-form call: every per-matrix temporary stays below it.
 _EIG_CHUNK = 4096
 
 
@@ -232,6 +234,17 @@ def _fold(bands, theta):
     return out
 
 
+def _affine(base, delta, slope=None):
+    """base + delta * slope; delta is a scalar or a 1-D array, whose axis then
+    leads the result's.  No slope, or a scalar delta of 0, adds nothing."""
+    if np.ndim(delta) == 0:
+        return base if slope is None or delta == 0.0 else base + delta * slope
+    delta = np.asarray(delta, dtype=float).reshape((-1,) + (1,) * base.ndim)
+    if slope is None:
+        return np.broadcast_to(base, delta.shape[:1] + base.shape)
+    return base + delta * slope
+
+
 class SymbolBuilder:
     """Per (family, degree, stabilization kind) symbol factory.
 
@@ -242,7 +255,8 @@ class SymbolBuilder:
         mass(theta, delta) = Mg(theta) + delta * T(theta)      (T: SUPG only)
         conv(theta, delta) = C(theta)  + delta * S(theta)
 
-    with unit dx and unit speed.
+    with unit dx and unit speed.  delta may be a 1-D array: each band is
+    then folded once for all of its values, and the delta axis leads.
     """
 
     def __init__(self, family, degree, stab_kind):
@@ -259,14 +273,12 @@ class SymbolBuilder:
 
     def mass(self, theta, delta):
         m = _fold(self._mass, theta)
-        if self.kind == SUPG and delta != 0.0:
-            m = m + delta * _fold(self._convT, theta)
-        return m
+        return _affine(m, delta, _fold(self._convT, theta) if self.kind == SUPG else None)
 
     def conv(self, theta, delta):
         c = _fold(self._conv, theta)
-        if self.kind == NONE or delta == 0.0:
-            return c
+        if self.kind == NONE:
+            return _affine(c, delta)
         if self.kind == CIP:
             s = _fold(self._cip, theta)
         else:
@@ -274,7 +286,7 @@ class SymbolBuilder:
             if self.kind == LPS:
                 # projection mass: for cubature this fold is already the diagonal one
                 s = s - _fold(self._convT, theta) @ np.linalg.solve(_fold(self._mass, theta), c)
-        return c + delta * s
+        return _affine(c, delta, s)
 
     def lumped_diag(self, delta):
         """Row sums of the global mass operator (the theta = 0 fold)."""

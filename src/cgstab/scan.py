@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import (DEFAULT_CONVENTION, EigenSolveFailure, _dec_cfl_polynomial, dt_scale,
-                      eigvals_batched, phase_damping, principal_mode, symbol_builder)
+from .fourier import (_EIG_CHUNK, _ELIDE_VALUES, DEFAULT_CONVENTION, EigenSolveFailure,
+                      _dec_cfl_polynomial, dt_scale, eigvals_batched, phase_damping,
+                      principal_mode, symbol_builder)
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 K_MAX = 2.0 * np.pi / 3.0
@@ -44,8 +45,8 @@ class NoStableRegion(RuntimeError):
 
 def geometric_grid(lo, hi, ratio=1.03, anchor=1.0):
     """Geometric grid anchor * ratio^n covering [lo, hi]."""
-    if not (ratio > 1.0 and hi > lo > 0.0):
-        raise ValueError("need ratio > 1 and 0 < lo < hi")
+    if not (np.isfinite([lo, hi, ratio]).all() and ratio > 1.0 and hi > lo > 0.0):
+        raise ValueError(f"need finite ratio > 1 and 0 < lo < hi, got {lo}, {hi}, {ratio}")
     n_lo = int(np.ceil(np.log(lo / anchor) / np.log(ratio) - 1e-12))
     n_hi = int(np.floor(np.log(hi / anchor) / np.log(ratio) + 1e-12))
     return anchor * ratio ** np.arange(n_lo, n_hi + 1)
@@ -182,35 +183,61 @@ def _engine(comb):
     return b, scheme, None if scheme.kind == "dec" else expand_ssprk_coefficients(scheme.tableau)
 
 
-def _mode_fields(b, scheme, nu, theta, cfls, scale, delta, bound):
-    """Stable rows at one delta and lambda(G) on them: (rows, lam[rows]).
+def _mode_fields(b, scheme, nu, theta, cfls, scale, deltas, bound):
+    """Stable rows and lambda(G) on them for a block of delta values: an
+    iterator of (rows, lam[rows]), one per delta, in order.
 
     The one producer of propagator eigenvalues: the scans and ``cgstab
-    modes`` (one cfl, an infinite bound) both call it.  lam holds every
-    (cfl, theta, mode), shape (n_cfl, n_theta, p); a row is stable iff
-    every |lambda| <= bound[row].  ``nu`` holds the stability-polynomial
-    coefficients of an RK scheme; deferred correction evaluates the cfl
-    polynomial of its iterated update and solves every _PROBE_STRIDE-th
-    wavenumber first, so a row unstable there never solves the others.
+    modes`` (one cfl, an infinite bound, a block of one delta) both call
+    it.  lam holds every (cfl, theta, mode), shape (n_cfl, n_theta, p); a
+    row is stable iff every |lambda| <= bound[row].
+
+    The call folds the symbols of the whole block.  For an RK scheme it
+    solves the eigenvalues of M^-1 K there, and ``nu``, the coefficients of
+    the stability polynomial, is evaluated one delta at a time as the
+    iterator advances.  Deferred correction evaluates the cfl polynomial of
+    its iterated update at every _PROBE_STRIDE-th wavenumber of the block
+    and solves it there on the call.  As the iterator advances, a delta
+    with a row stable there evaluates it at the other wavenumbers (one
+    delta at a time, which bounds the polynomial's temporaries), and only
+    its stable rows solve them; a delta with none forms nothing more.
     """
-    M = b.mass(theta, delta)
-    Kt = b.conv(theta, delta)
-    if scheme.kind == "dec":
-        H = _dec_cfl_polynomial(M, Kt, b.lumped_diag(delta), scale, scheme.tableau)
-        powers = cfls[:, None] ** np.arange(H.shape[0])[None, :]
-        G = np.tensordot(powers, H, axes=(1, 0))      # (ncfl, nk, p, p)
-        probe = np.zeros(G.shape[1], dtype=bool)
-        probe[_PROBE_STRIDE - 1::_PROBE_STRIDE] = True
-        lam_probe = eigvals_batched(G[:, probe])
-        rows = _bounded(lam_probe, bound)
-        lam = np.empty((rows.sum(),) + G.shape[1:-1], dtype=complex)
-        lam[:, probe] = lam_probe[rows]
-        lam[:, ~probe] = eigvals_batched(G[np.ix_(rows, ~probe)])
-        rest = _bounded(lam[:, ~probe], bound[rows])
-        rows[rows] = rest
-        return rows, lam[rest]
-    lamA = eigvals_batched(np.linalg.solve(M, Kt))
-    z = -scale * np.multiply.outer(cfls, lamA)        # (ncfl, nk, p)
+    M = b.mass(theta, deltas)
+    Kt = b.conv(theta, deltas)
+    if scheme.kind != "dec":
+        lamA = eigvals_batched(np.linalg.solve(M, Kt))    # (n_delta, n_theta, p)
+        return (_rk_fields(nu, -scale * np.multiply.outer(cfls, a), bound) for a in lamA)
+    probe = np.zeros(len(theta), dtype=bool)
+    probe[_PROBE_STRIDE - 1::_PROBE_STRIDE] = True
+    D = b.lumped_diag(deltas)[:, None]
+    Hp = _dec_cfl_polynomial(M[:, probe], Kt[:, probe], D, scale, scheme.tableau)
+    powers = cfls[:, None] ** np.arange(len(Hp))[None, :]
+    # G is formed on every cfl row: a tensordot over fewer rows rounds differently
+    step = max(1, _EIG_CHUNK // max(1, len(cfls) * probe.sum()))   # columns per probe solve
+    lam_probe = np.concatenate([
+        eigvals_batched(np.tensordot(powers, Hp[:, i:i + step], axes=(1, 0)))
+        for i in range(0, len(deltas), step)], axis=1)             # (n_cfl, n_delta, n_probe, p)
+    alive = np.all(np.abs(lam_probe) <= bound[:, None, None, None], axis=(2, 3))
+
+    def columns():
+        for j, rows in enumerate(alive.T):
+            lam = np.empty((rows.sum(), len(theta), lam_probe.shape[-1]), dtype=complex)
+            if len(lam):
+                Hr = _dec_cfl_polynomial(M[j, ~probe], Kt[j, ~probe], D[j], scale, scheme.tableau)
+                G = np.tensordot(powers, Hr, axes=(1, 0))
+                lam[:, probe] = lam_probe[rows, j]
+                lam[:, ~probe] = eigvals_batched(G[rows])
+                rest = _bounded(lam[:, ~probe], bound[rows])
+                rows = rows.copy()
+                rows[rows] = rest
+                lam = lam[rest]
+            yield rows, lam
+
+    return columns()
+
+
+def _rk_fields(nu, z, bound):
+    """Stable rows and lambda on them of the stability polynomial sum nu_j z^j."""
     lam = np.ones_like(z)
     zp = np.ones_like(z)
     for nu_j in nu:
@@ -225,16 +252,24 @@ def _bounded(lam, bound):
     return np.all(np.abs(lam) <= bound[:, None, None], axis=(1, 2))
 
 
+def _block_width(n_theta, p):
+    """Delta columns a block solves at once: as many as keep every (block,
+    n_theta, p, p) temporary below _ELIDE_VALUES, so that each column gets
+    the bits it gets alone; at least one."""
+    return max(1, (_ELIDE_VALUES - 1) // (n_theta * p * p))
+
+
 def _scan_fields(comb, grid, convention):
-    """Mask and error fields on the (n_cfl, n_delta) grid, one delta column at a time.
+    """Mask and error fields on the (n_cfl, n_delta) grid, in blocks of delta columns.
 
     Only the samples ``_half_turn`` keeps are solved; a row is stable iff
     they all are, since |conj lambda| = |lambda|.  Each column's stable rows
-    are reduced right away: phase and damping on the kept samples, mirrored
-    to the others (omega -> -omega, eps as is), then the principal mode and
-    the two functionals on every sample (NaN elsewhere).  A column whose
-    eigen solve fails stays unstable.  Returns (stable, eta_u, eta_w,
-    failed delta columns).
+    are reduced as ``_mode_fields`` yields them: phase and damping on the
+    kept samples, mirrored to the others (omega -> -omega, eps as is), then
+    the principal mode and the two functionals on every sample (NaN
+    elsewhere).  A block whose solve fails is solved again one column at a
+    time, and a column that fails alone stays unstable.  Returns (stable,
+    eta_u, eta_w, failed delta columns).
     """
     p = comb.degree
     b, scheme, nu = _engine(comb)
@@ -246,26 +281,37 @@ def _scan_fields(comb, grid, convention):
     scale = dt_scale(convention, 1.0, p)   # dt = cfl*scale*dx/speed, dx folded out
     dt_row = cfls * scale * p          # dx = p, speed = 1
     bound = np.exp(EPS_TOL * dt_row)
-    shape = (len(cfls), len(grid.delta_values))
+    deltas = grid.delta_values
+    shape = (len(cfls), len(deltas))
     stable = np.zeros(shape, dtype=bool)
     eu = np.full(shape, np.nan)
     ew = np.full(shape, np.nan)
+
+    def solve(cols):
+        for j, (rows, lam) in zip(cols, _mode_fields(b, scheme, nu, theta, cfls, scale,
+                                                     deltas[cols], bound)):
+            stable[:, j] = rows
+            if not rows.any():
+                continue
+            omega, eps = phase_damping(lam, dt_row[rows, None, None])
+            omega, eps = omega[:, src] * sign, eps[:, src]
+            pick = principal_mode(omega, k[:, None])[..., None]
+            omega_p = np.take_along_axis(omega, pick, axis=-1)[..., 0]
+            eu[rows, j] = eta_u(k, omega_p, np.take_along_axis(eps, pick, axis=-1)[..., 0])
+            ew[rows, j] = eta_w(k, omega_p)
+
     failures = 0
-    for j, d in enumerate(grid.delta_values):
+    width = _block_width(len(theta), p)
+    for start in range(0, len(deltas), width):
+        block = range(start, min(start + width, len(deltas)))
         try:
-            rows, lam = _mode_fields(b, scheme, nu, theta, cfls, scale, d, bound)
+            solve(block)
         except (EigenSolveFailure, np.linalg.LinAlgError):
-            failures += 1
-            continue
-        stable[:, j] = rows
-        if not rows.any():
-            continue
-        omega, eps = phase_damping(lam, dt_row[rows, None, None])
-        omega, eps = omega[:, src] * sign, eps[:, src]
-        pick = principal_mode(omega, k[:, None])[..., None]
-        omega_p = np.take_along_axis(omega, pick, axis=-1)[..., 0]
-        eu[rows, j] = eta_u(k, omega_p, np.take_along_axis(eps, pick, axis=-1)[..., 0])
-        ew[rows, j] = eta_w(k, omega_p)
+            for j in block:
+                try:
+                    solve(range(j, j + 1))
+                except (EigenSolveFailure, np.linalg.LinAlgError):
+                    failures += 1
     return stable, eu, ew, failures
 
 

@@ -82,8 +82,8 @@ class StabilizationSpec:
     def __post_init__(self):
         if self.kind not in STAB_KINDS:
             raise ValueError(f"unknown stabilization {self.kind!r}")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)

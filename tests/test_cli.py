@@ -91,15 +91,16 @@ def _modes_rows(tmp_path, comb, cfl, delta, n_theta):
                                    "basic-p3-supg-dec", "cubature-p3-lps-dec"])
 def test_modes_rows_are_the_scan_engine_reduction(tmp_path, label):
     """modes writes the scans' own eigenvalues: _mode_fields on the whole
-    theta batch at one cfl, reduced by phase_damping and principal_mode."""
+    theta batch at one cfl and a block of one delta, reduced by
+    phase_damping and principal_mode."""
     family, p, stab, scheme = label.split("-")
     comb = Combination(family, int(p[1:]), stab, scheme)
     cfl, delta, n = 0.3, 0.05, 37
     rows = _modes_rows(tmp_path, comb, cfl, delta, n)
     theta = np.pi * np.arange(1, n + 1) / n
     scale = dt_scale("cell", 1.0, comb.degree)
-    kept, lam = _mode_fields(*_engine(comb), theta, np.array([cfl]), scale, delta,
-                             np.array([np.inf]))
+    (kept, lam), = _mode_fields(*_engine(comb), theta, np.array([cfl]), scale, np.array([delta]),
+                                np.array([np.inf]))
     omega, eps = phase_damping(lam[0], cfl * scale)
     pick = principal_mode(omega, theta[:, None])
     want = [[f"{t:.12g}", str(i), f"{omega[j, i] / t:.12g}", f"{eps[j, i]:.12g}",
@@ -324,6 +325,35 @@ def test_bad_grid_is_config_error(tmp_path):
                   "--time", "ssprk", "--config", str(tmp_path / "c.json"),
                   "--out", str(tmp_path)])
     assert rc == 2  # missing config file -> config error
+
+
+@pytest.mark.parametrize("key,value", [("cfl_max", float("inf")), ("delta_max", float("inf")),
+                                       ("grid_ratio", float("inf")), ("grid_ratio", float("nan"))])
+def test_non_finite_grid_bound_is_config_error(tmp_path, capsys, key, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: value}))
+    rc = run_cli(["scan", "--family", "cubature", "--degree", "1", "--stab", "cip",
+                  "--time", "ssprk", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,stab,delta", [("solve", "lps", "--delta inf"),
+                                                ("solve", "cip", "config NaN"),
+                                                ("modes", "cip", "--delta nan")])
+def test_non_finite_delta_is_config_error(tmp_path, capsys, command, stab, delta):
+    how, value = delta.split()
+    if how == "config":
+        (tmp_path / "c.json").write_text(json.dumps({"delta": float(value)}))
+        args = ["--config", str(tmp_path / "c.json")]
+    else:
+        args = [how, value]
+    rc = run_cli([command, "--family", "cubature", "--degree", "1", "--stab", stab,
+                  "--time", "ssprk", *args, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "delta must be nonnegative and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,n", [("scan", "0"), ("scan", "-3"), ("scan", "1"),

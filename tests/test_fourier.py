@@ -381,6 +381,26 @@ def test_symbols_at_the_mirrored_angle_are_conjugates(family, degree, kind, delt
         assert err <= 1e-14 * np.abs(want).max(), symbol.__name__
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+@pytest.mark.parametrize("kind", [kind for kind, _ in ALL_STABS])
+def test_delta_array_equals_the_scalar_calls_bit_for_bit(family, degree, kind):
+    """A 1-D delta leads the symbols' axes, and each slice is the scalar
+    call's bytes, delta = 0 included."""
+    b = symbol_builder(family, degree, kind)
+    deltas = np.array([0.0, 1e-4, 0.0185, 0.31, 3.7])
+    for theta in (np.linspace(0.05, 2 * np.pi, 51), np.array(0.7)):
+        for symbol in (b.mass, b.conv):
+            block = symbol(theta, deltas)
+            assert block.shape == (len(deltas),) + theta.shape + (degree, degree)
+            for d, one in zip(deltas, block):
+                assert one.tobytes() == symbol(theta, d).tobytes(), (symbol.__name__, d)
+    diag = b.lumped_diag(deltas)
+    assert diag.shape == (len(deltas), degree)
+    for d, one in zip(deltas, diag):
+        assert one.tobytes() == b.lumped_diag(d).tobytes(), d
+
+
 def test_conjugate_eigenvalue_negates_the_phase_bit_for_bit():
     """arctan2 is odd in y, signed zeros included: mirroring a mode's
     omega by negation gives the bits phase_damping gives its conjugate."""

@@ -220,31 +220,63 @@ def test_bernstein_matches_basic_spectrum_without_lumping():
             assert np.min(np.abs(lb - mu)) < 1e-10
 
 
-def test_failed_eigen_solve_leaves_its_delta_column_unstable(monkeypatch):
-    """Every other delta column's eigen solve fails: each counts once and
-    stays unstable, the others keep their values."""
+def _fail_batches_holding(monkeypatch, markers):
+    """The scan's eigen solves raise on every batch that holds one of the
+    marker matrices, whatever else the batch holds."""
     import cgstab.scan as scan
-    from cgstab.fourier import EigenSolveFailure
 
-    comb = Combination("cubature", 1, "cip", "ssprk")
-    want = scan_combination(comb, SMALL)
-    solve, calls = scan.eigvals_batched, []
+    solve = scan.eigvals_batched
 
-    def every_other(A):
-        calls.append(None)
-        if len(calls) % 2:
+    def failing(A):
+        flat = np.reshape(A, (-1, A.shape[-1] ** 2))
+        if any(np.all(flat == m.reshape(-1), axis=1).any() for m in markers):
             raise EigenSolveFailure("injected")
         return solve(A)
 
-    monkeypatch.setattr(scan, "eigvals_batched", every_other)
-    got = scan_combination(comb, SMALL)
-    failed = np.arange(len(SMALL.delta_values)) % 2 == 0
-    assert len(calls) == len(SMALL.delta_values)
+    monkeypatch.setattr(scan, "eigvals_batched", failing)
+
+
+def _scan_theta(comb, grid):
+    """The reduced wavenumbers a scan solves."""
+    kept, _, _ = _half_turn(grid.theta_samples, comb.degree)
+    return comb.degree * _wavenumbers(grid.theta_samples)[kept]
+
+
+def _assert_only_failed_columns_change(got, want, failed):
     assert got.eig_failures == failed.sum()
-    assert want.stable[:, failed].any() and not got.stable[:, failed].any()
-    assert np.isnan(got.eta_u[:, failed]).all()
-    assert np.array_equal(got.stable[:, ~failed], want.stable[:, ~failed])
-    assert np.array_equal(got.eta_u[:, ~failed], want.eta_u[:, ~failed], equal_nan=True)
+    assert want.stable[:, failed].any(axis=0).all() and not got.stable[:, failed].any()
+    assert np.isnan(got.eta_u[:, failed]).all() and np.isnan(got.eta_w[:, failed]).all()
+    for name in ("stable", "eta_u", "eta_w"):
+        assert getattr(got, name)[:, ~failed].tobytes() == getattr(want, name)[:, ~failed].tobytes()
+
+
+def _check_rk_column_failures(monkeypatch, failed):
+    """Fail the eigen solve of every batch holding a matrix of a failed
+    column; SMALL is one block for this combination."""
+    import cgstab.scan as scan
+
+    comb = Combination("cubature", 1, "cip", "ssprk")
+    theta = _scan_theta(comb, SMALL)
+    assert len(failed) <= scan._block_width(len(theta), comb.degree)
+    want = scan_combination(comb, SMALL)
+    b = symbol_builder(comb.family, comb.degree, comb.stab_kind)
+    _fail_batches_holding(monkeypatch, [np.linalg.solve(b.mass(theta, d), b.conv(theta, d))[0]
+                                        for d in SMALL.delta_values[failed]])
+    _assert_only_failed_columns_change(scan_combination(comb, SMALL), want, failed)
+
+
+def test_failed_eigen_solve_leaves_its_delta_column_unstable(monkeypatch):
+    """Every other delta column's eigen solve fails: each counts once and
+    stays unstable, the others keep their bits."""
+    _check_rk_column_failures(monkeypatch, np.arange(len(SMALL.delta_values)) % 2 == 0)
+
+
+def test_failed_eigen_solve_mid_block_fails_only_its_column(monkeypatch):
+    """One column in the middle of a block fails: the block is solved
+    again one column at a time, and only that column stays unstable."""
+    n = len(SMALL.delta_values)
+    assert n > 2
+    _check_rk_column_failures(monkeypatch, np.arange(n) == n // 2)
 
 
 def test_eta_refinement_stability():
@@ -348,6 +380,40 @@ def test_half_turn_scan_agrees_with_solving_every_sample(comb, monkeypatch):
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), name
 
 
+def _assert_blocks_change_no_bit(comb, grid, monkeypatch):
+    import cgstab.scan as scan
+
+    blocked = scan_combination(comb, grid)
+    monkeypatch.setattr(scan, "_block_width", lambda n_theta, p: 1)
+    single = scan_combination(comb, grid)
+    assert blocked.eig_failures == single.eig_failures == 0
+    for name in ("stable", "eta_u", "eta_w"):
+        assert getattr(blocked, name).tobytes() == getattr(single, name).tobytes(), name
+    return blocked
+
+
+@pytest.mark.parametrize("comb", ALL_COMBOS, ids=Combination.label)
+def test_delta_blocks_equal_one_column_at_a_time(comb, monkeypatch):
+    """Solving the delta columns in blocks changes no bit of a scan."""
+    _assert_blocks_change_no_bit(comb, COARSE, monkeypatch)
+
+
+def test_delta_blocks_mixing_dead_and_live_columns_change_no_bit(monkeypatch):
+    """basic-p3-supg-dec on more delta columns than a block holds: the
+    blocks that mix columns with and without a stable probe row, whose
+    dead columns never form their other wavenumbers, change no bit."""
+    import cgstab.scan as scan
+
+    comb = Combination("basic", 3, "supg", "dec")
+    grid = ScanGrid(geometric_grid(0.05, 2.0, ratio=1.3), geometric_grid(1e-4, 4.0, ratio=1.1),
+                    100)
+    width = scan._block_width(len(_scan_theta(comb, grid)), comb.degree)
+    assert len(grid.delta_values) > 2 * width
+    live = _assert_blocks_change_no_bit(comb, grid, monkeypatch).stable.any(axis=0)
+    blocks = [live[i:i + width] for i in range(0, len(live), width)]
+    assert sum(block.any() and not block.all() for block in blocks) >= 2
+
+
 DEC_COMBOS = [Combination(fam, p, stab, "dec") for fam in ALL_FAMILIES
               for p in ALL_DEGREES for stab, _ in ALL_STABS]
 
@@ -401,30 +467,29 @@ def test_dec_screening_equals_solving_every_wavenumber(comb):
 
 
 def test_failed_dec_probe_or_rest_solve_leaves_its_delta_column_unstable(monkeypatch):
-    """A DeC column solves its probe wavenumbers, then the rest on the rows
-    that survive: a failure in either call fails only that column, once."""
+    """A DeC block solves its probe wavenumbers, then each column the rest
+    on the rows that survive: a failure in either solve, here at column 1's
+    probe (mid-block) and at column 3's rest, fails only that column, once."""
     import cgstab.scan as scan
 
     comb = Combination("cubature", 2, "lps", "dec")
     grid = ScanGrid(np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.1, 0.15, 0.2]), 20)
+    theta = _scan_theta(comb, grid)
+    assert len(grid.delta_values) <= scan._block_width(len(theta), comb.degree)
     want = scan_combination(comb, grid)
-    solve, calls = scan.eigvals_batched, []
-
-    def failing(A):
-        calls.append(np.shape(A))
-        if len(calls) in (3, 7):   # column 1's probe, column 3's rest
-            raise EigenSolveFailure("injected")
-        return solve(A)
-
-    monkeypatch.setattr(scan, "eigvals_batched", failing)
-    got = scan_combination(comb, grid)
-    assert [shape[:2] for shape in calls[2::4]] == [(3, 1), (3, 14)]
+    b = symbol_builder(comb.family, comb.degree, comb.stab_kind)
+    config = make_scheme("dec", comb.degree + 1).tableau
+    scale = dt_scale(DEFAULT_CONVENTION, 1.0, comb.degree)
+    markers = []
+    for j, sample in ((1, scan._PROBE_STRIDE - 1), (3, 0)):     # a probe, then a rest sample
+        d = grid.delta_values[j]
+        H = _dec_cfl_polynomial(b.mass(theta, d), b.conv(theta, d), b.lumped_diag(d), scale,
+                                config)
+        powers = grid.cfl_values[:, None] ** np.arange(len(H))[None, :]
+        markers.append(np.tensordot(powers, H, axes=(1, 0))[0, sample])
+    _fail_batches_holding(monkeypatch, markers)
     failed = np.array([False, True, False, True])
-    assert got.eig_failures == 2
-    assert want.stable[:, failed].all() and not got.stable[:, failed].any()
-    assert np.isnan(got.eta_u[:, failed]).all() and np.isnan(got.eta_w[:, failed]).all()
-    for name in ("stable", "eta_u", "eta_w"):
-        assert getattr(got, name)[:, ~failed].tobytes() == getattr(want, name)[:, ~failed].tobytes()
+    _assert_only_failed_columns_change(scan_combination(comb, grid), want, failed)
 
 
 @pytest.mark.xfail(strict=True, reason="Cardano's error in max|lambda| - 1 on near-identity "
