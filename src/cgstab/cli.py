@@ -8,26 +8,29 @@ Subcommands:
     solve        one time-domain run
     convergence  mesh-refinement study with order fit
 
-All outputs are plain CSV or JSON.  They record the options given (flags
-and config file; not the defaults, nor --out and --jobs), and reruns with
-the same inputs reproduce them byte for byte.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure, 4 no stable region.
+Each subcommand accepts only the options it reads (``OPTIONS``), as flags
+or config-file keys; any other is a configuration error.  All outputs are
+plain CSV or JSON.  They record the options given (not the defaults, nor
+--out and --jobs), and reruns with the same inputs reproduce them byte for
+byte.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
+4 no stable region.
 """
 
 import argparse
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .elements import FAMILIES, UnsupportedDegree
-from .fourier import (DEFAULT_CONVENTION, EigenSolveFailure, dt_scale, phase_damping,
-                      principal_mode, semidiscrete_modes)
+from .fourier import (CONVENTION_CELL, CONVENTION_DOF, DEFAULT_CONVENTION, EigenSolveFailure,
+                      dt_scale, phase_damping, principal_mode, semidiscrete_modes)
 from .problems import PROBLEMS
-from .scan import (Combination, NoStableRegion, ScanGrid, _engine, _mode_fields, geometric_grid,
-                   scan_combination)
+from .scan import Combination, NoStableRegion, ScanGrid, _engine, _mode_fields, scan_combination
 from .solver import BlowUp, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, SingularMass, StabilizationSpec
 from .timeint import SCHEME_KINDS
@@ -38,29 +41,63 @@ EXIT_NUMERIC = 3
 EXIT_NO_STABLE = 4
 
 NUMBER = (int, float)
-# config key -> the Python types json.loads may give its value (true and
-# false load as bool, never int, so a boolean is no number)
-CONFIG_TYPES = {
-    **dict.fromkeys(("degree", "theta_samples", "cells", "levels", "jobs"), (int,)),
-    **dict.fromkeys(("delta", "cfl", "cfl_min", "cfl_max", "delta_min", "delta_max",
-                     "grid_ratio", "mu"), NUMBER),
-    **dict.fromkeys(("family", "stab", "time", "problem", "out", "convention"), (str,)),
-    "semi_discrete": (bool,),
-    "dx1": (list,),
+ALL = ("modes", "scan", "optimize", "solve", "convergence")
+SWEEP = ("scan", "optimize")
+POINT = ("modes", "solve", "convergence")   # one (cfl, delta) point
+COMBINATION = ("family", "degree", "stab", "time")
+
+
+class Option(NamedTuple):
+    types: tuple        # the Python types json.loads may give the value (true and
+                        # false load as bool, never int, so a boolean is no number)
+    flag: dict | None   # add_argument keywords; None for a config-only key
+    reads: tuple        # the subcommands that read it
+    default: object = None   # the CLI's own default; None where the library owns it
+
+
+# Every option a subcommand accepts, beside --config.  A default here is one
+# the CLI owns; where the library owns it (the grid, mu, convention) the CLI
+# passes on only the keys given.  out and jobs are run settings: accepted
+# everywhere, never recorded.
+OPTIONS = {
+    "family": Option((str,), {"choices": FAMILIES}, ALL, "cubature"),
+    "degree": Option((int,), {"type": int, "choices": (1, 2, 3)}, ALL, 2),
+    "stab": Option((str,), {"choices": STAB_KINDS}, ALL, "none"),
+    "time": Option((str,), {"choices": SCHEME_KINDS}, ALL, "ssprk"),
+    "convention": Option((str,), {"choices": (CONVENTION_CELL, CONVENTION_DOF)}, ALL),
+    "cfl": Option(NUMBER, {"type": float}, POINT, 0.5),
+    "delta": Option(NUMBER, {"type": float}, POINT, 0.0),
+    # the default is modes'; the scans take ScanGrid.default's
+    "theta_samples": Option((int,), {"type": int}, ("modes",) + SWEEP, 200),
+    "semi_discrete": Option((bool,), {"action": "store_true", "default": None}, ("modes",)),
+    "mu": Option(NUMBER, {"type": float}, SWEEP),
+    **dict.fromkeys(("cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio"),
+                    Option(NUMBER, None, SWEEP)),
+    "problem": Option((str,), {"choices": tuple(PROBLEMS)}, ("solve", "convergence"), "advection"),
+    "cells": Option((int,), {"type": int}, ("solve",), 40),
+    "levels": Option((int,), {"type": int}, ("convergence",), 4),
+    "dx1": Option((list,), None, ("convergence",)),
+    "out": Option((str,), {}, ALL, "out"),
+    "jobs": Option((int,), {"type": int}, ALL, 1),
 }
+GRID = ("cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio", "theta_samples")
 
 
-def _load_config(path):
+def _load_config(path, command):
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(data) - set(CONFIG_TYPES)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    unread = sorted(key for key in data if key not in OPTIONS or command not in OPTIONS[key].reads)
+    if unread:
+        raise ValueError(f"{command} does not read config keys {unread}")
     for key, val in data.items():
-        if type(val) not in CONFIG_TYPES[key]:
-            names = " or ".join(t.__name__ for t in CONFIG_TYPES[key])
+        opt = OPTIONS[key]
+        if type(val) not in opt.types:
+            names = " or ".join(t.__name__ for t in opt.types)
             raise ValueError(f"config key {key!r} must be {names}, got {val!r}")
+        choices = (opt.flag or {}).get("choices")
+        if choices and val not in choices:
+            raise ValueError(f"config key {key!r} must be one of {choices}, got {val!r}")
     if not all(type(x) in NUMBER and x > 0 for x in data.get("dx1", ())):
         raise ValueError(f"dx1 must list positive numbers, got {data['dx1']!r}")
     return data
@@ -68,14 +105,22 @@ def _load_config(path):
 
 def _merge(args):
     """File config first, explicit flags override."""
-    cfg = {}
-    if args.config:
-        cfg.update(_load_config(args.config))
-    for key, val in vars(args).items():
-        if key in ("config", "command") or val is None:
-            continue
-        cfg[key] = val
+    cfg = _load_config(args.config, args.command) if args.config else {}
+    cfg.update((key, val) for key, val in vars(args).items()
+               if key not in ("config", "command") and val is not None)
     return cfg
+
+
+def _value(cfg, key):
+    """An option as the library takes it: the given value, else the CLI's
+    default; a JSON integer given for a float option becomes a float."""
+    val = cfg.get(key, OPTIONS[key].default)
+    return float(val) if OPTIONS[key].types == NUMBER else val
+
+
+def _given(cfg, *keys):
+    """The given options among keys, for a library call that owns their defaults."""
+    return {key: _value(cfg, key) for key in keys if key in cfg}
 
 
 def _recorded(cfg):
@@ -97,37 +142,17 @@ def _write(path, text):
 
 
 def _combination(cfg):
-    fam = cfg.get("family", "cubature")
-    if fam not in FAMILIES:
-        raise ValueError(f"unknown family {fam!r}")
-    degree = int(cfg.get("degree", 2))
-    stab = cfg.get("stab", "none")
-    if stab not in STAB_KINDS:
-        raise ValueError(f"unknown stabilization {stab!r}")
-    scheme = cfg.get("time", "ssprk")
-    if scheme not in SCHEME_KINDS:
-        raise ValueError(f"unknown time scheme {scheme!r}")
-    return Combination(fam, degree, stab, scheme)
-
-
-def _grid(cfg):
-    return ScanGrid(
-        geometric_grid(float(cfg.get("cfl_min", 0.01)), float(cfg.get("cfl_max", 4.0)),
-                       ratio=float(cfg.get("grid_ratio", 1.03))),
-        geometric_grid(float(cfg.get("delta_min", 1e-4)), float(cfg.get("delta_max", 4.0)),
-                       ratio=float(cfg.get("grid_ratio", 1.03))),
-        int(cfg.get("theta_samples", 100)),
-    )
+    return Combination(*(_value(cfg, key) for key in COMBINATION))
 
 
 def cmd_modes(cfg, out_dir):
     comb = _combination(cfg)
-    stab = StabilizationSpec(comb.stab_kind, float(cfg.get("delta", 0.0)))
-    n_theta = int(cfg.get("theta_samples", 200))
+    stab = StabilizationSpec(comb.stab_kind, _value(cfg, "delta"))
+    n_theta = _value(cfg, "theta_samples")
     if n_theta < 1:
         raise ValueError(f"need at least 1 wavenumber sample, got {n_theta}")
     thetas = np.pi * np.arange(1, n_theta + 1) / n_theta   # k = theta at dx = 1
-    semi = bool(cfg.get("semi_discrete", False))
+    semi = bool(cfg.get("semi_discrete"))
     if semi:
         # the semi-discrete curves depend on neither the time scheme nor the step
         cfg = {k: v for k, v in cfg.items() if k not in ("time", "cfl", "convention")}
@@ -135,7 +160,7 @@ def cmd_modes(cfg, out_dir):
         ma = semidiscrete_modes(comb.family, comb.degree, stab, thetas)
         omega_over_k, eps, principal = ma.omega_over_k, ma.epsilon, ma.principal
     else:
-        cfl = float(cfg.get("cfl", 0.5))
+        cfl = _value(cfg, "cfl")
         if not 0 < cfl < np.inf:
             raise ValueError(f"cfl must be positive and finite, got {cfl}")
         scale = dt_scale(cfg.get("convention", DEFAULT_CONVENTION), 1.0, comb.degree)
@@ -166,9 +191,8 @@ def cmd_modes(cfg, out_dir):
 
 def cmd_scan(cfg, out_dir):
     comb = _combination(cfg)
-    grid = _grid(cfg)
-    res = scan_combination(comb, grid, convention=cfg.get("convention", DEFAULT_CONVENTION),
-                           mu=float(cfg.get("mu", 1.3)))
+    res = scan_combination(comb, ScanGrid.default(**_given(cfg, *GRID)),
+                           **_given(cfg, "convention", "mu"))
     _write(out_dir / f"scan_{comb.label()}.json", res.to_json() + "\n")
     path = _write(out_dir / f"mask_{comb.label()}.csv",
                   _resolved_header(cfg) + "\n" + res.mask_csv())
@@ -180,9 +204,8 @@ def cmd_scan(cfg, out_dir):
 
 
 def _optimize_one(task):
-    comb, grid_args, convention, mu = task
-    grid = ScanGrid(*grid_args)
-    res = scan_combination(comb, grid, convention=convention, mu=mu)
+    comb, grid, given = task
+    res = scan_combination(comb, grid, **given)
     rows = []
     for strategy in ("max_cfl", "min_eta_u", "min_eta_w"):
         opt = res.optima[strategy]
@@ -197,24 +220,13 @@ def _optimize_one(task):
 
 
 def cmd_optimize(cfg, out_dir):
-    grid = _grid(cfg)
-    if "family" in cfg or "stab" in cfg or "time" in cfg or "degree" in cfg:
-        combos = [_combination(cfg)]
-    else:
-        combos = [
-            Combination(fam, p, stab, scheme)
-            for fam in FAMILIES
-            for p in (1, 2, 3)
-            for stab in STAB_KINDS
-            for scheme in SCHEME_KINDS
-        ]
-    jobs = int(cfg.get("jobs", 1))
-    tasks = [
-        (comb, (grid.cfl_values, grid.delta_values, grid.theta_samples),
-         cfg.get("convention", DEFAULT_CONVENTION), float(cfg.get("mu", 1.3)))
-        for comb in combos
-    ]
-    workers = min(jobs, len(tasks))
+    """Every combination that matches the given family, degree, stab and time."""
+    grid = ScanGrid.default(**_given(cfg, *GRID))
+    given = _given(cfg, "convention", "mu")
+    tasks = [(Combination(*values), grid, given)
+             for values in itertools.product(*(OPTIONS[key].flag["choices"] for key in COMBINATION))
+             if all(cfg.get(key, val) == val for key, val in zip(COMBINATION, values))]
+    workers = min(_value(cfg, "jobs"), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_optimize_one, tasks))
@@ -230,12 +242,10 @@ def cmd_optimize(cfg, out_dir):
 
 def cmd_solve(cfg, out_dir):
     comb = _combination(cfg)
-    problem = PROBLEMS[cfg.get("problem", "advection")]()
-    stab = StabilizationSpec(comb.stab_kind, float(cfg.get("delta", 0.0)))
-    run = run_simulation(problem, comb.family, comb.degree, stab,
-                         comb.scheme_kind, float(cfg.get("cfl", 0.5)),
-                         int(cfg.get("cells", 40)),
-                         convention=cfg.get("convention", DEFAULT_CONVENTION))
+    problem = PROBLEMS[_value(cfg, "problem")]()
+    stab = StabilizationSpec(comb.stab_kind, _value(cfg, "delta"))
+    run = run_simulation(problem, comb.family, comb.degree, stab, comb.scheme_kind,
+                         _value(cfg, "cfl"), _value(cfg, "cells"), **_given(cfg, "convention"))
     payload = {"config": {k: str(v) for k, v in _recorded(cfg)}}
     payload.update(run.config_dict())
     path = _write(out_dir / f"solve_{comb.label()}_{run.n_cells}.json",
@@ -246,22 +256,15 @@ def cmd_solve(cfg, out_dir):
 
 def cmd_convergence(cfg, out_dir):
     comb = _combination(cfg)
-    name = cfg.get("problem", "advection")
-    if name not in PROBLEMS:
-        raise ValueError(f"unknown problem {name!r}")
-    levels = int(cfg.get("levels", 4))
-    if levels < 3:
-        raise ValueError("need at least 3 levels")
+    name = _value(cfg, "problem")
+    levels = _value(cfg, "levels")
     first = 0.5 if name == "sw" else 0.05
     dx1 = tuple(cfg["dx1"]) if "dx1" in cfg else tuple(first / 2**k for k in range(levels))
     if "levels" in cfg and len(dx1) != levels:
         raise ValueError(f"levels={levels} but dx1 lists {len(dx1)} mesh sizes")
-    problem = PROBLEMS[name]()
-    stab = StabilizationSpec(comb.stab_kind, float(cfg.get("delta", 0.0)))
-    rep = convergence_study(problem, comb.family, comb.degree, stab,
-                            comb.scheme_kind, float(cfg.get("cfl", 0.5)),
-                            dx1_values=dx1,
-                            convention=cfg.get("convention", DEFAULT_CONVENTION))
+    stab = StabilizationSpec(comb.stab_kind, _value(cfg, "delta"))
+    rep = convergence_study(PROBLEMS[name](), comb.family, comb.degree, stab, comb.scheme_kind,
+                            _value(cfg, "cfl"), dx1_values=dx1, **_given(cfg, "convention"))
     base = f"{name}_{comb.label()}"
     _write(out_dir / f"convergence_{base}.csv",
            _resolved_header(cfg) + "\n" + rep.csv())
@@ -276,45 +279,28 @@ def cmd_convergence(cfg, out_dir):
     return EXIT_OK
 
 
+COMMANDS = {"modes": cmd_modes, "scan": cmd_scan, "optimize": cmd_optimize,
+            "solve": cmd_solve, "convergence": cmd_convergence}
+
+
 def build_parser():
+    """One subparser per subcommand, with a flag for each option it reads."""
     parser = argparse.ArgumentParser(prog="cgstab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("modes", "scan", "optimize", "solve", "convergence"):
-        p = sub.add_parser(name)
-        p.add_argument("--family", choices=FAMILIES)
-        p.add_argument("--degree", type=int, choices=(1, 2, 3))
-        p.add_argument("--stab", choices=STAB_KINDS)
-        p.add_argument("--time", choices=SCHEME_KINDS)
-        p.add_argument("--cfl", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--theta-samples", dest="theta_samples", type=int)
-        p.add_argument("--problem", choices=tuple(PROBLEMS))
-        p.add_argument("--cells", type=int)
-        p.add_argument("--levels", type=int)
-        p.add_argument("--out", default="out")
-        p.add_argument("--jobs", type=int, default=1)
+    for command in COMMANDS:
+        p = sub.add_parser(command)
         p.add_argument("--config")
-        p.add_argument("--convention", choices=("cell", "dof"))
-        p.add_argument("--mu", type=float)
-        if name == "modes":
-            p.add_argument("--semi-discrete", dest="semi_discrete", action="store_true", default=None)
+        for key, opt in OPTIONS.items():
+            if command in opt.reads and opt.flag is not None:
+                p.add_argument("--" + key.replace("_", "-"), **opt.flag)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge(args)
-        out_dir = Path(cfg.get("out", "out"))
-        handler = {
-            "modes": cmd_modes,
-            "scan": cmd_scan,
-            "optimize": cmd_optimize,
-            "solve": cmd_solve,
-            "convergence": cmd_convergence,
-        }[args.command]
-        return handler(cfg, out_dir)
+        return COMMANDS[args.command](cfg, Path(_value(cfg, "out")))
     except (ValueError, UnsupportedDegree, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -65,6 +65,9 @@ _OMEGA3 = np.exp(2j * np.pi / 3)
 _ELIDE_VALUES = 16384
 # Matrices per closed-form call: every per-matrix temporary stays below it.
 _EIG_CHUNK = 4096
+# A closed-form eigenvalue set is accepted when its characteristic residual
+# is at most this times |A|^n.
+_RESIDUAL_TOL = 1e-9
 
 
 def _eig1(A):
@@ -141,11 +144,11 @@ def _char_residual(A, lam):
     return out
 
 
-def eigvals_batched(A, residual_tol=1e-9):
+def eigvals_batched(A):
     """Eigenvalues of complex n x n matrices, 1 <= n <= 3: (..., n, n) -> (..., n).
 
     Closed forms (quadratic formula, Cardano) solve every matrix; one whose
-    characteristic residual exceeds residual_tol * |A|^n is re-solved by
+    characteristic residual exceeds _RESIDUAL_TOL * |A|^n is re-solved by
     LAPACK, and one still above it, or with a NaN or infinite entry, raises
     EigenSolveFailure.  The closed forms always run on a batch axis: on a
     lone matrix NumPy's scalar paths would change the last bits.  They run
@@ -160,11 +163,11 @@ def eigvals_batched(A, residual_tol=1e-9):
     A = A.reshape(-1, n, n)
     lam = np.empty(A.shape[:-1], dtype=complex)
     for i in range(0, len(A), _EIG_CHUNK):
-        lam[i:i + _EIG_CHUNK] = _eig_checked(A[i:i + _EIG_CHUNK], residual_tol)
+        lam[i:i + _EIG_CHUNK] = _eig_checked(A[i:i + _EIG_CHUNK])
     return lam.reshape(shape)
 
 
-def _eig_checked(A, residual_tol):
+def _eig_checked(A):
     """Closed-form eigenvalues of a (m, n, n) batch, residual-checked.  A NaN
     residual fails the check, and so does an infinite |A|^n, under which any
     residual would pass."""
@@ -172,7 +175,7 @@ def _eig_checked(A, residual_tol):
     with np.errstate(invalid="ignore", over="ignore"):
         scale = np.maximum(np.linalg.norm(A, axis=(-2, -1)) ** n, 1e-300)
         lam = (_eig1, _eig2, _eig3)[n - 1](A)
-        limit = residual_tol * scale[:, None]
+        limit = _RESIDUAL_TOL * scale[:, None]
         bad = ~np.all(_char_residual(A, lam) <= limit, axis=-1) | (scale == np.inf)
         if np.any(bad):
             if not np.all(np.isfinite(A[bad])):

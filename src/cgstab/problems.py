@@ -52,12 +52,13 @@ def _burgers_u0(x):
     return -np.tanh(4.0 * (x - 1.0))
 
 
-def exact_burgers(x, t, tol=1e-12, max_iter=100):
+def exact_burgers(x, t):
     """Characteristic solution of Burgers with u0 = -tanh(4(x-1)).
 
-    Solves chi + u0(chi) t = x by safeguarded Newton (bisection fallback);
-    u0' <= 0 keeps g(chi) = chi + u0(chi) t - x monotone for t < 1/4, so
-    the root in [x - t, x + t] is unique.
+    Solves chi + u0(chi) t = x to |residual| < 1e-12 by at most 100
+    safeguarded Newton steps (bisection fallback); u0' <= 0 keeps
+    g(chi) = chi + u0(chi) t - x monotone for t < 1/4, so the root in
+    [x - t, x + t] is unique.
     """
     x = np.asarray(x, dtype=float)
     t = float(t)
@@ -68,10 +69,10 @@ def exact_burgers(x, t, tol=1e-12, max_iter=100):
     lo = x - abs(t) - 1e-12
     hi = x + abs(t) + 1e-12
     chi = x.copy()
-    for _ in range(max_iter):
+    for _ in range(100):
         u0 = -np.tanh(4.0 * (chi - 1.0))
         g = chi + u0 * t - x
-        if np.all(np.abs(g) < tol):
+        if np.all(np.abs(g) < 1e-12):
             break
         dg = 1.0 - 4.0 * t / np.cosh(4.0 * (chi - 1.0)) ** 2
         lo = np.where(g < 0, chi, lo)

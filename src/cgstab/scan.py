@@ -43,13 +43,13 @@ class NoStableRegion(RuntimeError):
     """The stability mask is empty for this combination."""
 
 
-def geometric_grid(lo, hi, ratio=1.03, anchor=1.0):
-    """Geometric grid anchor * ratio^n covering [lo, hi]."""
+def geometric_grid(lo, hi, ratio=1.03):
+    """Geometric grid ratio^n covering [lo, hi], anchored at 1."""
     if not (np.isfinite([lo, hi, ratio]).all() and ratio > 1.0 and hi > lo > 0.0):
         raise ValueError(f"need finite ratio > 1 and 0 < lo < hi, got {lo}, {hi}, {ratio}")
-    n_lo = int(np.ceil(np.log(lo / anchor) / np.log(ratio) - 1e-12))
-    n_hi = int(np.floor(np.log(hi / anchor) / np.log(ratio) + 1e-12))
-    return anchor * ratio ** np.arange(n_lo, n_hi + 1)
+    n_lo = int(np.ceil(np.log(lo) / np.log(ratio) - 1e-12))
+    n_hi = int(np.floor(np.log(hi) / np.log(ratio) + 1e-12))
+    return ratio ** np.arange(n_lo, n_hi + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,11 @@ class ScanGrid:
             raise ValueError(f"need at least 2 wavenumber samples, got {self.theta_samples}")
 
     @classmethod
-    def default(cls, cfl_range=(0.01, 4.0), delta_range=(1e-4, 4.0),
-                ratio_cfl=1.03, ratio_delta=1.03, theta_samples=100):
+    def default(cls, cfl_min=0.01, cfl_max=4.0, delta_min=1e-4, delta_max=4.0,
+                grid_ratio=1.03, theta_samples=100):
         """Grids matching the reference tables (ratio 1.03, anchored at 1)."""
-        return cls(
-            geometric_grid(*cfl_range, ratio=ratio_cfl),
-            geometric_grid(*delta_range, ratio=ratio_delta),
-            theta_samples,
-        )
+        return cls(geometric_grid(cfl_min, cfl_max, grid_ratio),
+                   geometric_grid(delta_min, delta_max, grid_ratio), theta_samples)
 
 
 @dataclass

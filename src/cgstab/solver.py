@@ -64,17 +64,17 @@ def build_problem_system(problem, family, degree, stab, n_cells):
     return assemble_system(mesh, ref, stab, problem.flux, bc=bc)
 
 
-def l2_error(system, U, exact, t, component=0):
+def l2_error(system, U, exact, t):
     """Discrete L2 error via the element quadrature.
 
-    Systems are measured on one component (default the height h); the
+    Systems are measured on their first component (the height h); the
     exact callable may return either that component directly or the full
     component-stacked array.
     """
-    vals = system.eval_at_quads(U)[..., component]
+    vals = system.eval_at_quads(U)[..., 0]
     ex = np.asarray(exact(system.quad_x, t))
     if ex.ndim == vals.ndim + 1:
-        ex = ex[..., component]
+        ex = ex[..., 0]
     w = system.ref.quad_weights
     return float(np.sqrt(system.mesh.dx * np.sum(w[None, :] * (vals - ex) ** 2)))
 

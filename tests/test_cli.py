@@ -1,6 +1,8 @@
 import itertools
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +110,7 @@ def test_modes_rows_are_the_scan_engine_reduction(tmp_path, label):
     assert kept.all() and rows == want
 
 
-COARSE = ScanGrid.default(ratio_cfl=1.3, ratio_delta=1.3, theta_samples=24)
+COARSE = ScanGrid.default(grid_ratio=1.3, theta_samples=24)
 ALL_COMBOS = [Combination(fam, p, stab, scheme) for fam in ALL_FAMILIES for p in ALL_DEGREES
               for stab, _ in ALL_STABS for scheme in ALL_SCHEMES]
 
@@ -271,8 +273,9 @@ def test_levels_beyond_four_run_every_level(tmp_path):
 @pytest.mark.parametrize("cfl", ["-0.5", "0", "nan"])
 @pytest.mark.parametrize("command", ["solve", "convergence", "modes"])
 def test_cfl_not_positive_and_finite_is_config_error(tmp_path, capsys, command, cfl):
+    levels = ["--levels", "3"] if command == "convergence" else []
     rc = run_cli([command, "--family", "cubature", "--degree", "1", "--stab", "cip",
-                  "--time", "ssprk", "--cfl", cfl, "--levels", "3", "--out", str(tmp_path)])
+                  "--time", "ssprk", "--cfl", cfl, *levels, "--out", str(tmp_path)])
     assert rc == 2
     assert "cfl" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
@@ -419,3 +422,115 @@ def test_optimize_all_combinations_parallel_deterministic(tmp_path):
     b = (tmp_path / "parallel" / "optimize.csv").read_text()
     assert a == b
     assert len(a.splitlines()) == 2 + 3 * 108
+
+
+def test_optimize_combination_keys_filter_the_sweep(tmp_path):
+    """A partial combination sweeps every match: --family basic runs 36."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"cfl_min": 0.2, "cfl_max": 0.5, "delta_min": 0.05,
+                                "delta_max": 0.3, "grid_ratio": 1.4, "theta_samples": 12}))
+    assert run_cli(["optimize", "--config", str(path), "--family", "basic",
+                    "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "optimize.csv").read_text().splitlines()[2:]
+    assert len(rows) == 36 * 3
+    assert {row.split("-")[0] for row in rows} == {"basic"}
+
+
+# the options each subcommand reads, written out here rather than read from the CLI
+READS = {
+    "modes": {"family", "degree", "stab", "time", "cfl", "delta", "theta_samples",
+              "convention", "semi_discrete"},
+    "scan": {"family", "degree", "stab", "time", "theta_samples", "convention", "mu",
+             "cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio"},
+    "solve": {"family", "degree", "stab", "time", "problem", "cfl", "delta", "cells",
+              "convention"},
+    "convergence": {"family", "degree", "stab", "time", "problem", "cfl", "delta", "levels",
+                    "dx1", "convention"},
+}
+READS["optimize"] = READS["scan"]
+CONFIG_ONLY = {"cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio", "dx1"}
+# one valid value per option, as a JSON value and as a flag's argument (None: a bare flag)
+VALUES = {"family": "basic", "degree": 1, "stab": "cip", "time": "rk", "cfl": 0.3,
+          "delta": 0.1, "theta_samples": 8, "convention": "dof", "semi_discrete": True,
+          "mu": 1.5, "cfl_min": 0.1, "cfl_max": 1.0, "delta_min": 0.01, "delta_max": 1.0,
+          "grid_ratio": 1.5, "problem": "burgers", "cells": 20, "levels": 3,
+          "dx1": [0.1, 0.05, 0.025], "out": "x", "jobs": 2}
+UNREAD = {"modes": "cells", "scan": "cfl", "optimize": "delta", "solve": "mu",
+          "convergence": "theta_samples"}
+
+
+def _flag(key):
+    value = VALUES[key]
+    return ["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys, command):
+    """out and jobs are accepted everywhere; any other option the subcommand
+    does not read, as a flag or a config key, exits 2 naming it and writes nothing."""
+    assert sum(map(len, READS.values())) == 52
+    accepted = READS[command] | {"out", "jobs"}
+    path = tmp_path / "c.json"
+    for key in VALUES:
+        path.write_text(json.dumps({key: VALUES[key]}))
+        try:
+            cli._load_config(path, command)
+            took_key = True
+        except ValueError:
+            took_key = False
+        assert took_key == (key in accepted), key
+        if key in CONFIG_ONLY:
+            continue
+        try:
+            cli.build_parser().parse_args([command] + _flag(key))
+            took_flag = True
+        except SystemExit:
+            took_flag = False
+        assert took_flag == (key in accepted), key
+    capsys.readouterr()
+
+    unread = UNREAD[command]
+    out = ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_flag(unread), *out])
+    assert exc.value.code == 2
+    assert "--" + unread.replace("_", "-") in capsys.readouterr().err
+    path.write_text(json.dumps({unread: VALUES[unread]}))
+    assert main([command, "--config", str(path), *out]) == 2
+    assert repr(unread) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_json_integers_reach_the_library_as_floats(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"mu": 2, "cfl_min": 0.25, "cfl_max": 1, "delta_min": 0.0625,
+                                "delta_max": 1, "grid_ratio": 4, "theta_samples": 4}))
+    assert run_cli(["scan", "--config", str(path), "--family", "cubature", "--degree", "1",
+                    "--stab", "cip", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "scan_cubature-p1-cip-ssprk.json").read_text())
+    assert payload["mu"] == 2.0 and type(payload["mu"]) is float
+    assert payload["cfl_values"] == [0.25, 1.0] and payload["delta_values"] == [0.0625, 0.25, 1.0]
+
+
+def test_config_out_sets_the_output_directory(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"out": str(tmp_path / "here"), "semi_discrete": True}))
+    assert run_cli(["modes", "--config", str(path), "--theta-samples", "4"]) == 0
+    assert [p.name for p in (tmp_path / "here").iterdir()] == ["modes_cubature-p2-none.csv"]
+
+
+def _readme_command_lines():
+    """The cgstab lines of the bash block under "## Command line" in README.md."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("cgstab ")]
+
+
+def test_readme_command_lines_run(tmp_path):
+    lines = _readme_command_lines()
+    assert [argv[1] for argv in lines] == ["modes", "scan", "optimize", "solve", "convergence"]
+    for argv in lines:
+        i = argv.index("--out")
+        argv[i + 1] = str(tmp_path / argv[1])
+        assert main(argv[1:]) == 0, argv

@@ -347,7 +347,7 @@ def test_scan_mask_agrees_with_propagator(comb):
     assert decided > len(STREAM.cfl_values)
 
 
-COARSE = ScanGrid.default(ratio_cfl=1.3, ratio_delta=1.3, theta_samples=24)
+COARSE = ScanGrid.default(grid_ratio=1.3, theta_samples=24)
 ALL_COMBOS = [Combination(fam, p, stab, scheme) for fam in ALL_FAMILIES for p in ALL_DEGREES
               for stab, _ in ALL_STABS for scheme in ("rk", "ssprk", "dec")]
 
