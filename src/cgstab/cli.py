@@ -283,9 +283,14 @@ COMMANDS = {"modes": cmd_modes, "scan": cmd_scan, "optimize": cmd_optimize,
             "solve": cmd_solve, "convergence": cmd_convergence}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # an unread or malformed flag: a configuration error
+        raise ValueError(message)
+
+
 def build_parser():
     """One subparser per subcommand, with a flag for each option it reads."""
-    parser = argparse.ArgumentParser(prog="cgstab", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="cgstab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         p = sub.add_parser(command)
@@ -297,8 +302,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _merge(args)
         return COMMANDS[args.command](cfg, Path(_value(cfg, "out")))
     except (ValueError, UnsupportedDegree, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -1,16 +1,17 @@
 """Fourier symbols, amplification matrices, and mode extraction.
 
 The periodic problem is reduced to the p dofs of one representative cell
-(the left boundary node plus the interior ones); the neighbor coupling
-U_{K+-1} = exp(+-i theta) U_K turns every assembled operator into a p x p
-complex symbol
+(the left boundary node plus the interior ones); the Bloch coupling
+U_{K+s} = exp(i s theta) U_K folds every operator ``DiscreteSystem``
+assembles into a p x p complex symbol
 
     M~(theta) u' = -speed K~(theta) u,
 
-with theta = k dx the reduced wavenumber.  The symbols are formed at unit
-dx and unit speed (every stabilization term is exactly linear in the speed
-by construction of the delta scalings), so dx and the speed enter only
-through k and the time step.
+with theta = k dx the reduced wavenumber.  The symbols are folded from the
+operators of one small periodic system at unit dx and unit speed (every
+stabilization term is exactly linear in the speed by construction of the
+delta scalings), so dx and the speed enter only through k and the time
+step.
 
 Eigenvalues lambda of M~^{-1} K~ give the semi-discrete phase and damping,
 omega = Im(lambda), eps = -Re(lambda).  Fully discrete, the one step
@@ -26,8 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elements import build_reference_element, local_matrices
-from .stabilization import CIP, LPS, NONE, SUPG
+from .elements import build_reference_element
+from .fluxes import LinearAdvection
+from .stabilization import DiscreteSystem, Mesh1D, StabilizationSpec
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 
@@ -204,37 +206,28 @@ def principal_mode(omega, target):
 
 
 # ---------------------------------------------------------------------------
-# operator bands and symbols
+# symbols: Bloch folds of the assembled operators
 # ---------------------------------------------------------------------------
 
-
-def _bands(block, cells, p):
-    """Fold an elemental block into reduced bands {shift: p x p}, unit dx.
-
-    ``block`` couples the p+1 dofs of each cell in ``cells`` (relative cell
-    indices, in that order); the last dof of a cell is the first reduced
-    dof of the next one.  Every row is moved to cell 0, its columns landing
-    on the band of their cell.  Summation runs over ascending shifts, then
-    rows, then columns, an order the symbols' bits depend on.
-    """
-    node = [(c + (l == p), l % p) for c in cells for l in range(p + 1)]
-    bands = {}
-    for shift in sorted({-c for c, _ in node}):
-        for i, (rc, r) in enumerate(node):
-            if rc + shift == 0:
-                for j, (cc, c) in enumerate(node):
-                    bands.setdefault(cc + shift, np.zeros((p, p)))[r, c] += block[i, j]
-    return bands
+# Cells of the periodic system the symbols are folded from.  A row of cell 0
+# reaches at most two cells either way (a face-jump product, a diagonal
+# projection folded into S), so five cells hold each shift once.
+_RING = 5
 
 
-def _fold(bands, theta):
+def _row_blocks(A, p):
+    """{s: A[cell 0, cell s]} of a periodic matrix with p dofs a cell, in
+    ascending s; the zero blocks are left out."""
+    cells = A.shape[0] // p
+    rows = A.toarray()[:p].reshape(p, cells, p)
+    shifts = range(-(cells // 2), cells // 2 + 1)
+    return {s: rows[:, s % cells] for s in shifts if rows[:, s % cells].any()}
+
+
+def _fold(blocks, theta):
     """sum_s B_s exp(i theta s); theta may be an array."""
     theta = np.asarray(theta, dtype=float)
-    p = bands[0].shape[0]
-    out = np.zeros(theta.shape + (p, p), dtype=complex)
-    for s, block in bands.items():
-        out += np.exp(1j * theta * s)[..., None, None] * block
-    return out
+    return sum(np.exp(1j * theta * s)[..., None, None] * block for s, block in blocks.items())
 
 
 def _affine(base, delta, slope=None):
@@ -251,44 +244,36 @@ def _affine(base, delta, slope=None):
 class SymbolBuilder:
     """Per (family, degree, stabilization kind) symbol factory.
 
-    The bands are folded once from the blocks ``DiscreteSystem`` scatters
-    (``local_matrices``, and the jump row for CIP); both symbols are affine
-    in delta:
+    Each symbol is the Bloch fold sum_s A[cell 0, cell s] exp(i theta s) of
+    the tau-free operators of one periodic ``DiscreteSystem`` at unit dx
+    and unit speed; writing each fold as its matrix, both are affine in
+    delta:
 
-        mass(theta, delta) = Mg(theta) + delta * T(theta)      (T: SUPG only)
-        conv(theta, delta) = C(theta)  + delta * S(theta)
+        mass(theta, delta) = M_galerkin + delta T
+        conv(theta, delta) = C + delta (S - P M_galerkin^-1 C)
 
-    with unit dx and unit speed.  delta may be a 1-D array: each band is
-    then folded once for all of its values, and the delta axis leads.
+    where an operator the stabilization lacks adds nothing.  delta may be a
+    1-D array: each operator is then folded once for all of its values, and
+    the delta axis leads.
     """
 
     def __init__(self, family, degree, stab_kind):
         self.ref = build_reference_element(family, degree)
-        self.kind = stab_kind
-        p = degree
-        loc = local_matrices(self.ref)
-        self._mass = _bands(loc.mass, (0,), p)
-        self._conv = _bands(loc.deriv, (0,), p)
-        self._convT = _bands(loc.deriv.T, (0,), p)
-        self._gg = _bands(loc.grad_grad, (0,), p)
-        # one face, between cells -1 and 0; the fold's shifts place the others
-        self._cip = _bands(np.outer(loc.jump, loc.jump), (-1, 0), p) if stab_kind == CIP else None
+        ring = DiscreteSystem(Mesh1D(0.0, float(_RING), _RING), self.ref,
+                              StabilizationSpec(stab_kind), LinearAdvection(1.0))
+        self._mass, self._conv, self._T, self._S, self._P = (
+            None if A is None else _row_blocks(A, degree)
+            for A in (ring.M_galerkin, ring.C, ring.T, ring.S, ring.P))
 
     def mass(self, theta, delta):
-        m = _fold(self._mass, theta)
-        return _affine(m, delta, _fold(self._convT, theta) if self.kind == SUPG else None)
+        slope = None if self._T is None else _fold(self._T, theta)
+        return _affine(_fold(self._mass, theta), delta, slope)
 
     def conv(self, theta, delta):
         c = _fold(self._conv, theta)
-        if self.kind == NONE:
-            return _affine(c, delta)
-        if self.kind == CIP:
-            s = _fold(self._cip, theta)
-        else:
-            s = _fold(self._gg, theta)
-            if self.kind == LPS:
-                # projection mass: for cubature this fold is already the diagonal one
-                s = s - _fold(self._convT, theta) @ np.linalg.solve(_fold(self._mass, theta), c)
+        s = None if self._S is None else _fold(self._S, theta)
+        if self._P is not None:
+            s = s - _fold(self._P, theta) @ np.linalg.solve(_fold(self._mass, theta), c)
         return _affine(c, delta, s)
 
     def lumped_diag(self, delta):
@@ -366,7 +351,7 @@ def amplification_matrix(family, degree, stab, scheme_kind, theta, cfl,
     SSPRK use the expanded stability-polynomial form; deferred correction
     evaluates the cfl polynomial of the iterated matrix update (the one
     the scans use), with the lumped diagonal taken from the row sums of
-    the (possibly SUPG-augmented) mass symbol.
+    the (possibly stabilized) mass symbol.
     """
     b = symbol_builder(family, degree, stab.kind)
     scheme = make_scheme(scheme_kind, degree + 1)

@@ -134,10 +134,12 @@ class DiscreteSystem:
 
     The residual goes through sparse operators built once: ``Q`` and
     ``Qd`` (values and reference derivatives at the quadrature points, their
-    transposes the test integrals) and, for CIP and LPS, ``S`` and ``P``
-    with stabilization term -tau (S U - P W), W the LPS projection (``P`` is
-    None when that projection is diagonal and folded into ``S``).  For a
-    linear flux the residual is one CSR matrix.
+    transposes the test integrals) and the tau-free matrices of the scheme:
+    the Galerkin ``M_galerkin`` and ``C`` = int phi_i dxi phi_j, and the
+    stabilization's ``T``, ``S`` and ``P`` (see _stabilization_operators).
+    For a linear flux the residual is one CSR matrix and the mass is fixed;
+    the Fourier symbols of ``fourier.SymbolBuilder`` are the Bloch folds of
+    these same matrices.
 
     Mass solves and factorizations are counted so tests can assert that
     the deferred-correction stepper never touches the consistent mass.
@@ -179,18 +181,27 @@ class DiscreteSystem:
 
         self._setup_block_pattern()
         self.M_galerkin = self._assemble_pairwise(self.local.mass * mesh.dx)
+        self.C = self._assemble_pairwise(self.local.deriv)
         # the mass and its row sums (positive for p <= 3), set by _set_mass;
         # None until a state-dependent mass is first built
         self.mass_matrix = self.lumped = self._mass_inverse = None
         if stab.kind == LPS:
-            self._lps_weak_grad = self._assemble_pairwise(self.local.deriv)
             self._proj_inverse = _Inverse(self.M_galerkin, self._diag_pos)
 
         self.Q = self._quad_operator(self.V)
         self.J = self._setup_jumps() if stab.kind == CIP else None
-        self.S, self.P = self._stabilization_operators()
+        self.T, self.S, self.P = self._stabilization_operators()
+        mass = self.M_galerkin.data.copy()
         if flux.is_linear:
-            self._R, self._R_proj = self._linear_residual_operators()
+            # r = R U + R_proj W and the SUPG dt term tau a T for the one Jacobian a
+            a = float(flux.jacobian(np.zeros((1, self.n_comp)))[0])
+            tau = tau_cell(stab, mesh.dx, a)
+            R = -a * self.C
+            if self.S is not None:
+                R = R - (tau * a * a if stab.kind == SUPG else tau) * self.S
+            if self.T is not None:
+                mass += tau * a * self.T.data
+            self._R, self._R_proj = R.tocsr(), None if self.P is None else tau * self.P
             self.Qd = None
         else:
             # transposes are views on the same arrays, kept because forming
@@ -199,7 +210,7 @@ class DiscreteSystem:
             self._QT, self._QdT = self.Q.T, self.Qd.T
             self._R = self._R_proj = None
         if not self.mass_is_state_dependent:
-            self._set_mass(self._build_mass(np.zeros(self.n_nodes * self.n_comp)))
+            self._set_mass(mass)
 
     # -- assembly helpers -------------------------------------------------
 
@@ -243,43 +254,33 @@ class DiscreteSystem:
                              shape=(len(right), self.n_nodes))
 
     def _stabilization_operators(self):
-        """S and P of the CIP / LPS term -tau (S U - P W), else (None, None).
+        """The tau-free (T, S, P) of the stabilization, None where it has none.
 
-        CIP: S = J^T J.  LPS: S = int dx_phi_i dx_phi_j and P = int dx_phi_i
-        phi_j; a diagonal projection W = diag^-1 G U is folded into S."""
-        if self.stab.kind == CIP:
-            return (self.J.T @ self.J).tocsr(), None
-        if self.stab.kind != LPS:
-            return None, None
+        SUPG: the mass term tau a T, T = int dx_phi_i phi_j, and the linear
+        convection term -tau a^2 S, S = int dx_phi_i dx_phi_j.  CIP: -tau S,
+        S = J^T J.  LPS: -tau (S U - P W) with S as for SUPG and P = T; a
+        diagonal projection W = diag^-1 C U is folded into S."""
+        kind = self.stab.kind
+        if kind == CIP:
+            return None, (self.J.T @ self.J).tocsr(), None
+        if kind == NONE:
+            return None, None, None
         S = self._assemble_pairwise(self.local.grad_grad / self.mesh.dx)
-        P = self._assemble_pairwise(self.local.deriv.T)
+        T = self._assemble_pairwise(self.local.deriv.T)
+        if kind == SUPG:
+            return T, S.tocsr(), None
         diag = self._proj_inverse.diag
         if diag is not None:
-            return (S - P @ sp.diags(1.0 / diag) @ self._lps_weak_grad).tocsr(), None
-        return S.tocsr(), P.tocsr()
-
-    def _linear_residual_operators(self):
-        """R and R_proj with r = R U + R_proj W: the Galerkin (+ SUPG) block
-        for the one Jacobian a, minus tau S, and tau P."""
-        dx, local = self.mesh.dx, self.local
-        a = float(self.flux.jacobian(np.zeros((1, self.n_comp)))[0])
-        tau = tau_cell(self.stab, dx, a)
-        block = -a * local.deriv                                 # -int phi (a dx_u)
-        if self.stab.kind == SUPG:
-            block = block - tau * a * a / dx * local.grad_grad
-        R = self._assemble_pairwise(block)
-        if self.S is not None:
-            R = R - tau * self.S
-        return R.tocsr(), None if self.P is None else tau * self.P
+            return None, (S - T @ sp.diags(1.0 / diag) @ self.C).tocsr(), None
+        return None, S.tocsr(), T.tocsr()
 
     @property
     def mass_is_state_dependent(self):
         return self.stab.kind == SUPG and not self.flux.is_linear
 
     def _build_mass(self, U):
-        """Mass values on the block pattern: Galerkin plus the SUPG dt block."""
-        if self.stab.kind != SUPG:
-            return self.M_galerkin.data.copy()
+        """State-dependent mass values on the block pattern: Galerkin plus
+        the SUPG dt block of a nonlinear flux."""
         u_q = self.eval_at_quads(U)
         # per cell: tau * sum_q w phi_i' jac phi_j  (dx-free scaling)
         coef = self._tau(u_q) * self.ref.quad_weights * self.flux.jacobian(u_q)
@@ -326,7 +327,7 @@ class DiscreteSystem:
         """Global L2 projection w of dx_u."""
         if self.stab.kind != LPS:
             raise ValueError("gradient projection is only defined for LPS systems")
-        return self._proj_inverse.solve(self._lps_weak_grad @ U.reshape(self.n_nodes, self.n_comp))
+        return self._proj_inverse.solve(self.C @ U.reshape(self.n_nodes, self.n_comp))
 
     # -- residual ----------------------------------------------------------
 

@@ -467,7 +467,8 @@ def _flag(key):
 @pytest.mark.parametrize("command", sorted(READS))
 def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys, command):
     """out and jobs are accepted everywhere; any other option the subcommand
-    does not read, as a flag or a config key, exits 2 naming it and writes nothing."""
+    does not read, as a flag or a config key, returns 2 with a configuration
+    error naming it and writes nothing."""
     assert sum(map(len, READS.values())) == 52
     accepted = READS[command] | {"out", "jobs"}
     path = tmp_path / "c.json"
@@ -484,21 +485,39 @@ def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys, com
         try:
             cli.build_parser().parse_args([command] + _flag(key))
             took_flag = True
-        except SystemExit:
+        except ValueError:
             took_flag = False
         assert took_flag == (key in accepted), key
     capsys.readouterr()
 
     unread = UNREAD[command]
     out = ["--out", str(tmp_path / "out")]
-    with pytest.raises(SystemExit) as exc:
-        main([command, *_flag(unread), *out])
-    assert exc.value.code == 2
-    assert "--" + unread.replace("_", "-") in capsys.readouterr().err
+    assert main([command, *_flag(unread), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--" + unread.replace("_", "-") in err
     path.write_text(json.dumps({unread: VALUES[unread]}))
     assert main([command, "--config", str(path), *out]) == 2
     assert repr(unread) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--degree", "two"], ["solve", "--family", "lagrange"], ["modes", "--bogus"],
+    ["transform"], [],
+])
+def test_flag_errors_return_the_config_error(tmp_path, capsys, argv):
+    """A malformed or unknown flag, or a missing or unknown subcommand, returns
+    2 with a configuration error line, as a config key does; nothing is written."""
+    assert main([*argv, "--out", str(tmp_path / "out")] if argv else argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--help"])
+    assert exc.value.code == 0
+    assert "--theta-samples" in capsys.readouterr().out
 
 
 def test_json_integers_reach_the_library_as_floats(tmp_path):

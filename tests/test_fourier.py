@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cgstab import build_reference_element, local_matrices
 from cgstab.fourier import (
     EigenSolveFailure,
-    _bands,
+    SymbolBuilder,
     _char_residual,
     _dec_cfl_polynomial,
     amplification_matrix,
@@ -193,22 +193,77 @@ def _cip_bands(ref):
     return bands
 
 
-def _same_bands(got, want):
-    return (list(got) == list(want)
-            and all(got[s].tobytes() == want[s].tobytes() for s in want))
+def _fold_bands(bands, theta):
+    """Reference: the former fold, sum_s B_s exp(i theta s) over ascending s."""
+    p = len(bands[0])
+    out = np.zeros(theta.shape + (p, p), dtype=complex)
+    for s in sorted(bands):
+        out += np.exp(1j * theta * s)[..., None, None] * bands[s]
+    return out
+
+
+def _former_symbols(ref, kind, theta, delta):
+    """Reference: the former builder's mass and conv, combined per kind from
+    the reference bands (the LPS projection through the folded mass)."""
+    loc = local_matrices(ref)
+    fold = lambda block: _fold_bands(_band_from_local(block, ref.degree), theta)  # noqa: E731
+    m, c = fold(loc.mass), fold(loc.deriv)
+    if delta == 0.0 or kind == "none":
+        return m, c
+    if kind == "supg":
+        return m + delta * fold(loc.deriv.T), c + delta * fold(loc.grad_grad)
+    if kind == "cip":
+        return m, c + delta * _fold_bands(_cip_bands(ref), theta)
+    return m, c + delta * (fold(loc.grad_grad) - fold(loc.deriv.T) @ np.linalg.solve(m, c))
+
+
+# conv symbols whose summation order differs from the former band folds: the
+# three-face CIP sums of p = 3 and the diagonal-folded cubature LPS projection
+REORDERED_CONV = {("basic", 3, "cip"), ("cubature", 3, "cip"),
+                  ("cubature", 1, "lps"), ("cubature", 2, "lps"), ("cubature", 3, "lps")}
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("degree", ALL_DEGREES)
 def test_bands_match_former_folds(family, degree):
-    """One fold of the scattered blocks reproduces both former band builders
-    bit for bit, band order included (the symbol sums bands in that order)."""
+    """The folds of the assembled operators reproduce the symbols folded from
+    the local blocks and the jump row bit for bit, except the reordered conv
+    sums, which stay within 1e-15 of the largest entry."""
     ref = build_reference_element(family, degree)
-    loc = local_matrices(ref)
-    for block in (loc.mass, loc.deriv, loc.deriv.T, loc.grad_grad):
-        assert _same_bands(_bands(block, (0,), degree), _band_from_local(block, degree))
-    cip = _bands(np.outer(loc.jump, loc.jump), (-1, 0), degree)
-    assert _same_bands(cip, _cip_bands(ref))
+    theta = np.linspace(0.0, 2 * np.pi, 37)
+    for kind, _ in ALL_STABS:
+        b = symbol_builder(family, degree, kind)
+        for delta in (0.0, 0.013, 0.7):
+            want_m, want_c = _former_symbols(ref, kind, theta, delta)
+            got_c = b.conv(theta, delta)
+            assert b.mass(theta, delta).tobytes() == want_m.tobytes(), (kind, delta)
+            if (family, degree, kind) in REORDERED_CONV and delta > 0:
+                assert np.abs(got_c - want_c).max() <= 1e-15 * np.abs(want_c).max(), (kind, delta)
+            else:
+                assert got_c.tobytes() == want_c.tobytes(), (kind, delta)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+@pytest.mark.parametrize("kind", [kind for kind, _ in ALL_STABS])
+def test_ring_holds_every_shift_once(monkeypatch, family, degree, kind):
+    """The operator blocks folded from the symbols' ring equal those of a
+    9-cell ring bit for bit, so no coupling wraps onto another.  CIP and the
+    diagonal-folded cubature LPS S reach at most two cells, the rest one."""
+    import cgstab.fourier as fourier
+
+    ring = SymbolBuilder(family, degree, kind)
+    monkeypatch.setattr(fourier, "_RING", 9)
+    wide = SymbolBuilder(family, degree, kind)
+    for name in ("_mass", "_conv", "_T", "_S", "_P"):
+        got, want = getattr(ring, name), getattr(wide, name)
+        assert (got is None) == (want is None), name
+        if got is None:
+            continue
+        assert list(got) == list(want), name
+        assert all(got[s].tobytes() == want[s].tobytes() for s in want), name
+        two = name == "_S" and (kind == "cip" or (kind, family) == ("lps", "cubature"))
+        assert max(map(abs, got)) <= (2 if two else 1), name
 
 
 def test_p1_symbol_matches_hand_formulas():
