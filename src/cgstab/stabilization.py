@@ -47,14 +47,22 @@ class SingularMass(RuntimeError):
     """Mass (or projection) factorization failed."""
 
 
+# SuperLU's setting for structurally symmetric patterns, which every block
+# pattern is: minimum degree on A^T + A, and a diagonal pivot whenever it is
+# at least 0.1 of the column's largest entry.  Without the threshold the
+# Bernstein p = 3 nonlinear SUPG mass pivots off the diagonal and its fill
+# grows with the mesh.
+_SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1}
+
+
 class _Inverse:
     """Inverse of a CSC matrix on the block pattern, decided once.
 
     The matrix counts as diagonal when every off-diagonal magnitude is
     below 1e-12 times the smallest |diagonal| entry (so a zero diagonal
     never does); it is then inverted by a division by ``diag``, otherwise
-    factorized once into ``lu``.  ``solve`` takes an (n_nodes, n_comp)
-    right-hand side.
+    factorized once into ``lu`` with ``_SPLU_OPTIONS``.  ``solve`` takes an
+    (n_nodes, n_comp) right-hand side.
     """
 
     def __init__(self, matrix, diag_pos):
@@ -64,7 +72,7 @@ class _Inverse:
         if np.max(offdiag) >= 1e-12 * np.min(np.abs(self.diag)):
             self.diag = None
             try:
-                self.lu = spla.splu(matrix)
+                self.lu = spla.splu(matrix, **_SPLU_OPTIONS)
             except RuntimeError as exc:
                 raise SingularMass(str(exc)) from exc
 
@@ -136,7 +144,9 @@ class DiscreteSystem:
     ``Qd`` (values and reference derivatives at the quadrature points, their
     transposes the test integrals) and the tau-free matrices of the scheme:
     the Galerkin ``M_galerkin`` and ``C`` = int phi_i dxi phi_j, and the
-    stabilization's ``T``, ``S`` and ``P`` (see _stabilization_operators).
+    stabilization's ``T``, ``S`` and ``P`` (see _stabilization_operators);
+    one the system never reads is None (``C`` for a nonlinear flux without
+    LPS).
     For a linear flux the residual is one CSR matrix and the mass is fixed;
     the Fourier symbols of ``fourier.SymbolBuilder`` are the Bloch folds of
     these same matrices.
@@ -181,7 +191,9 @@ class DiscreteSystem:
 
         self._setup_block_pattern()
         self.M_galerkin = self._assemble_pairwise(self.local.mass * mesh.dx)
-        self.C = self._assemble_pairwise(self.local.deriv)
+        # read by the linear residual and the LPS projection only
+        self.C = (self._assemble_pairwise(self.local.deriv)
+                  if flux.is_linear or stab.kind == LPS else None)
         # the mass and its row sums (positive for p <= 3), set by _set_mass;
         # None until a state-dependent mass is first built
         self.mass_matrix = self.lumped = self._mass_inverse = None
@@ -227,12 +239,17 @@ class DiscreteSystem:
                          np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32))
         self._diag_pos = np.searchsorted(keys, np.arange(n) * (n + 1))
 
-    def _assemble_pairwise(self, blocks):
-        """Scatter (p+1)x(p+1) blocks, shared or one per cell, into a global matrix."""
+    def _pairwise_data(self, blocks):
+        """Sum (p+1)x(p+1) blocks, shared or one per cell, into values on
+        the block pattern."""
         nb = self.ref.degree + 1
         data = np.broadcast_to(blocks, (self.mesh.n_cells, nb, nb)).ravel()
-        data = np.bincount(self._block_pos, data, minlength=len(self._pattern[0]))
-        return sp.csc_matrix((data,) + self._pattern, shape=(self.n_nodes,) * 2)
+        return np.bincount(self._block_pos, data, minlength=len(self._pattern[0]))
+
+    def _assemble_pairwise(self, blocks):
+        """Scatter blocks into a global CSC matrix on the block pattern."""
+        return sp.csc_matrix((self._pairwise_data(blocks),) + self._pattern,
+                             shape=(self.n_nodes,) * 2)
 
     def _quad_operator(self, table):
         """CSR map from the dofs to ``table`` (nq, p+1) applied in every cell."""
@@ -259,11 +276,13 @@ class DiscreteSystem:
         SUPG: the mass term tau a T, T = int dx_phi_i phi_j, and the linear
         convection term -tau a^2 S, S = int dx_phi_i dx_phi_j.  CIP: -tau S,
         S = J^T J.  LPS: -tau (S U - P W) with S as for SUPG and P = T; a
-        diagonal projection W = diag^-1 C U is folded into S."""
+        diagonal projection W = diag^-1 C U is folded into S.  A nonlinear
+        SUPG system has none: its residual and mass integrate at the
+        quadrature points."""
         kind = self.stab.kind
         if kind == CIP:
             return None, (self.J.T @ self.J).tocsr(), None
-        if kind == NONE:
+        if kind == NONE or self.mass_is_state_dependent:
             return None, None, None
         S = self._assemble_pairwise(self.local.grad_grad / self.mesh.dx)
         T = self._assemble_pairwise(self.local.deriv.T)
@@ -286,7 +305,7 @@ class DiscreteSystem:
         coef = self._tau(u_q) * self.ref.quad_weights * self.flux.jacobian(u_q)
         kernel = self.Vd[:, :, None] * self.V[:, None, :]
         blocks = (coef @ kernel.reshape(len(self.V), -1)).reshape((-1,) + kernel.shape[1:])
-        return self.M_galerkin.data + self._assemble_pairwise(blocks).data
+        return self.M_galerkin.data + self._pairwise_data(blocks)
 
     def _tau(self, u_q):
         """tau from the largest |df/du| over the quadrature points."""

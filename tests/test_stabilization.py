@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from cgstab import build_reference_element
 from cgstab.fluxes import Burgers, LinearAdvection, ShallowWater
-from cgstab.problems import shallow_water_problem
+from cgstab.problems import PROBLEMS, shallow_water_problem
 from cgstab.solver import build_problem_system
 from cgstab.timeint import BlowUp
 from cgstab.stabilization import (
+    _SPLU_OPTIONS,
     Mesh1D,
+    SingularMass,
     StabilizationSpec,
+    _Inverse,
     assemble_system,
     semi_discrete_energy_rate,
     tau_cell,
@@ -220,7 +223,7 @@ def test_two_component_solves_match_per_column_lu():
     U = rng.normal(size=(system.n_nodes, 2))
 
     def per_column(matrix, rhs):
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix.tocsc(), **_SPLU_OPTIONS)
         return np.column_stack([lu.solve(np.ascontiguousarray(c)) for c in rhs.T])
 
     assert np.array_equal(system.solve_mass(U.ravel()),
@@ -228,6 +231,41 @@ def test_two_component_solves_match_per_column_lu():
     assert np.array_equal(system.project_gradient(U.ravel()),
                           per_column(system.M_galerkin, system.C @ U))
     assert system.n_mass_factorizations == 1
+
+
+# Every matrix _Inverse factorizes: the SUPG masses (linear advection
+# periodic, Burgers and shallow water at t = 0 with Dirichlet ends) and the
+# LPS projection, whose cubature mass is diagonal.
+FACTORIZED = [(source, family, p)
+              for source in ("advection", "burgers", "sw", "projection")
+              for family in ALL_FAMILIES for p in ALL_DEGREES
+              if not (source == "projection" and family == "cubature")]
+
+
+@pytest.mark.parametrize("source,family,p", FACTORIZED)
+def test_factorization_has_bounded_fill_and_solves_to_rounding(source, family, p):
+    """The symmetric-pattern order keeps nnz(L) + nnz(U) within 2.5 nnz(A)
+    on 200 cells; a Bernstein p = 3 mass pivoted off the diagonal fills
+    far more, and the more so the finer the mesh."""
+    if source == "projection":
+        system = build_problem_system(PROBLEMS["advection"](), family, p,
+                                      StabilizationSpec("lps", 0.1), 200)
+        matrix = system.M_galerkin
+    else:
+        problem = PROBLEMS[source]()
+        system = build_problem_system(problem, family, p, StabilizationSpec("supg", 0.1), 200)
+        system.refresh_mass(system.interpolate(problem.exact))
+        matrix = system.mass_matrix
+    inverse = _Inverse(matrix, system._diag_pos)
+    assert inverse.lu.L.nnz + inverse.lu.U.nnz <= 2.5 * matrix.nnz
+    b = np.random.default_rng(35).normal(size=(system.n_nodes, 1))
+    x = inverse.solve(b)
+    assert np.max(np.abs(matrix @ x - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_singular_factorization_raises_singular_mass():
+    with pytest.raises(SingularMass, match="singular"):
+        _Inverse(sp.csc_matrix(np.ones((3, 3))), np.array([0, 4, 8]))
 
 
 def test_energy_rate_none_zero():
