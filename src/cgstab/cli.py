@@ -30,7 +30,7 @@ from .elements import FAMILIES, UnsupportedDegree
 from .fourier import (CONVENTION_CELL, CONVENTION_DOF, DEFAULT_CONVENTION, EigenSolveFailure,
                       dt_scale, phase_damping, principal_mode, semidiscrete_modes)
 from .problems import PROBLEMS
-from .scan import Combination, NoStableRegion, ScanGrid, _engine, _mode_fields, scan_combination
+from .scan import Combination, ScanGrid, _mode_fields, scan_combination
 from .solver import BlowUp, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, SingularMass, StabilizationSpec
 from .timeint import SCHEME_KINDS
@@ -167,7 +167,7 @@ def cmd_modes(cfg, out_dir):
         name = f"modes_{comb.label()}.csv"
         # the scans' solver on one cfl row, kept by an infinite bound unless it overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            (kept, lam), = _mode_fields(*_engine(comb), thetas, np.array([cfl]), scale,
+            (kept, lam), = _mode_fields(comb, thetas, np.array([cfl]), scale,
                                         np.array([stab.delta]), np.array([np.inf]))
         if not (kept.all() and np.isfinite(lam).all()):
             raise EigenSolveFailure(f"non-finite propagator eigenvalues at cfl={cfl}")
@@ -248,7 +248,7 @@ def cmd_solve(cfg, out_dir):
                          _value(cfg, "cfl"), _value(cfg, "cells"), **_given(cfg, "convention"))
     payload = {"config": {k: str(v) for k, v in _recorded(cfg)}}
     payload.update(run.config_dict())
-    path = _write(out_dir / f"solve_{comb.label()}_{run.n_cells}.json",
+    path = _write(out_dir / f"solve_{run.problem}_{comb.label()}_{run.n_cells}.json",
                   json.dumps(payload, indent=1) + "\n")
     print(path)
     return EXIT_OK
@@ -309,9 +309,6 @@ def main(argv=None):
     except (ValueError, UnsupportedDegree, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NoStableRegion as exc:
-        print(f"no stable region: {exc}", file=sys.stderr)
-        return EXIT_NO_STABLE
     except (BlowUp, EigenSolveFailure, SingularMass) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

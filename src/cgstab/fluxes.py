@@ -63,9 +63,9 @@ class ShallowWater(_Flux):
     """
 
     n_comp = 2
+    g = 9.81
 
-    def __init__(self, g=9.81, source=None):
-        self.g = float(g)
+    def __init__(self, source=None):
         self.source = source  # callable (x, t) -> momentum source, or None
 
     def _velocity(self, u):

@@ -29,10 +29,6 @@ class ProblemSpec:
     boundary: str
     exact: object          # exact(x, t) -> values (n_comp trailing axis if > 1)
 
-    @property
-    def n_comp(self):
-        return self.flux.n_comp
-
     def bc(self, t):
         left, right = self.exact(np.array([self.x_left, self.x_right]), t)
         return np.atleast_1d(left), np.atleast_1d(right)
@@ -88,64 +84,61 @@ def exact_burgers(x, t):
 
 def burgers_problem(t_final=0.125):
     """Burgers on [0, 2], u0 = -tanh(4(x-1)), Dirichlet, stops before t_s."""
-
-    def exact(x, t):
-        return exact_burgers(x, t)
-
-    return ProblemSpec("burgers", Burgers(), 0.0, 2.0, t_final, "dirichlet", exact)
+    return ProblemSpec("burgers", Burgers(), 0.0, 2.0, t_final, "dirichlet", exact_burgers)
 
 
-def exact_shallow_water(x, t, g=9.81, eps=1.2, h0=1.0):
+# The solitary wave: crest height EPS over a unit depth, starting at x = CREST_X0
+EPS = 1.2
+CREST_X0 = 50.0
+KAPPA = np.sqrt(3.0 * EPS / (4.0 * (1.0 + EPS)))
+C = np.sqrt(ShallowWater.g * (1.0 + EPS))
+
+
+def exact_shallow_water(x, t):
     """Solitary-wave profile (h, u) used for the manufactured solution.
 
-    h = h0 (1 + eps sech^2(kappa (x - c t))), u = c (1 - h0 / h) with
-    kappa = sqrt(3 eps / (4 h0^2 (1 + eps))), c = sqrt(g h0 (1 + eps)).
+    h = 1 + EPS sech^2(KAPPA (x - C t)), u = C (1 - 1 / h) with
+    KAPPA = sqrt(3 EPS / (4 (1 + EPS))), C = sqrt(g (1 + EPS)).
     """
     x = np.asarray(x, dtype=float)
-    kappa = np.sqrt(3.0 * eps / (4.0 * h0**2 * (1.0 + eps)))
-    c = np.sqrt(g * h0 * (1.0 + eps))
-    s = 1.0 / np.cosh(kappa * (x - c * t)) ** 2
-    h = h0 + eps * h0 * s
-    u = c * (1.0 - h0 / h)
+    s = 1.0 / np.cosh(KAPPA * (x - C * t)) ** 2
+    h = 1.0 + EPS * s
+    u = C * (1.0 - 1.0 / h)
     return h, u
 
 
-def shallow_water_source(x, t, g=9.81, eps=1.2, h0=1.0):
+def shallow_water_source(x, t):
     """Momentum source Phi = -[h (u_t + u u_x + g h_x)] for the wave above.
 
     The pair (h, hu) then satisfies mass conservation identically and the
     momentum equation with "+ Phi" on the left-hand side.
     """
     x = np.asarray(x, dtype=float)
-    kappa = np.sqrt(3.0 * eps / (4.0 * h0**2 * (1.0 + eps)))
-    c = np.sqrt(g * h0 * (1.0 + eps))
-    xi = kappa * (x - c * t)
+    xi = KAPPA * (x - C * t)
     sech2 = 1.0 / np.cosh(xi) ** 2
-    h = h0 * (1.0 + eps * sech2)
-    hx = -2.0 * kappa * h0 * eps * sech2 * np.tanh(xi)
-    u = c * (1.0 - h0 / h)
-    ux = c * h0 * hx / h**2
-    ut = -c * ux            # traveling wave: d/dt = -c d/dx
-    return -(h * (ut + u * ux + g * hx))
+    h = 1.0 + EPS * sech2
+    hx = -2.0 * KAPPA * EPS * sech2 * np.tanh(xi)
+    u = C * (1.0 - 1.0 / h)
+    ux = C * hx / h**2
+    ut = -C * ux            # traveling wave: d/dt = -C d/dx
+    return -(h * (ut + u * ux + ShallowWater.g * hx))
 
 
-def shallow_water_problem(domain=(0.0, 200.0), t_final=5.0, g=9.81, eps=1.2,
-                          h0=1.0, crest_x0=50.0):
+def shallow_water_problem(t_final=5.0):
     """Manufactured solitary wave on [0, 200] with Dirichlet ends.
 
-    The crest starts at ``crest_x0`` so the pulse travels well inside the
-    domain over the whole horizon (it moves by c t ~ 23 length units).
+    The crest starts at CREST_X0 so the pulse travels well inside the
+    domain over the whole horizon (it moves by C t ~ 23 length units).
     """
 
     def exact(x, t):
-        h, u = exact_shallow_water(np.asarray(x) - crest_x0, t, g=g, eps=eps, h0=h0)
+        h, u = exact_shallow_water(np.asarray(x) - CREST_X0, t)
         return np.stack([h, h * u], axis=-1)
 
     def source(x, t):
-        return shallow_water_source(np.asarray(x) - crest_x0, t, g=g, eps=eps, h0=h0)
+        return shallow_water_source(np.asarray(x) - CREST_X0, t)
 
-    flux = ShallowWater(g=g, source=source)
-    return ProblemSpec("sw", flux, domain[0], domain[1], t_final, "dirichlet", exact)
+    return ProblemSpec("sw", ShallowWater(source), 0.0, 200.0, t_final, "dirichlet", exact)
 
 
 PROBLEMS = {

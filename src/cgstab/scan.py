@@ -102,8 +102,10 @@ class ScanResult:
     eig_failures: int = 0
 
     def to_json(self):
-        """Indented JSON of the scan, non-finite values as null; the (n_cfl,
-        n_delta) arrays skip the pure-Python encoder of ``json.dumps``."""
+        """Indented JSON of the scan.  Non-finite values of the (n_cfl,
+        n_delta) arrays are null, and the arrays skip the pure-Python encoder
+        of ``json.dumps``; the ``max_cfl`` objective is written as a bare
+        NaN, which Python's ``json`` reads and a strict parser rejects."""
         arrays = {"stable": self.stable.astype(int), "eta_u": self.eta_u, "eta_w": self.eta_w}
         payload = {
             "combination": vars(self.combination),
@@ -172,17 +174,10 @@ def _half_turn(n, p):
     return kept, src, mirrored
 
 
-def _engine(comb):
-    """What ``_mode_fields`` needs of a combination: its symbol builder, its
-    time scheme and the stability-polynomial coefficients (None for DeC)."""
-    b = symbol_builder(comb.family, comb.degree, comb.stab_kind)
-    scheme = make_scheme(comb.scheme_kind, comb.degree + 1)
-    return b, scheme, None if scheme.kind == "dec" else expand_ssprk_coefficients(scheme.tableau)
-
-
-def _mode_fields(b, scheme, nu, theta, cfls, scale, deltas, bound):
-    """Stable rows and lambda(G) on them for a block of delta values: an
-    iterator of (rows, lam[rows]), one per delta, in order.
+def _mode_fields(comb, theta, cfls, scale, deltas, bound):
+    """Stable rows and lambda(G) on them for a block of delta values of the
+    combination ``comb``: an iterator of (rows, lam[rows]), one per delta,
+    in order.
 
     The one producer of propagator eigenvalues: the scans and ``cgstab
     modes`` (one cfl, an infinite bound, a block of one delta) both call
@@ -190,18 +185,21 @@ def _mode_fields(b, scheme, nu, theta, cfls, scale, deltas, bound):
     row is stable iff every |lambda| <= bound[row].
 
     The call folds the symbols of the whole block.  For an RK scheme it
-    solves the eigenvalues of M^-1 K there, and ``nu``, the coefficients of
-    the stability polynomial, is evaluated one delta at a time as the
-    iterator advances.  Deferred correction evaluates the cfl polynomial of
-    its iterated update at every _PROBE_STRIDE-th wavenumber of the block
-    and solves it there on the call.  As the iterator advances, a delta
-    with a row stable there evaluates it at the other wavenumbers (one
-    delta at a time, which bounds the polynomial's temporaries), and only
-    its stable rows solve them; a delta with none forms nothing more.
+    solves the eigenvalues of M^-1 K there, and the stability polynomial
+    is evaluated one delta at a time as the iterator advances.  Deferred
+    correction evaluates the cfl polynomial of its iterated update at
+    every _PROBE_STRIDE-th wavenumber of the block and solves it there on
+    the call.  As the iterator advances, a delta with a row stable there
+    evaluates it at the other wavenumbers (one delta at a time, which
+    bounds the polynomial's temporaries), and only its stable rows solve
+    them; a delta with none forms nothing more.
     """
+    b = symbol_builder(comb.family, comb.degree, comb.stab_kind)
+    scheme = make_scheme(comb.scheme_kind, comb.degree + 1)
     M = b.mass(theta, deltas)
     Kt = b.conv(theta, deltas)
     if scheme.kind != "dec":
+        nu = expand_ssprk_coefficients(scheme.tableau)
         lamA = eigvals_batched(np.linalg.solve(M, Kt))    # (n_delta, n_theta, p)
         return (_rk_fields(nu, -scale * np.multiply.outer(cfls, a), bound) for a in lamA)
     probe = np.zeros(len(theta), dtype=bool)
@@ -269,7 +267,6 @@ def _scan_fields(comb, grid, convention):
     eta_u, eta_w, failed delta columns).
     """
     p = comb.degree
-    b, scheme, nu = _engine(comb)
     k = _wavenumbers(grid.theta_samples)
     kept, src, mirrored = _half_turn(grid.theta_samples, p)
     theta = p * k[kept]               # dx = p when dx_p = 1
@@ -285,8 +282,8 @@ def _scan_fields(comb, grid, convention):
     ew = np.full(shape, np.nan)
 
     def solve(cols):
-        for j, (rows, lam) in zip(cols, _mode_fields(b, scheme, nu, theta, cfls, scale,
-                                                     deltas[cols], bound)):
+        for j, (rows, lam) in zip(cols, _mode_fields(comb, theta, cfls, scale, deltas[cols],
+                                                     bound)):
             stable[:, j] = rows
             if not rows.any():
                 continue

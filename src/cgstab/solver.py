@@ -138,13 +138,17 @@ def convergence_study(problem, family, degree, stab, scheme, cfl,
     """Run a mesh sequence and fit the convergence order.
 
     Levels that blow up are recorded and excluded from the fit; at least
-    three surviving levels are required for a meaningful order.
+    three surviving levels are required for a meaningful order.  Levels
+    that give one mesh (a repeated dx1, or two that round to one cell
+    count) raise ValueError: the fit through them is no order.
     """
     if len(dx1_values) < 3:
         raise ValueError("need at least 3 levels")
+    cells = [cells_for_level(problem, degree, dx1) for dx1 in dx1_values]
+    if len(set(cells)) < len(cells):
+        raise ValueError(f"levels must give distinct meshes, got cell counts {cells}")
     report = ConvergenceReport(problem.name)
-    for dx1 in dx1_values:
-        n_cells = cells_for_level(problem, degree, dx1)
+    for dx1, n_cells in zip(dx1_values, cells):
         try:
             run = run_simulation(problem, family, degree, stab, scheme, cfl,
                                  n_cells, convention=convention)

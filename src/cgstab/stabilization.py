@@ -302,14 +302,11 @@ class DiscreteSystem:
         the SUPG dt block of a nonlinear flux."""
         u_q = self.eval_at_quads(U)
         # per cell: tau * sum_q w phi_i' jac phi_j  (dx-free scaling)
-        coef = self._tau(u_q) * self.ref.quad_weights * self.flux.jacobian(u_q)
+        tau = tau_cell(self.stab, self.mesh.dx, self.flux.max_speed(u_q))
+        coef = tau * self.ref.quad_weights * self.flux.jacobian(u_q)
         kernel = self.Vd[:, :, None] * self.V[:, None, :]
         blocks = (coef @ kernel.reshape(len(self.V), -1)).reshape((-1,) + kernel.shape[1:])
         return self.M_galerkin.data + self._pairwise_data(blocks)
-
-    def _tau(self, u_q):
-        """tau from the largest |df/du| over the quadrature points."""
-        return tau_cell(self.stab, self.mesh.dx, float(self.flux.speed(u_q).max()))
 
     def _set_mass(self, data):
         """Install mass values given on the block pattern."""
@@ -374,13 +371,14 @@ class DiscreteSystem:
             r = -(self._QT @ (dx * w * strong).reshape(-1, self.n_comp))
             if self.stab.delta > 0 and self.stab.kind == SUPG:
                 # a quadrature field tested against dx_phi_i
-                test = self._tau(u_q) * w * self.flux.jacobian(u_q)[..., None] * strong
+                tau = tau_cell(self.stab, dx, self.flux.max_speed(u_q))
+                test = tau * w * self.flux.jacobian(u_q)[..., None] * strong
                 r -= self._QdT @ test.reshape(-1, self.n_comp)
             elif self.stab.delta > 0 and self.S is not None:
                 s_u = self.S @ U2
                 if self.P is not None:
                     s_u -= self.P @ self.project_gradient(U)
-                r -= self._tau(u_q) * s_u
+                r -= tau_cell(self.stab, dx, self.flux.max_speed(u_q)) * s_u
         if self.mesh.boundary == DIRICHLET:
             r[0] = 0.0
             r[-1] = 0.0

@@ -34,7 +34,6 @@ class BlowUp(RuntimeError):
 class ShuOsherTableau:
     gamma: tuple          # combination coefficients, rows sum to 1
     mu: tuple             # stage step coefficients, all >= 0 for SSPRK
-    order: int
     name: str = ""
 
     @property
@@ -57,35 +56,29 @@ class DeCConfig:
         """Subtimestep fractions beta^m = m / M."""
         return tuple(m / self.n_sub for m in range(1, self.n_sub + 1))
 
-    @property
-    def order(self):
-        return self.n_iter
 
-
-def _butcher(alpha, beta, order, name):
+def _butcher(alpha, beta, name):
     """Shu-Osher form of the explicit Butcher tableau (alpha rows, beta)."""
     mu = tuple(alpha) + (tuple(beta),)
     gamma = tuple((1.0,) + (0.0,) * (len(row) - 1) for row in mu)
-    return ShuOsherTableau(gamma, mu, order, name)
+    return ShuOsherTableau(gamma, mu, name)
 
 
 RK_TABLEAUX = {
-    2: _butcher(((1.0,),), (0.5, 0.5), 2, "RK2"),
-    3: _butcher(((0.5,), (-1.0, 2.0)), (1 / 6, 2 / 3, 1 / 6), 3, "RK3"),
-    4: _butcher(((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6), 4, "RK4"),
+    2: _butcher(((1.0,),), (0.5, 0.5), "RK2"),
+    3: _butcher(((0.5,), (-1.0, 2.0)), (1 / 6, 2 / 3, 1 / 6), "RK3"),
+    4: _butcher(((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6), "RK4"),
 }
 
 SSPRK_TABLEAUX = {
     2: ShuOsherTableau(
         gamma=((1.0,), (0.0, 1.0), (1 / 3, 0.0, 2 / 3)),
         mu=((0.5,), (0.0, 0.5), (0.0, 0.0, 1 / 3)),
-        order=2,
         name="SSPRK(3,2)",
     ),
     3: ShuOsherTableau(
         gamma=((1.0,), (0.0, 1.0), (2 / 3, 0.0, 1 / 3), (0.0, 0.0, 0.0, 1.0)),
         mu=((0.5,), (0.0, 0.5), (0.0, 0.0, 1 / 6), (0.0, 0.0, 0.0, 0.5)),
-        order=3,
         name="SSPRK(4,3)",
     ),
     4: ShuOsherTableau(
@@ -103,7 +96,6 @@ SSPRK_TABLEAUX = {
             (0.0, 0.0, 0.0, 0.544974750228521),
             (0.0, 0.0, 0.0, 0.063692468666290, 0.226007483236906),
         ),
-        order=4,
         name="SSPRK(5,4)",
     ),
 }
@@ -155,10 +147,9 @@ def rk_step(system, U, t, dt, tableau):
 def dec_step(system, U, t, dt, config):
     """One deferred-correction step; only the lumped diagonal is inverted."""
     system.refresh_mass(U)
-    n_comp = system.n_comp
     Dinv = 1.0 / system.lumped[:, None]
     M = system.mass_matrix
-    shape2 = (system.n_nodes, n_comp)
+    shape2 = (system.n_nodes, system.n_comp)
 
     nsub = config.n_sub
     sub = [U.copy() for _ in range(nsub + 1)]
@@ -173,9 +164,9 @@ def dec_step(system, U, t, dt, config):
             quad = sum(
                 rho * rs[z] for z, rho in enumerate(config.rho[m - 1]) if rho != 0.0
             )
-            diff = (M @ (sub[m] - U).reshape(shape2)).ravel() if n_comp > 1 else M @ (sub[m] - U)
+            diff = M @ (sub[m] - U).reshape(shape2)
             upd = sub[m] + (
-                (dt * quad - diff).reshape(shape2) * Dinv
+                (dt * quad.reshape(shape2) - diff) * Dinv
             ).reshape(U.shape)
             system.apply_bc(upd, t + config.beta[m - 1] * dt)
             new.append(upd)
@@ -227,7 +218,7 @@ def dec_equivalent_butcher(config):
     for z in range(1, M + 1):
         j = 0 if K == 1 else index(K - 1, z)
         beta[j] += config.rho[M - 1][z]
-    return _butcher(alpha, beta, config.order, f"DeC{config.order}-as-RK")
+    return _butcher(alpha, beta, f"DeC{K}-as-RK")
 
 
 @dataclass(frozen=True)
@@ -235,7 +226,6 @@ class TimeScheme:
     """A time marching method bound to its coefficients."""
 
     kind: str             # "rk" | "ssprk" | "dec"
-    order: int
     tableau: object
 
     def step(self, system, U, t, dt):
@@ -254,4 +244,4 @@ def make_scheme(kind, order):
         raise ValueError(f"unknown time scheme kind {kind!r}")
     if order not in tables[kind]:
         raise ValueError(f"{kind} has no order-{order} coefficients")
-    return TimeScheme(kind, order, tables[kind][order])
+    return TimeScheme(kind, tables[kind][order])

@@ -10,7 +10,7 @@ import pytest
 from cgstab import cli
 from cgstab.cli import main
 from cgstab.fourier import amplification_matrix, dt_scale, phase_damping, principal_mode
-from cgstab.scan import Combination, ScanGrid, _engine, _mode_fields, scan_combination
+from cgstab.scan import Combination, ScanGrid, _mode_fields, scan_combination
 from cgstab.stabilization import StabilizationSpec
 from conftest import ALL_DEGREES, ALL_FAMILIES, ALL_SCHEMES, ALL_STABS
 
@@ -101,7 +101,7 @@ def test_modes_rows_are_the_scan_engine_reduction(tmp_path, label):
     rows = _modes_rows(tmp_path, comb, cfl, delta, n)
     theta = np.pi * np.arange(1, n + 1) / n
     scale = dt_scale("cell", 1.0, comb.degree)
-    (kept, lam), = _mode_fields(*_engine(comb), theta, np.array([cfl]), scale, np.array([delta]),
+    (kept, lam), = _mode_fields(comb, theta, np.array([cfl]), scale, np.array([delta]),
                                 np.array([np.inf]))
     omega, eps = phase_damping(lam[0], cfl * scale)
     pick = principal_mode(omega, theta[:, None])
@@ -221,9 +221,21 @@ def test_solve_writes_json(tmp_path):
                   "--time", "ssprk", "--cfl", "1.0", "--delta", "0.094",
                   "--problem", "advection", "--cells", "20", "--out", str(tmp_path)])
     assert rc == 0
-    payload = json.loads((tmp_path / "solve_cubature-p1-cip-ssprk_20.json").read_text())
+    payload = json.loads((tmp_path / "solve_advection_cubature-p1-cip-ssprk_20.json").read_text())
     assert payload["l2_error"] < 0.05
     assert payload["n_steps"] > 0
+
+
+def test_solve_files_of_two_problems_do_not_collide(tmp_path):
+    base = ["solve", "--family", "cubature", "--degree", "1", "--stab", "cip", "--time", "ssprk",
+            "--cfl", "0.5", "--delta", "0.094", "--cells", "20", "--out", str(tmp_path)]
+    for problem in ("advection", "burgers"):
+        assert run_cli(base + ["--problem", problem]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["solve_advection_cubature-p1-cip-ssprk_20.json",
+                     "solve_burgers_cubature-p1-cip-ssprk_20.json"]
+    payloads = [json.loads((tmp_path / name).read_text()) for name in names]
+    assert [p["problem"] for p in payloads] == ["advection", "burgers"]
 
 
 def test_convergence_outputs(tmp_path):
@@ -255,6 +267,16 @@ def test_levels_and_dx1_of_different_counts_are_config_error(tmp_path, capsys):
                   "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "dx1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_mesh_sizes_are_config_error(tmp_path, capsys):
+    """Levels that give one mesh fit no order: exit 2, nothing written."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dx1": [0.1, 0.1, 0.1]}))
+    rc = run_cli(["convergence", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "distinct meshes" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -376,7 +398,7 @@ def test_config_file_with_flag_override(tmp_path):
     rc = run_cli(["solve", "--config", str(path), "--cells", "24",
                   "--out", str(tmp_path)])
     assert rc == 0
-    assert (tmp_path / "solve_cubature-p1-cip-ssprk_24.json").exists()
+    assert (tmp_path / "solve_advection_cubature-p1-cip-ssprk_24.json").exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -538,10 +560,25 @@ def test_config_out_sets_the_output_directory(tmp_path):
     assert [p.name for p in (tmp_path / "here").iterdir()] == ["modes_cubature-p2-none.csv"]
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _readme_block(section, language):
+    """The first ``language`` code block under the heading ``section`` of README.md."""
+    text = README.read_text().split(f"## {section}\n", 1)[1]
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    """The Quick start block runs as written; its last line prints the order ~3."""
+    exec(compile(_readme_block("Quick start", "python"), "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert abs(float(out[-1]) - 3.0) < 0.25
+
+
 def _readme_command_lines():
     """The cgstab lines of the bash block under "## Command line" in README.md."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("Command line", "bash")
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("cgstab ")]
 

@@ -71,13 +71,13 @@ def test_source_antisymmetric_about_crest():
 
 def test_manufactured_solution_residuals_by_finite_differences():
     """Continuity holds identically; momentum balances the source at 1e-6."""
-    g, eps, h0 = 9.81, 1.2, 1.0
+    g = 9.81
     d = 1e-5
     x = np.linspace(-4.0, 4.0, 41)
     t = 0.33
 
     def state(xx, tt):
-        h, u = exact_shallow_water(xx, tt, g=g, eps=eps, h0=h0)
+        h, u = exact_shallow_water(xx, tt)
         return h, h * u
 
     h, q = state(x, t)
@@ -90,7 +90,7 @@ def test_manufactured_solution_residuals_by_finite_differences():
         h_, q_ = state(xx, t)
         return q_**2 / h_ + 0.5 * g * h_**2
     dfdx = (mom_flux(x + d) - mom_flux(x - d)) / (2 * d)
-    phi = shallow_water_source(x, t, g=g, eps=eps, h0=h0)
+    phi = shallow_water_source(x, t)
     assert np.max(np.abs(dqdt + dfdx + phi)) < 1e-6
 
 
@@ -103,7 +103,7 @@ def test_problem_specs():
     left, right = bur.bc(0.05)
     assert left[0] == pytest.approx(exact_burgers(np.array([0.0]), 0.05)[0])
     sw = shallow_water_problem()
-    assert sw.n_comp == 2
+    assert sw.flux.n_comp == 2
     vals = sw.exact(np.array([50.0]), 0.0)
     assert vals[0, 0] == pytest.approx(2.2)
     # one exact call on both ends gives the two single-point evaluations

@@ -503,6 +503,20 @@ def test_low_cfl_cubature_dec_is_stable():
     assert scan_combination(Combination("cubature", 3, "lps", "dec"), grid).stable.all()
 
 
+def test_to_json_nulls_non_finite_array_values_and_writes_one_nan_token():
+    """Every non-finite eta is null; the only non-finite token is the bare
+    NaN of the max_cfl objective, which a strict JSON parser rejects."""
+    res = scan_combination(Combination("basic", 1, "supg", "rk"), SMALL)
+    assert np.isnan(res.eta_u).any() and np.isnan(res.eta_w).any()
+    tokens = []
+    payload = json.loads(res.to_json(), parse_constant=lambda name: tokens.append(name) or name)
+    assert tokens == ["NaN"]
+    assert payload["optima"]["max_cfl"]["objective"] == "NaN"
+    for key in ("eta_u", "eta_w"):
+        written = np.array(payload[key], dtype=float)    # null reads as NaN
+        assert np.array_equal(np.isnan(written), ~np.isfinite(getattr(res, key)))
+
+
 def test_to_json_matches_indented_json_dumps():
     """The row formatter reproduces ``json.dumps(indent=1)`` byte for byte."""
     res = scan_combination(Combination("basic", 1, "supg", "rk"), SMALL)

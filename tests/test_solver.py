@@ -131,6 +131,15 @@ def test_convergence_needs_three_levels():
                           "ssprk", 0.5, dx1_values=(0.05, 0.025))
 
 
+@pytest.mark.parametrize("dx1", [(0.1, 0.1, 0.1), (0.1, 0.05, 0.1), (0.1, 0.1005, 0.05)])
+def test_convergence_levels_must_give_distinct_meshes(dx1):
+    """A repeated dx1, or two that round to one cell count (20 cells for
+    0.1 and 0.1005 on [0, 2]), would fit an order through repeated points."""
+    with pytest.raises(ValueError, match="distinct meshes"):
+        convergence_study(linear_advection_problem(t_final=0.2), "cubature", 1,
+                          StabilizationSpec("cip", 0.094), "ssprk", 1.0, dx1_values=dx1)
+
+
 def test_convergence_report_csv():
     problem = linear_advection_problem(t_final=0.2)
     rep = convergence_study(problem, "cubature", 1, StabilizationSpec("cip", 0.094),
