@@ -26,7 +26,7 @@ for name, opt in res.optima.items():
           f"safe to lower CFL: {opt['monotone_safe']}")
 
 with open("demo_out_scan_mask.csv", "w") as fh:
-    fh.write(res.mask_csv())
+    res.mask_csv(fh)
 print("wrote demo_out_scan_mask.csv")
 
 # a coarse ASCII rendering of the mask (delta across, CFL down)

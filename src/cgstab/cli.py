@@ -19,6 +19,7 @@ byte.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 import argparse
 import itertools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -134,11 +135,27 @@ def _resolved_header(cfg):
     return f"# cgstab config: {items}"
 
 
-def _write(path, text):
+def _write(path, writer):
+    """Create ``path`` by ``writer(fh)`` on an open text file.  The writer
+    fills a temporary file beside ``path``, which then replaces it, so a
+    writer that raises leaves no partial artifact and any earlier file
+    intact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            writer(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
+
+
+def _lines(lines):
+    """A writer of ``lines``, each ended by a newline."""
+    return lambda fh: fh.writelines(line + "\n" for line in lines)
 
 
 def _combination(cfg):
@@ -184,7 +201,7 @@ def cmd_modes(cfg, out_dir):
         tail = f",{np.sin(theta) / theta * 3.0 / (2.0 + np.cos(theta)):.12g}" if closed_form else ""
         lines.extend(f"{theta:.12g},{i},{w:.12g},{e:.12g},{int(i == pick)}{tail}"
                      for i, (w, e) in enumerate(zip(wk, ek)))
-    path = _write(out_dir / name, "\n".join(lines) + "\n")
+    path = _write(out_dir / name, _lines(lines))
     print(path)
     return EXIT_OK
 
@@ -193,9 +210,17 @@ def cmd_scan(cfg, out_dir):
     comb = _combination(cfg)
     res = scan_combination(comb, ScanGrid.default(**_given(cfg, *GRID)),
                            **_given(cfg, "convention", "mu"))
-    _write(out_dir / f"scan_{comb.label()}.json", res.to_json() + "\n")
-    path = _write(out_dir / f"mask_{comb.label()}.csv",
-                  _resolved_header(cfg) + "\n" + res.mask_csv())
+
+    def scan_json(fh):
+        res.to_json(fh)
+        fh.write("\n")
+
+    def mask_csv(fh):
+        fh.write(_resolved_header(cfg) + "\n")
+        res.mask_csv(fh)
+
+    _write(out_dir / f"scan_{comb.label()}.json", scan_json)
+    path = _write(out_dir / f"mask_{comb.label()}.csv", mask_csv)
     print(path)
     if not res.stable.any():
         print(f"no stable region for {comb.label()}", file=sys.stderr)
@@ -235,7 +260,7 @@ def cmd_optimize(cfg, out_dir):
     lines = [_resolved_header(cfg), "combination,strategy,cfl,delta,monotone_safe"]
     for block in blocks:  # deterministic: input order
         lines.extend(block)
-    path = _write(out_dir / "optimize.csv", "\n".join(lines) + "\n")
+    path = _write(out_dir / "optimize.csv", _lines(lines))
     print(path)
     return EXIT_OK
 
@@ -249,7 +274,7 @@ def cmd_solve(cfg, out_dir):
     payload = {"config": {k: str(v) for k, v in _recorded(cfg)}}
     payload.update(run.config_dict())
     path = _write(out_dir / f"solve_{run.problem}_{comb.label()}_{run.n_cells}.json",
-                  json.dumps(payload, indent=1) + "\n")
+                  lambda fh: fh.write(json.dumps(payload, indent=1) + "\n"))
     print(path)
     return EXIT_OK
 
@@ -267,14 +292,14 @@ def cmd_convergence(cfg, out_dir):
                             _value(cfg, "cfl"), dx1_values=dx1, **_given(cfg, "convention"))
     base = f"{name}_{comb.label()}"
     _write(out_dir / f"convergence_{base}.csv",
-           _resolved_header(cfg) + "\n" + rep.csv())
+           lambda fh: fh.write(_resolved_header(cfg) + "\n" + rep.csv()))
     summary = [_resolved_header(cfg), "problem,combination,order",
                f"{name},{comb.label()},{rep.order:.6g}"]
-    _write(out_dir / f"orders_{base}.csv", "\n".join(summary) + "\n")
+    _write(out_dir / f"orders_{base}.csv", _lines(summary))
     tve = [_resolved_header(cfg), "dof_steps,l2_error"]
     for lv in rep.levels:
         tve.append(f"{lv['dof_steps']},{lv['l2_error']:.12g}")
-    path = _write(out_dir / f"time_vs_error_{base}.csv", "\n".join(tve) + "\n")
+    path = _write(out_dir / f"time_vs_error_{base}.csv", _lines(tve))
     print(path)
     return EXIT_OK
 

@@ -318,20 +318,23 @@ def _dec_cfl_polynomial(M, K, Dvec, scale, config):
     deferred-correction update is iterated with the time step kept
     symbolic, inverting only D as the solver does.  Each sweep raises the
     degree by one, so after sweep s block q > s is zero and is not formed;
-    the final degree equals the iteration count.
+    the final degree equals the iteration count.  Block 0 stays exactly I
+    (I - P (I - I) is I wherever P is finite), so it is kept as I and its
+    product W I is formed once.
     """
-    eye = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape)
+    eye = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape).copy()
     Dinv = 1.0 / Dvec
     P = Dinv[..., :, None] * M            # D^{-1} M
     W = -scale * (Dinv[..., :, None] * K)  # dt D^{-1} r-symbol per unit cfl
+    w_eye = W @ eye
     zeros = np.zeros_like(eye)
-    subs = [[eye.copy()] for _ in range(config.n_sub + 1)]  # subs[m][q], q <= sweep
+    subs = [[eye] for _ in range(config.n_sub + 1)]  # subs[m][q], q <= sweep
     for sweep in range(1, config.n_iter + 1):
-        quad = [[W @ S for S in Sz] for Sz in subs]   # W @ S_z[q-1], once per sweep
+        quad = [[w_eye] + [W @ S for S in Sz[1:]] for Sz in subs]  # W @ S_z[q-1]
         new = [subs[0]]                               # the step's start: identity only
         for m in range(1, config.n_sub + 1):
             Sm = subs[m]
-            out = [Sm[0] - P @ (Sm[0] - eye)]
+            out = [eye]
             for q in range(1, sweep + 1):
                 acc = Sm[q] - P @ Sm[q] if q < sweep else zeros
                 for z, rho in enumerate(config.rho[m - 1]):

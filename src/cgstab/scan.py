@@ -101,12 +101,16 @@ class ScanResult:
     mu: float = 1.3
     eig_failures: int = 0
 
-    def to_json(self):
-        """Indented JSON of the scan.  Non-finite values of the (n_cfl,
-        n_delta) arrays are null, and the arrays skip the pure-Python encoder
-        of ``json.dumps``; the ``max_cfl`` objective is written as a bare
+    def to_json(self, fh):
+        """Write the scan as indented JSON to the text stream ``fh``, one CFL
+        row of the (n_cfl, n_delta) arrays at a time, so the text held in
+        memory is one row whatever the grid.  The bytes are those of
+        ``json.dumps(..., indent=1)`` with non-finite array values written
+        as null, and no newline ends them; the arrays skip the pure-Python
+        encoder of ``json``.  The ``max_cfl`` objective is written as a bare
         NaN, which Python's ``json`` reads and a strict parser rejects."""
-        arrays = {"stable": self.stable.astype(int), "eta_u": self.eta_u, "eta_w": self.eta_w}
+        rows = {"stable": (row.astype(int) for row in self.stable),
+                "eta_u": self.eta_u, "eta_w": self.eta_w}
         payload = {
             "combination": vars(self.combination),
             "convention": self.convention,
@@ -114,14 +118,20 @@ class ScanResult:
             "cfl_values": self.cfl_values.tolist(),
             "delta_values": self.delta_values.tolist(),
             "theta_samples": self.grid.theta_samples,
-            **{key: "@" + key for key in arrays},
+            **{key: "@" + key for key in rows},
             "optima": self.optima,
             "eig_failures": self.eig_failures,
         }
         text = json.dumps(payload, indent=1)
-        for key, values in arrays.items():
-            text = text.replace(f'"{key}": "@{key}"', f'"{key}": {_json_rows(values)}', 1)
-        return text
+        for key, values in rows.items():
+            head, text = text.split(f'"{key}": "@{key}"', 1)
+            fh.write(f'{head}"{key}": ')
+            sep = "[\n  [\n   "
+            for row in values:
+                fh.write(sep + _json_row(row))
+                sep = "\n  ],\n  [\n   "
+            fh.write("\n  ]\n ]")
+        fh.write(text)
 
     @property
     def cfl_values(self):
@@ -131,25 +141,30 @@ class ScanResult:
     def delta_values(self):
         return self.grid.delta_values
 
-    def mask_csv(self):
-        lines = ["# " + self.combination.label(), "# convention=" + self.convention,
-                 "cfl,delta,stable,eta_u,eta_w"]
+    def mask_csv(self, fh):
+        """Write the mask CSV, one line per cell, to the text stream ``fh``,
+        one CFL row at a time, so the text held in memory is one row
+        whatever the grid."""
+        fh.write(f"# {self.combination.label()}\n# convention={self.convention}\n"
+                 "cfl,delta,stable,eta_u,eta_w\n")
         deltas = [f"{d:.12g}" for d in self.delta_values.tolist()]
-        for cfl, st, eu, ew in zip(self.cfl_values.tolist(), self.stable.tolist(),
-                                   self.eta_u.tolist(), self.eta_w.tolist()):
-            c = f"{cfl:.12g}"
-            lines.extend(f"{c},{d},{int(s)},{u:.12g},{w:.12g}"
-                         for d, s, u, w in zip(deltas, st, eu, ew))
-        return "\n".join(lines) + "\n"
+        for cfl, st, eu, ew in zip(self.cfl_values.tolist(), self.stable, self.eta_u, self.eta_w):
+            fh.write(_csv_row(cfl, deltas, st, eu, ew))
 
 
-def _json_rows(values):
-    """A 2-D array as ``json.dumps(..., indent=1)`` writes a value of the
-    top-level object.  ``json`` writes floats by ``repr``, and no finite
-    repr holds "nan" or "inf", so only those become null."""
-    rows = (",\n   ".join(map(repr, row)) for row in values.tolist())
-    text = "[\n  [\n   " + "\n  ],\n  [\n   ".join(rows) + "\n  ]\n ]"
+def _json_row(row):
+    """One row of a 2-D array as ``json.dumps(..., indent=1)`` writes it in
+    a value of the top-level object.  ``json`` writes floats by ``repr``,
+    and no finite repr holds "nan" or "inf", so only those become null."""
+    text = ",\n   ".join(map(repr, row.tolist()))
     return text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+
+
+def _csv_row(cfl, deltas, stable, eta_u, eta_w):
+    """The mask CSV lines of one CFL row, each ending in a newline."""
+    c = f"{cfl:.12g}"
+    return "".join(f"{c},{d},{int(s)},{u:.12g},{w:.12g}\n"
+                   for d, s, u, w in zip(deltas, stable.tolist(), eta_u.tolist(), eta_w.tolist()))
 
 
 def _wavenumbers(n):

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .elements import local_matrices
 
@@ -62,7 +61,9 @@ class _Inverse:
     below 1e-12 times the smallest |diagonal| entry (so a zero diagonal
     never does); it is then inverted by a division by ``diag``, otherwise
     factorized once into ``lu`` with ``_SPLU_OPTIONS``.  ``solve`` takes an
-    (n_nodes, n_comp) right-hand side.
+    (n_nodes, n_comp) right-hand side.  ``scipy.sparse.linalg`` (about 10 MB
+    and 0.2 s to import) is loaded by the first factorization, so a process
+    whose matrices are all diagonal never loads it.
     """
 
     def __init__(self, matrix, diag_pos):
@@ -71,8 +72,9 @@ class _Inverse:
         offdiag[diag_pos] = 0.0
         if np.max(offdiag) >= 1e-12 * np.min(np.abs(self.diag)):
             self.diag = None
+            from scipy.sparse.linalg import splu
             try:
-                self.lu = spla.splu(matrix, **_SPLU_OPTIONS)
+                self.lu = splu(matrix, **_SPLU_OPTIONS)
             except RuntimeError as exc:
                 raise SingularMass(str(exc)) from exc
 

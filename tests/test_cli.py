@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgstab import cli
+from cgstab import cli, scan
 from cgstab.cli import main
 from cgstab.fourier import amplification_matrix, dt_scale, phase_damping, principal_mode
 from cgstab.scan import Combination, ScanGrid, _mode_fields, scan_combination
@@ -590,3 +591,37 @@ def test_readme_command_lines_run(tmp_path):
         i = argv.index("--out")
         argv[i + 1] = str(tmp_path / argv[1])
         assert main(argv[1:]) == 0, argv
+
+
+def test_a_failing_writer_leaves_no_partial_artifact(tmp_path, monkeypatch):
+    """Artifacts are written through a temporary file and renamed: when the
+    mask CSV's writer fails after its first row, no mask file and no
+    temporary file is left, and an earlier mask file stays as it was."""
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"cfl_min": 0.2, "cfl_max": 0.5, "delta_min": 0.05,
+                                  "delta_max": 0.3, "grid_ratio": 1.3}))
+    args = ["scan", "--family", "cubature", "--degree", "1", "--stab", "lps", "--time", "rk",
+            "--config", str(config), "--out"]
+    kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+    assert main(args + [str(kept)]) == 0
+    mask = kept / "mask_cubature-p1-lps-rk.csv"
+    before = mask.read_bytes()
+    assert before.count(b"\n") > 8
+
+    row_writer, rows = scan._csv_row, []
+
+    def failing_row(*row):
+        if rows:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        rows.append(row)
+        return row_writer(*row)
+
+    monkeypatch.setattr(scan, "_csv_row", failing_row)
+    for out in (kept, fresh):
+        rows.clear()
+        assert main(args + [str(out)]) == cli.EXIT_CONFIG
+        assert len(rows) == 1
+    assert sorted(p.name for p in kept.iterdir()) == [
+        "mask_cubature-p1-lps-rk.csv", "scan_cubature-p1-lps-rk.json"]
+    assert mask.read_bytes() == before
+    assert sorted(p.name for p in fresh.iterdir()) == ["scan_cubature-p1-lps-rk.json"]

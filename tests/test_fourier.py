@@ -581,3 +581,49 @@ def test_dec_cfl_polynomial_matches_full_loop(family, kind, degree):
     assert got.shape == (degree + 2, 23, degree, degree)
     assert got.tobytes() == _dec_polynomial_loop(*args).tobytes()
 
+
+
+def _dec_polynomial_reforming_identity(M, K, Dvec, scale, config):
+    """The DeC cfl polynomial with block 0 re-formed as S_0 - P (S_0 - I)
+    and W @ S_0 re-multiplied in every sweep."""
+    eye = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape)
+    Dinv = 1.0 / Dvec
+    P = Dinv[..., :, None] * M
+    W = -scale * (Dinv[..., :, None] * K)
+    zeros = np.zeros_like(eye)
+    subs = [[eye.copy()] for _ in range(config.n_sub + 1)]
+    for sweep in range(1, config.n_iter + 1):
+        quad = [[W @ S for S in Sz] for Sz in subs]
+        new = [subs[0]]
+        for m in range(1, config.n_sub + 1):
+            Sm = subs[m]
+            out = [Sm[0] - P @ (Sm[0] - eye)]
+            for q in range(1, sweep + 1):
+                acc = Sm[q] - P @ Sm[q] if q < sweep else zeros
+                for z, rho in enumerate(config.rho[m - 1]):
+                    if rho != 0.0 and q <= len(quad[z]):
+                        acc = acc + rho * quad[z][q - 1]
+                out.append(acc)
+            new.append(out)
+        subs = new
+    return np.stack(subs[config.n_sub], axis=0)
+
+
+@pytest.mark.parametrize("family,kind", [("basic", "supg"), ("cubature", "lps"),
+                                         ("bernstein", "cip"), ("basic", "none")])
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+def test_dec_cfl_polynomial_keeps_the_identity_block_bitwise(family, kind, degree):
+    """Keeping block 0 as I and forming W @ I once changes no bit, on one
+    delta column and on a delta-leading block as the scans pass them
+    (orders 2 to 4)."""
+    b = symbol_builder(family, degree, kind)
+    theta = np.linspace(0.05, 2 * np.pi, 37)
+    deltas = np.array([1e-4, 0.03, 0.7, 4.0])
+    config = make_scheme("dec", degree + 1).tableau
+    column = (b.mass(theta, 0.03), b.conv(theta, 0.03), b.lumped_diag(0.03))
+    block = (b.mass(theta, deltas), b.conv(theta, deltas), b.lumped_diag(deltas)[:, None])
+    for M, K, D in (column, block):
+        assert (D > 0).all()
+        got = _dec_cfl_polynomial(M, K, D, 0.8, config)
+        assert got.shape == (degree + 2,) + M.shape
+        assert got.tobytes() == _dec_polynomial_reforming_identity(M, K, D, 0.8, config).tobytes()

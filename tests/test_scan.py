@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from cgstab.scan import (
     Combination,
     NoStableRegion,
     ScanGrid,
+    ScanResult,
     eta_u,
     eta_w,
     geometric_grid,
@@ -289,16 +293,28 @@ def test_eta_refinement_stability():
     assert np.nanmax(rel) < 0.02
 
 
+def _json_text(res):
+    buf = io.StringIO()
+    res.to_json(buf)
+    return buf.getvalue()
+
+
+def _csv_text(res):
+    buf = io.StringIO()
+    res.mask_csv(buf)
+    return buf.getvalue()
+
+
 def test_scan_json_and_csv_roundtrip():
     comb = Combination("cubature", 1, "cip", "ssprk")
     res = scan_combination(comb, ScanGrid(np.array([0.2, 0.4]), np.array([0.1]), 24))
-    payload = json.loads(res.to_json())
+    payload = json.loads(_json_text(res))
     assert payload["combination"]["family"] == "cubature"
     assert len(payload["cfl_values"]) == 2
-    csv = res.mask_csv()
+    csv = _csv_text(res)
     assert csv.count("\n") == 2 + 2 * 1 + 1  # headers + cells
     a = scan_combination(comb, ScanGrid(np.array([0.2, 0.4]), np.array([0.1]), 24))
-    assert a.to_json() == res.to_json()  # byte-for-byte determinism
+    assert _json_text(a) == _json_text(res)  # byte-for-byte determinism
 
 
 # ------------------------------------------------------------ streaming scan
@@ -509,7 +525,7 @@ def test_to_json_nulls_non_finite_array_values_and_writes_one_nan_token():
     res = scan_combination(Combination("basic", 1, "supg", "rk"), SMALL)
     assert np.isnan(res.eta_u).any() and np.isnan(res.eta_w).any()
     tokens = []
-    payload = json.loads(res.to_json(), parse_constant=lambda name: tokens.append(name) or name)
+    payload = json.loads(_json_text(res), parse_constant=lambda name: tokens.append(name) or name)
     assert tokens == ["NaN"]
     assert payload["optima"]["max_cfl"]["objective"] == "NaN"
     for key in ("eta_u", "eta_w"):
@@ -540,4 +556,32 @@ def test_to_json_matches_indented_json_dumps():
         "optima": res.optima,
         "eig_failures": res.eig_failures,
     }
-    assert res.to_json() == json.dumps(payload, indent=1)
+    assert _json_text(res) == json.dumps(payload, indent=1)
+
+
+def _export_peak(write):
+    """The tracemalloc peak, in bytes, of ``write(fh)`` on the null device."""
+    with open(os.devnull, "w") as fh:
+        tracemalloc.start()
+        try:
+            write(fh)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_export_memory_is_one_row_on_a_default_size_grid():
+    """Streaming writes hold one CFL row of text, not the whole artifact
+    (building the whole text of this result first takes 7 MB for the JSON
+    and 16 MB for the CSV)."""
+    rng = np.random.default_rng(3)
+    grid = ScanGrid.default()
+    shape = (len(grid.cfl_values), len(grid.delta_values))
+    assert shape == (202, 358)
+    eta = rng.random(shape)
+    eta[rng.random(shape) < 0.2] = np.nan
+    eta[0, :3] = np.inf, -np.inf, -0.0
+    res = ScanResult(Combination("cubature", 3, "lps", "dec"), grid, ~np.isnan(eta), eta,
+                     eta[::-1].copy(), {"max_cfl": None, "min_eta_u": None, "min_eta_w": None})
+    assert _export_peak(res.to_json) < 2 << 20
+    assert _export_peak(res.mask_csv) < 2 << 20

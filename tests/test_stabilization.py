@@ -1,4 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgstab
 from cgstab import build_reference_element
 from cgstab.fluxes import Burgers, LinearAdvection, ShallowWater
 from cgstab.problems import PROBLEMS, shallow_water_problem
@@ -597,3 +604,55 @@ def test_flux_jacobian_and_linearity(flux):
         assert np.all(jac == -0.7)
     else:
         assert np.array_equal(jac, flux.speed(u))
+
+
+_LAZY_LU_SCRIPT = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    from cgstab import build_reference_element
+    from cgstab.cli import main
+    from cgstab.fluxes import LinearAdvection
+    from cgstab.problems import PROBLEMS
+    from cgstab.solver import run_simulation
+    from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
+
+    def loaded():
+        return "scipy.sparse.linalg" in sys.modules
+
+    out_dir, config = sys.argv[1:]
+    seen = {"import": loaded()}
+    code = main(["scan", "--family", "cubature", "--degree", "3", "--stab", "lps",
+                 "--time", "dec", "--config", config, "--out", out_dir])
+    seen["scan"] = loaded()
+    run_simulation(PROBLEMS["advection"](), "cubature", 2, StabilizationSpec("lps", 0.04),
+                   "ssprk", 0.5, 20)
+    seen["run"] = loaded()
+    system = assemble_system(Mesh1D(0.0, 1.0, 12), build_reference_element("basic", 2),
+                             StabilizationSpec("lps", 0.1), LinearAdvection(1.0))
+    U = np.sin(2 * np.pi * np.arange(system.n_nodes) / system.n_nodes)
+    W = system.project_gradient(U)[:, 0]
+    dense = np.linalg.solve(system.M_galerkin.toarray(), system.C @ U)
+    seen["project"] = loaded()
+    print(json.dumps({"code": code, "seen": seen, "error": float(np.max(np.abs(W - dense))),
+                      "scale": float(np.max(np.abs(dense)))}))
+""")
+
+
+def test_sparse_lu_is_loaded_only_by_a_factorization(tmp_path):
+    """A scan and a run whose matrices are all diagonal never import
+    scipy.sparse.linalg; the first non-diagonal projection loads it, and
+    its solve matches a dense one.  A fresh interpreter, since this test
+    module imports it itself."""
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"cfl_min": 0.1, "cfl_max": 1.0, "delta_min": 0.01,
+                                  "delta_max": 1.0, "grid_ratio": 1.8, "theta_samples": 12}))
+    src = str(Path(cgstab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_LU_SCRIPT, str(tmp_path), str(config)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    assert report["seen"] == {"import": False, "scan": False, "run": False, "project": True}
+    assert report["error"] <= 1e-12 * report["scale"]
