@@ -230,17 +230,18 @@ def cmd_scan(cfg, out_dir):
 
 def _optimize_one(task):
     comb, grid, given = task
-    res = scan_combination(comb, grid, **given)
+    return _optimum_rows(comb, scan_combination(comb, grid, **given))
+
+
+def _optimum_rows(comb, res):
     rows = []
     for strategy in ("max_cfl", "min_eta_u", "min_eta_w"):
         opt = res.optima[strategy]
         if opt is None:
             rows.append(f"{comb.label()},{strategy},/,/,/")
         else:
-            rows.append(
-                f"{comb.label()},{strategy},{opt['cfl']:.6g},{opt['delta']:.6g},"
-                f"{int(opt['monotone_safe'])}"
-            )
+            rows.append(f"{comb.label()},{strategy},{opt['cfl']:.6g},{opt['delta']:.6g},"
+                        f"{int(opt['monotone_safe'])}")
     return rows
 
 
