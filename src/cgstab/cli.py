@@ -332,12 +332,13 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         cfg = _merge(args)
         return COMMANDS[args.command](cfg, Path(_value(cfg, "out")))
+    except (BlowUp, EigenSolveFailure, SingularMass, np.linalg.LinAlgError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, UnsupportedDegree, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUp, EigenSolveFailure, SingularMass) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

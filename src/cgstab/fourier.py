@@ -2,8 +2,8 @@
 
 The periodic problem is reduced to the p dofs of one representative cell
 (the left boundary node plus the interior ones); the Bloch coupling
-U_{K+s} = exp(i s theta) U_K folds every operator ``DiscreteSystem``
-assembles into a p x p complex symbol
+U_{K+s} = exp(i s theta) U_K folds every operator of
+``stabilization.Operators`` into a p x p complex symbol
 
     M~(theta) u' = -speed K~(theta) u,
 
@@ -28,8 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .elements import build_reference_element
-from .fluxes import LinearAdvection
-from .stabilization import DiscreteSystem, Mesh1D, StabilizationSpec
+from .stabilization import Mesh1D, Operators
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 
@@ -245,9 +244,8 @@ class SymbolBuilder:
     """Per (family, degree, stabilization kind) symbol factory.
 
     Each symbol is the Bloch fold sum_s A[cell 0, cell s] exp(i theta s) of
-    the tau-free operators of one periodic ``DiscreteSystem`` at unit dx
-    and unit speed; writing each fold as its matrix, both are affine in
-    delta:
+    the ``Operators`` of the ring; writing each fold as its matrix, both are
+    affine in delta:
 
         mass(theta, delta) = M_galerkin + delta T
         conv(theta, delta) = C + delta (S - P M_galerkin^-1 C)
@@ -259,8 +257,7 @@ class SymbolBuilder:
 
     def __init__(self, family, degree, stab_kind):
         self.ref = build_reference_element(family, degree)
-        ring = DiscreteSystem(Mesh1D(0.0, float(_RING), _RING), self.ref,
-                              StabilizationSpec(stab_kind), LinearAdvection(1.0))
+        ring = Operators(Mesh1D(0.0, float(_RING), _RING), self.ref, stab_kind)
         self._mass, self._conv, self._T, self._S, self._P = (
             None if A is None else _row_blocks(A, degree)
             for A in (ring.M_galerkin, ring.C, ring.T, ring.S, ring.P))

@@ -54,12 +54,19 @@ class SingularMass(RuntimeError):
 _SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1}
 
 
+def _diagonal(matrix, diag_pos):
+    """The diagonal of a CSC matrix on the block pattern, or None unless
+    every off-diagonal magnitude is below 1e-12 times the smallest
+    |diagonal| entry (so a zero diagonal never counts)."""
+    diag, offdiag = matrix.data[diag_pos], np.abs(matrix.data)
+    offdiag[diag_pos] = 0.0
+    return None if np.max(offdiag) >= 1e-12 * np.min(np.abs(diag)) else diag
+
+
 class _Inverse:
     """Inverse of a CSC matrix on the block pattern, decided once.
 
-    The matrix counts as diagonal when every off-diagonal magnitude is
-    below 1e-12 times the smallest |diagonal| entry (so a zero diagonal
-    never does); it is then inverted by a division by ``diag``, otherwise
+    A ``_diagonal`` matrix is inverted by a division by ``diag``, any other
     factorized once into ``lu`` with ``_SPLU_OPTIONS``.  ``solve`` takes an
     (n_nodes, n_comp) right-hand side.  ``scipy.sparse.linalg`` (about 10 MB
     and 0.2 s to import) is loaded by the first factorization, so a process
@@ -67,11 +74,8 @@ class _Inverse:
     """
 
     def __init__(self, matrix, diag_pos):
-        self.diag, self.lu = matrix.data[diag_pos], None
-        offdiag = np.abs(matrix.data)
-        offdiag[diag_pos] = 0.0
-        if np.max(offdiag) >= 1e-12 * np.min(np.abs(self.diag)):
-            self.diag = None
+        self.diag, self.lu = _diagonal(matrix, diag_pos), None
+        if self.diag is None:
             from scipy.sparse.linalg import splu
             try:
                 self.lu = splu(matrix, **_SPLU_OPTIONS)
@@ -139,94 +143,35 @@ def tau_cell(stab, dx, speed):
     return stab.delta * dx**2 * speed  # CIP
 
 
-class DiscreteSystem:
-    """Assembled periodic/Dirichlet system: mass operator plus residual.
+class Operators:
+    """The tau-free operators of one mesh, element and stabilization kind.
 
-    The residual goes through sparse operators built once: ``Q`` and
-    ``Qd`` (values and reference derivatives at the quadrature points, their
-    transposes the test integrals) and the tau-free matrices of the scheme:
-    the Galerkin ``M_galerkin`` and ``C`` = int phi_i dxi phi_j, and the
-    stabilization's ``T``, ``S`` and ``P`` (see _stabilization_operators);
-    one the system never reads is None (``C`` for a nonlinear flux without
-    LPS).
-    For a linear flux the residual is one CSR matrix and the mass is fixed;
-    the Fourier symbols of ``fourier.SymbolBuilder`` are the Bloch folds of
-    these same matrices.
-
-    Mass solves and factorizations are counted so tests can assert that
-    the deferred-correction stepper never touches the consistent mass.
+    ``cell_dofs[c]`` are the dofs c*p .. c*p+p of cell c, wrapping on a
+    periodic mesh, and every pairwise matrix is CSC on the pattern of all
+    cell blocks: ``M_galerkin`` = int phi_i phi_j, ``C`` = int phi_i dxi
+    phi_j, and the stabilization's ``T``, ``S``, ``P`` (see
+    _stabilization_operators) and CIP's face jumps ``J``.  One the kind
+    lacks is None.  A nonlinear flux (``linear=False``) integrates at the
+    quadrature points: it has no SUPG ``T`` and ``S``, nor ``C`` without
+    LPS.  The Fourier symbols are their Bloch folds.
     """
 
-    def __init__(self, mesh, ref, stab, flux, bc=None):
+    def __init__(self, mesh, ref, kind, linear=True):
         self.mesh = mesh
         self.ref = ref
-        self.stab = stab
-        self.flux = flux
-        self.bc = bc
-        if mesh.boundary == DIRICHLET and bc is None:
-            raise ValueError("Dirichlet mesh needs boundary data")
-
         p = ref.degree
-        self.n_comp = flux.n_comp
         self.n_nodes = mesh.n_nodes(p)
-        self.n_mass_solves = 0
-        self.n_mass_factorizations = 0
-
-        # connectivity: cell c owns nodes c*p .. c*p+p, last one wrapping
         cells = np.arange(mesh.n_cells)[:, None] * p + np.arange(p + 1)[None, :]
         if mesh.boundary == PERIODIC:
             cells %= self.n_nodes
         self.cell_dofs = cells
-
-        self.node_x = mesh.x_left + mesh.dx * (
-            np.repeat(np.arange(mesh.n_cells), p) + np.tile(ref.nodes[:p], mesh.n_cells)
-        )
-        if mesh.boundary == DIRICHLET:
-            self.node_x = np.append(self.node_x, mesh.x_right)
-
         self.local = local_matrices(ref)
-        self.V = ref.eval_basis(ref.quad_points)          # (nq, p+1)
-        self.Vd = ref.eval_basis_deriv(ref.quad_points)   # (nq, p+1)
-        self.quad_x = mesh.x_left + mesh.dx * (
-            np.arange(mesh.n_cells)[:, None] + ref.quad_points[None, :]
-        )
-
         self._setup_block_pattern()
         self.M_galerkin = self._assemble_pairwise(self.local.mass * mesh.dx)
         # read by the linear residual and the LPS projection only
-        self.C = (self._assemble_pairwise(self.local.deriv)
-                  if flux.is_linear or stab.kind == LPS else None)
-        # the mass and its row sums (positive for p <= 3), set by _set_mass;
-        # None until a state-dependent mass is first built
-        self.mass_matrix = self.lumped = self._mass_inverse = None
-        if stab.kind == LPS:
-            self._proj_inverse = _Inverse(self.M_galerkin, self._diag_pos)
-
-        self.Q = self._quad_operator(self.V)
-        self.J = self._setup_jumps() if stab.kind == CIP else None
-        self.T, self.S, self.P = self._stabilization_operators()
-        mass = self.M_galerkin.data.copy()
-        if flux.is_linear:
-            # r = R U + R_proj W and the SUPG dt term tau a T for the one Jacobian a
-            a = float(flux.jacobian(np.zeros((1, self.n_comp)))[0])
-            tau = tau_cell(stab, mesh.dx, a)
-            R = -a * self.C
-            if self.S is not None:
-                R = R - (tau * a * a if stab.kind == SUPG else tau) * self.S
-            if self.T is not None:
-                mass += tau * a * self.T.data
-            self._R, self._R_proj = R.tocsr(), None if self.P is None else tau * self.P
-            self.Qd = None
-        else:
-            # transposes are views on the same arrays, kept because forming
-            # one costs more than the matvec it serves
-            self.Qd = self._quad_operator(self.Vd)
-            self._QT, self._QdT = self.Q.T, self.Qd.T
-            self._R = self._R_proj = None
-        if not self.mass_is_state_dependent:
-            self._set_mass(mass)
-
-    # -- assembly helpers -------------------------------------------------
+        self.C = self._assemble_pairwise(self.local.deriv) if linear or kind == LPS else None
+        self.J = self._setup_jumps() if kind == CIP else None
+        self.T, self.S, self.P = self._stabilization_operators(kind, linear)
 
     def _setup_block_pattern(self):
         """CSC pattern of all cell blocks (shared by every pairwise matrix)
@@ -253,15 +198,6 @@ class DiscreteSystem:
         return sp.csc_matrix((self._pairwise_data(blocks),) + self._pattern,
                              shape=(self.n_nodes,) * 2)
 
-    def _quad_operator(self, table):
-        """CSR map from the dofs to ``table`` (nq, p+1) applied in every cell."""
-        shape = (self.mesh.n_cells,) + table.shape
-        data = np.broadcast_to(table, shape).ravel()
-        cols = np.broadcast_to(self.cell_dofs[:, None, :], shape).ravel()
-        indptr = np.arange(0, data.size + 1, table.shape[1])
-        return sp.csr_matrix((data, cols, indptr),
-                             shape=(shape[0] * shape[1], self.n_nodes))
-
     def _setup_jumps(self):
         """Face-jump operator J: (J U)_f = [dx_u] across interior face f."""
         nc = self.mesh.n_cells
@@ -272,28 +208,96 @@ class DiscreteSystem:
                               np.arange(0, cols.size + 1, cols.shape[1])),
                              shape=(len(right), self.n_nodes))
 
-    def _stabilization_operators(self):
+    def _stabilization_operators(self, kind, linear):
         """The tau-free (T, S, P) of the stabilization, None where it has none.
 
         SUPG: the mass term tau a T, T = int dx_phi_i phi_j, and the linear
         convection term -tau a^2 S, S = int dx_phi_i dx_phi_j.  CIP: -tau S,
         S = J^T J.  LPS: -tau (S U - P W) with S as for SUPG and P = T; a
-        diagonal projection W = diag^-1 C U is folded into S.  A nonlinear
-        SUPG system has none: its residual and mass integrate at the
-        quadrature points."""
-        kind = self.stab.kind
+        diagonal projection W = diag^-1 C U is folded into S."""
         if kind == CIP:
             return None, (self.J.T @ self.J).tocsr(), None
-        if kind == NONE or self.mass_is_state_dependent:
+        if kind == NONE or (kind == SUPG and not linear):
             return None, None, None
         S = self._assemble_pairwise(self.local.grad_grad / self.mesh.dx)
         T = self._assemble_pairwise(self.local.deriv.T)
         if kind == SUPG:
             return T, S.tocsr(), None
-        diag = self._proj_inverse.diag
+        diag = _diagonal(self.M_galerkin, self._diag_pos)
         if diag is not None:
             return None, (S - T @ sp.diags(1.0 / diag) @ self.C).tocsr(), None
         return None, S.tocsr(), T.tocsr()
+
+
+class DiscreteSystem(Operators):
+    """Assembled periodic/Dirichlet system: mass operator plus residual.
+
+    ``Operators`` with a flux, tau, mass and boundary data, and the
+    quadrature operators ``Q`` and ``Qd`` (values and reference derivatives
+    at the quadrature points).  A linear flux's residual is one CSR matrix
+    and its mass is fixed.  Mass solves and factorizations are counted so
+    tests can assert that DeC never touches the consistent mass.
+    """
+
+    def __init__(self, mesh, ref, stab, flux, bc=None):
+        if mesh.boundary == DIRICHLET and bc is None:
+            raise ValueError("Dirichlet mesh needs boundary data")
+        super().__init__(mesh, ref, stab.kind, flux.is_linear)
+        self.stab = stab
+        self.flux = flux
+        self.bc = bc
+        p = ref.degree
+        self.n_comp = flux.n_comp
+        self.n_mass_solves = 0
+        self.n_mass_factorizations = 0
+
+        self.node_x = mesh.x_left + mesh.dx * (
+            np.repeat(np.arange(mesh.n_cells), p) + np.tile(ref.nodes[:p], mesh.n_cells)
+        )
+        if mesh.boundary == DIRICHLET:
+            self.node_x = np.append(self.node_x, mesh.x_right)
+        self.V = ref.eval_basis(ref.quad_points)          # (nq, p+1)
+        self.Vd = ref.eval_basis_deriv(ref.quad_points)   # (nq, p+1)
+        self.quad_x = mesh.x_left + mesh.dx * (
+            np.arange(mesh.n_cells)[:, None] + ref.quad_points[None, :]
+        )
+
+        # the mass and its row sums (positive for p <= 3), set by _set_mass;
+        # None until a state-dependent mass is first built
+        self.mass_matrix = self.lumped = self._mass_inverse = None
+        if stab.kind == LPS:
+            self._proj_inverse = _Inverse(self.M_galerkin, self._diag_pos)
+
+        self.Q = self._quad_operator(self.V)
+        mass = self.M_galerkin.data.copy()
+        if flux.is_linear:
+            # r = R U + R_proj W and the SUPG dt term tau a T for the one Jacobian a
+            a = float(flux.jacobian(np.zeros((1, self.n_comp)))[0])
+            tau = tau_cell(stab, mesh.dx, a)
+            R = -a * self.C
+            if self.S is not None:
+                R = R - (tau * a * a if stab.kind == SUPG else tau) * self.S
+            if self.T is not None:
+                mass += tau * a * self.T.data
+            self._R, self._R_proj = R.tocsr(), None if self.P is None else tau * self.P
+            self.Qd = None
+        else:
+            # transposes are views on the same arrays, kept because forming
+            # one costs more than the matvec it serves
+            self.Qd = self._quad_operator(self.Vd)
+            self._QT, self._QdT = self.Q.T, self.Qd.T
+            self._R = self._R_proj = None
+        if not self.mass_is_state_dependent:
+            self._set_mass(mass)
+
+    def _quad_operator(self, table):
+        """CSR map from the dofs to ``table`` (nq, p+1) applied in every cell."""
+        shape = (self.mesh.n_cells,) + table.shape
+        data = np.broadcast_to(table, shape).ravel()
+        cols = np.broadcast_to(self.cell_dofs[:, None, :], shape).ravel()
+        indptr = np.arange(0, data.size + 1, table.shape[1])
+        return sp.csr_matrix((data, cols, indptr),
+                             shape=(shape[0] * shape[1], self.n_nodes))
 
     @property
     def mass_is_state_dependent(self):
@@ -347,8 +351,6 @@ class DiscreteSystem:
             raise ValueError("gradient projection is only defined for LPS systems")
         return self._proj_inverse.solve(self.C @ U.reshape(self.n_nodes, self.n_comp))
 
-    # -- residual ----------------------------------------------------------
-
     def eval_at_quads(self, U):
         """Solution values at all quadrature points, shape (n_cells, nq, n_comp)."""
         u_q = self.Q @ U.reshape(self.n_nodes, self.n_comp)
@@ -386,8 +388,6 @@ class DiscreteSystem:
             r[-1] = 0.0
         return r.reshape(U.shape)
 
-    # -- boundary + initialization -----------------------------------------
-
     def apply_bc(self, U, t):
         """Impose the Dirichlet values strongly at both ends (in place)."""
         if self.mesh.boundary == DIRICHLET and self.bc is not None:
@@ -417,7 +417,7 @@ class DiscreteSystem:
 
 
 def assemble_system(mesh, ref, stab, flux, bc=None):
-    """Build the DiscreteSystem for a mesh / element / stabilization / flux."""
+    """The DiscreteSystem; kept as the name bench/spans.py wraps to time assembly."""
     return DiscreteSystem(mesh, ref, stab, flux, bc=bc)
 
 

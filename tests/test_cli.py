@@ -593,6 +593,16 @@ def test_readme_command_lines_run(tmp_path):
         assert main(argv[1:]) == 0, argv
 
 
+def test_a_singular_solve_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    """numpy's LinAlgError subclasses ValueError, yet it is no configuration error."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "semidiscrete_modes", singular)
+    assert main(["modes", "--semi-discrete", "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numerical failure: Singular matrix")
+
+
 def test_a_failing_writer_leaves_no_partial_artifact(tmp_path, monkeypatch):
     """Artifacts are written through a temporary file and renamed: when the
     mask CSV's writer fails after its first row, no mask file and no

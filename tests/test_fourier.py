@@ -16,7 +16,7 @@ from cgstab.fourier import (
     semidiscrete_modes,
     symbol_builder,
 )
-from cgstab.stabilization import StabilizationSpec
+from cgstab.stabilization import DiscreteSystem, StabilizationSpec
 from cgstab.timeint import make_scheme
 
 from conftest import (
@@ -264,6 +264,19 @@ def test_ring_holds_every_shift_once(monkeypatch, family, degree, kind):
         assert all(got[s].tobytes() == want[s].tobytes() for s in want), name
         two = name == "_S" and (kind == "cip" or (kind, family) == ("lps", "cubature"))
         assert max(map(abs, got)) <= (2 if two else 1), name
+
+
+def test_symbols_build_no_discrete_system(monkeypatch):
+    """Every builder folds an ``Operators`` ring: none builds the flux,
+    quadrature, residual and mass of a marching system."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SymbolBuilder built a DiscreteSystem")
+
+    monkeypatch.setattr(DiscreteSystem, "__init__", refuse)
+    for family in ALL_FAMILIES:
+        for degree in ALL_DEGREES:
+            for kind, _ in ALL_STABS:
+                SymbolBuilder(family, degree, kind)
 
 
 def test_p1_symbol_matches_hand_formulas():

@@ -22,6 +22,7 @@ from cgstab.timeint import BlowUp
 from cgstab.stabilization import (
     _SPLU_OPTIONS,
     Mesh1D,
+    Operators,
     SingularMass,
     StabilizationSpec,
     _Inverse,
@@ -39,6 +40,21 @@ def make_system(family="basic", p=1, kind="none", delta=0.0, n=8,
     ref = build_reference_element(family, p)
     return assemble_system(mesh, ref, StabilizationSpec(kind, delta),
                            flux or LinearAdvection(1.0), bc=bc)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("kind", [kind for kind, _ in ALL_STABS])
+def test_nonlinear_operators_hold_only_what_their_residual_reads(family, kind):
+    """A nonlinear flux integrates at the quadrature points: its operators
+    keep C only for the LPS projection and have no SUPG T and S, while the
+    linear ones always have C."""
+    mesh, ref = Mesh1D(0.0, 2.0, 6), build_reference_element(family, 2)
+    nonlinear, linear = (Operators(mesh, ref, kind, linear=flag) for flag in (False, True))
+    assert (nonlinear.C is not None) == (kind == "lps")
+    assert linear.C is not None
+    if kind == "supg":
+        assert nonlinear.T is None and nonlinear.S is None
+        assert linear.T is not None and linear.S is not None
 
 
 def test_tau_formulas():
@@ -621,8 +637,9 @@ _LAZY_LU_SCRIPT = textwrap.dedent("""
 
     out_dir, config = sys.argv[1:]
     seen = {"import": loaded()}
-    code = main(["scan", "--family", "cubature", "--degree", "3", "--stab", "lps",
-                 "--time", "dec", "--config", config, "--out", out_dir])
+    codes = [main(["scan", "--family", family, "--degree", degree, "--stab", "lps",
+                   "--time", time, "--config", config, "--out", out_dir])
+             for family, degree, time in (("cubature", "3", "dec"), ("bernstein", "2", "rk"))]
     seen["scan"] = loaded()
     run_simulation(PROBLEMS["advection"](), "cubature", 2, StabilizationSpec("lps", 0.04),
                    "ssprk", 0.5, 20)
@@ -633,13 +650,14 @@ _LAZY_LU_SCRIPT = textwrap.dedent("""
     W = system.project_gradient(U)[:, 0]
     dense = np.linalg.solve(system.M_galerkin.toarray(), system.C @ U)
     seen["project"] = loaded()
-    print(json.dumps({"code": code, "seen": seen, "error": float(np.max(np.abs(W - dense))),
+    print(json.dumps({"code": max(codes), "seen": seen, "error": float(np.max(np.abs(W - dense))),
                       "scale": float(np.max(np.abs(dense)))}))
 """)
 
 
 def test_sparse_lu_is_loaded_only_by_a_factorization(tmp_path):
-    """A scan and a run whose matrices are all diagonal never import
+    """Scans, whose symbols fold even a non-diagonal LPS mass without
+    factorizing it, and a run whose matrices are all diagonal never import
     scipy.sparse.linalg; the first non-diagonal projection loads it, and
     its solve matches a dense one.  A fresh interpreter, since this test
     module imports it itself."""
