@@ -13,7 +13,7 @@ or config-file keys; any other is a configuration error.  All outputs are
 plain CSV or JSON.  They record the options given (not the defaults, nor
 --out and --jobs), and reruns with the same inputs reproduce them byte for
 byte.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 no stable region.
+4 no stable region, 5 an artifact could not be written.
 """
 
 import argparse
@@ -21,7 +21,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NO_STABLE = 4
+EXIT_IO = 5
 
 NUMBER = (int, float)
 ALL = ("modes", "scan", "optimize", "solve", "convergence")
@@ -135,21 +135,29 @@ def _resolved_header(cfg):
     return f"# cgstab config: {items}"
 
 
+class WriteFailure(Exception):
+    """An ``OSError`` while writing an artifact (exit ``EXIT_IO``)."""
+
+
 def _write(path, writer):
     """Create ``path`` by ``writer(fh)`` on an open text file.  The writer
     fills a temporary file beside ``path``, which then replaces it, so a
     writer that raises leaves no partial artifact and any earlier file
-    intact."""
+    intact.  An ``OSError`` on the way, from ``mkdir`` on, is re-raised as
+    a ``WriteFailure``."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            writer(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "w") as fh:
+                writer(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise WriteFailure(f"cannot write {path}: {exc}") from exc
     return path
 
 
@@ -254,6 +262,7 @@ def cmd_optimize(cfg, out_dir):
              if all(cfg.get(key, val) == val for key, val in zip(COMBINATION, values))]
     workers = min(_value(cfg, "jobs"), len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only a pool loads it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_optimize_one, tasks))
     else:
@@ -336,6 +345,9 @@ def main(argv=None):
         # before ValueError, which LinAlgError subclasses
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except WriteFailure as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (ValueError, UnsupportedDegree, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .elements import local_matrices
 
@@ -54,27 +53,60 @@ class SingularMass(RuntimeError):
 _SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1}
 
 
-def _diagonal(matrix, diag_pos):
-    """The diagonal of a CSC matrix on the block pattern, or None unless
+def _diagonal(data, diag_pos):
+    """The diagonal of CSC values on the block pattern, or None unless
     every off-diagonal magnitude is below 1e-12 times the smallest
     |diagonal| entry (so a zero diagonal never counts)."""
-    diag, offdiag = matrix.data[diag_pos], np.abs(matrix.data)
+    diag, offdiag = data[diag_pos], np.abs(data)
     offdiag[diag_pos] = 0.0
     return None if np.max(offdiag) >= 1e-12 * np.min(np.abs(diag)) else diag
 
 
+def _outer_sum(n, dofs, offsets, u, v, reach):
+    """sum_q u_q v_q^T, u_q and v_q on the dofs of row q of (Q, m) tables,
+    summed in ascending q on the band of each column: slot reach + i - j
+    of column j holds entry (i, j).  ``offsets`` are the dofs less a base
+    of each row, so they count across a periodic seam; no two in a row lie
+    more than ``reach`` apart.  The rows go in chunks, which bound the
+    temporaries; np.add.at keeps the order."""
+    width = 2 * reach + 1
+    band = np.zeros(n * width)
+    base = dofs * width + reach - offsets
+    for q in range(0, len(dofs), 4096):
+        chunk = slice(q, q + 4096)
+        np.add.at(band, (base[chunk, None, :] + offsets[chunk, :, None]).ravel(),
+                  (u[chunk, :, None] * v[chunk, None, :]).ravel())
+    return band.reshape(n, width)
+
+
+def _band_csc(band):
+    """The CSC triple of the nonzero entries of an ``_outer_sum`` band, those
+    a scipy sparse product or sum stores."""
+    n, width = band.shape
+    reach = width // 2
+    if width > n:   # fewer dofs than slots: the slots of an entry lie n apart
+        band = np.stack([band[:, (np.arange(width) - reach) % n == s].sum(axis=1)
+                         for s in range(n)], axis=1)
+        reach = 0
+    col, slot = np.nonzero(band)
+    rows = (col + slot - reach) % n
+    order = np.argsort(col * n + rows, kind="stable")   # moves only the seam's wrapped rows
+    return (band[col, slot][order], rows[order].astype(np.int32),
+            np.searchsorted(col, np.arange(n + 1)).astype(np.int32))
+
+
 class _Inverse:
-    """Inverse of a CSC matrix on the block pattern, decided once.
+    """Inverse of a scipy CSC matrix on the block pattern, decided once.
 
     A ``_diagonal`` matrix is inverted by a division by ``diag``, any other
     factorized once into ``lu`` with ``_SPLU_OPTIONS``.  ``solve`` takes an
     (n_nodes, n_comp) right-hand side.  ``scipy.sparse.linalg`` (about 10 MB
-    and 0.2 s to import) is loaded by the first factorization, so a process
-    whose matrices are all diagonal never loads it.
+    and 0.2 s to import beyond ``scipy.sparse``) is loaded by the first
+    factorization, so a run whose matrices are all diagonal never loads it.
     """
 
     def __init__(self, matrix, diag_pos):
-        self.diag, self.lu = _diagonal(matrix, diag_pos), None
+        self.diag, self.lu = _diagonal(matrix.data, diag_pos), None
         if self.diag is None:
             from scipy.sparse.linalg import splu
             try:
@@ -147,13 +179,13 @@ class Operators:
     """The tau-free operators of one mesh, element and stabilization kind.
 
     ``cell_dofs[c]`` are the dofs c*p .. c*p+p of cell c, wrapping on a
-    periodic mesh, and every pairwise matrix is CSC on the pattern of all
-    cell blocks: ``M_galerkin`` = int phi_i phi_j, ``C`` = int phi_i dxi
-    phi_j, and the stabilization's ``T``, ``S``, ``P`` (see
-    _stabilization_operators) and CIP's face jumps ``J``.  One the kind
-    lacks is None.  A nonlinear flux (``linear=False``) integrates at the
-    quadrature points: it has no SUPG ``T`` and ``S``, nor ``C`` without
-    LPS.  The Fourier symbols are their Bloch folds.
+    periodic mesh, and every pairwise matrix is a CSC triple (data,
+    indices, indptr) of numpy arrays: ``M_galerkin`` = int phi_i phi_j and
+    ``C`` = int phi_i dxi phi_j on the pattern of all cell blocks, and the
+    stabilization's ``T``, ``S``, ``P`` (see _stabilization_operators).  One
+    the kind lacks is None.  A nonlinear flux (``linear=False``) integrates
+    at the quadrature points: it has no SUPG ``T`` and ``S``, nor ``C``
+    without LPS.  The Fourier symbols are their Bloch folds.
     """
 
     def __init__(self, mesh, ref, kind, linear=True):
@@ -170,7 +202,6 @@ class Operators:
         self.M_galerkin = self._assemble_pairwise(self.local.mass * mesh.dx)
         # read by the linear residual and the LPS projection only
         self.C = self._assemble_pairwise(self.local.deriv) if linear or kind == LPS else None
-        self.J = self._setup_jumps() if kind == CIP else None
         self.T, self.S, self.P = self._stabilization_operators(kind, linear)
 
     def _setup_block_pattern(self):
@@ -194,19 +225,8 @@ class Operators:
         return np.bincount(self._block_pos, data, minlength=len(self._pattern[0]))
 
     def _assemble_pairwise(self, blocks):
-        """Scatter blocks into a global CSC matrix on the block pattern."""
-        return sp.csc_matrix((self._pairwise_data(blocks),) + self._pattern,
-                             shape=(self.n_nodes,) * 2)
-
-    def _setup_jumps(self):
-        """Face-jump operator J: (J U)_f = [dx_u] across interior face f."""
-        nc = self.mesh.n_cells
-        right = np.arange(nc) if self.mesh.boundary == PERIODIC else np.arange(1, nc)
-        cols = np.hstack([self.cell_dofs[right - 1], self.cell_dofs[right]])
-        row = self.local.jump / self.mesh.dx
-        return sp.csr_matrix((np.tile(row, len(right)), cols.ravel(),
-                              np.arange(0, cols.size + 1, cols.shape[1])),
-                             shape=(len(right), self.n_nodes))
+        """The CSC triple of blocks summed on the block pattern."""
+        return (self._pairwise_data(blocks),) + self._pattern
 
     def _stabilization_operators(self, kind, linear):
         """The tau-free (T, S, P) of the stabilization, None where it has none.
@@ -214,19 +234,49 @@ class Operators:
         SUPG: the mass term tau a T, T = int dx_phi_i phi_j, and the linear
         convection term -tau a^2 S, S = int dx_phi_i dx_phi_j.  CIP: -tau S,
         S = J^T J.  LPS: -tau (S U - P W) with S as for SUPG and P = T; a
-        diagonal projection W = diag^-1 C U is folded into S."""
+        diagonal projection W = diag^-1 C U is folded into S.  The two
+        products are summed in scipy's order, so they keep its bits: J^T J
+        face by face, on the patch of the face's two cells (their shared dof
+        holds two entries of the jump row), T diag^-1 C over k ascending."""
+        n, dx, p = self.n_nodes, self.mesh.dx, self.ref.degree
         if kind == CIP:
-            return None, (self.J.T @ self.J).tocsr(), None
+            nc = self.mesh.n_cells
+            right = np.arange(nc) if self.mesh.boundary == PERIODIC else np.arange(1, nc)
+            patch = np.hstack([self.cell_dofs[right - 1], self.cell_dofs[right]])
+            offsets = np.broadcast_to(np.r_[np.arange(p + 1), np.arange(p, 2 * p + 1)], patch.shape)
+            jump = np.broadcast_to(self.local.jump / dx, patch.shape)
+            return None, _band_csc(_outer_sum(n, patch, offsets, jump, jump, 2 * p)), None
         if kind == NONE or (kind == SUPG and not linear):
             return None, None, None
-        S = self._assemble_pairwise(self.local.grad_grad / self.mesh.dx)
+        S = self._assemble_pairwise(self.local.grad_grad / dx)
         T = self._assemble_pairwise(self.local.deriv.T)
         if kind == SUPG:
-            return T, S.tocsr(), None
-        diag = _diagonal(self.M_galerkin, self._diag_pos)
-        if diag is not None:
-            return None, (S - T @ sp.diags(1.0 / diag) @ self.C).tocsr(), None
-        return None, S.tocsr(), T.tocsr()
+            return T, S, None
+        diag = _diagonal(self.M_galerkin[0], self._diag_pos)
+        if diag is None:
+            return None, S, T
+        return None, _band_csc(self._folded_lps_band(S[0], T[0], diag)), None
+
+    def _folded_lps_band(self, s_data, t_data, diag):
+        """S - T diag^-1 C on the band of reach 2p, given S's and T's values
+        on the block pattern.  T diag^-1 C = sum_k (T[:, k] / diag[k]) C[k, :]:
+        the pattern is symmetric, so both lie on the dofs of column k, listed
+        in row k of a table padded with dof k and zero values."""
+        n, p = self.n_nodes, self.ref.degree
+        rows, indptr = self._pattern
+        col = np.repeat(np.arange(n), np.diff(indptr))
+        slot = np.arange(len(rows)) - indptr[col]
+        offset = (rows - col + p) % n - p   # row - col, across a periodic seam too
+        dofs = np.repeat(np.arange(n)[:, None], slot.max() + 1, axis=1)
+        offsets = np.zeros_like(dofs)
+        t_col, c_row = np.zeros((2,) + dofs.shape)
+        dofs[col, slot], offsets[col, slot] = rows, offset
+        t_col[col, slot] = t_data * (1.0 / diag)[col]
+        c_row[col, slot] = self.C[0][np.searchsorted(col * n + rows, rows * n + col)]
+        X = _outer_sum(n, dofs, offsets, t_col, c_row, 2 * p)
+        band = np.zeros_like(X)
+        band[col, offset + 2 * p] = s_data
+        return band - X
 
 
 class DiscreteSystem(Operators):
@@ -234,15 +284,23 @@ class DiscreteSystem(Operators):
 
     ``Operators`` with a flux, tau, mass and boundary data, and the
     quadrature operators ``Q`` and ``Qd`` (values and reference derivatives
-    at the quadrature points).  A linear flux's residual is one CSR matrix
-    and its mass is fixed.  Mass solves and factorizations are counted so
-    tests can assert that DeC never touches the consistent mass.
+    at the quadrature points).  It wraps the operators' values as scipy
+    matrices, ``M_galerkin``, ``C`` and ``T`` CSC and ``S`` and ``P`` CSR.
+    A linear flux's residual is one CSR matrix and its mass is fixed.  Mass
+    solves and factorizations are counted so tests can assert that DeC
+    never touches the consistent mass.
     """
 
     def __init__(self, mesh, ref, stab, flux, bc=None):
         if mesh.boundary == DIRICHLET and bc is None:
             raise ValueError("Dirichlet mesh needs boundary data")
         super().__init__(mesh, ref, stab.kind, flux.is_linear)
+        import scipy.sparse as sp   # here, not at module level: a scan never loads it
+        shape = (self.n_nodes,) * 2
+        self.M_galerkin, self.C, self.T = (None if A is None else sp.csc_matrix(A, shape=shape)
+                                           for A in (self.M_galerkin, self.C, self.T))
+        self.S, self.P = (None if A is None else sp.csc_matrix(A, shape=shape).tocsr()
+                          for A in (self.S, self.P))
         self.stab = stab
         self.flux = flux
         self.bc = bc
@@ -292,6 +350,7 @@ class DiscreteSystem(Operators):
 
     def _quad_operator(self, table):
         """CSR map from the dofs to ``table`` (nq, p+1) applied in every cell."""
+        import scipy.sparse as sp
         shape = (self.mesh.n_cells,) + table.shape
         data = np.broadcast_to(table, shape).ravel()
         cols = np.broadcast_to(self.cell_dofs[:, None, :], shape).ravel()
@@ -316,6 +375,7 @@ class DiscreteSystem(Operators):
 
     def _set_mass(self, data):
         """Install mass values given on the block pattern."""
+        import scipy.sparse as sp
         rows = self._pattern[0]
         if self.mesh.boundary == DIRICHLET:
             data[(rows == 0) | (rows == self.n_nodes - 1)] = 0.0

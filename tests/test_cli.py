@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import itertools
 import json
@@ -313,7 +314,8 @@ def test_mu_below_one_is_config_error(tmp_path, capsys):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count, maps serially."""
+    """Stands in for ProcessPoolExecutor, which ``cmd_optimize`` imports only
+    for a pool: records the worker count, maps serially."""
 
     workers = []
 
@@ -331,7 +333,7 @@ class _RecordingPool:
 
 
 def test_optimize_starts_no_more_workers_than_combinations(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "workers", [])
     cfg = {"cfl_min": 0.2, "cfl_max": 0.3, "delta_min": 0.05, "delta_max": 0.1,
            "grid_ratio": 1.4, "theta_samples": 4}
@@ -344,6 +346,19 @@ def test_optimize_starts_no_more_workers_than_combinations(tmp_path, monkeypatch
                   "--stab", "cip", "--time", "ssprk", "--jobs", "4",
                   "--out", str(tmp_path / "one")])
     assert rc == 0 and _RecordingPool.workers == [108]   # one combination: no pool
+
+
+def test_an_output_directory_that_cannot_be_made_is_an_io_failure(tmp_path, capsys):
+    """--out below a regular file: mkdir fails, exit 5; an unreadable
+    --config stays a configuration error."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["modes", "--family", "basic", "--degree", "1", "--stab", "none", "--time", "rk",
+            "--theta-samples", "4"]
+    assert run_cli(args + ["--out", str(blocker / "out")]) == cli.EXIT_IO
+    assert "I/O failure:" in capsys.readouterr().err
+    assert run_cli(args + ["--config", str(blocker / "c.json"), "--out", str(tmp_path)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
 
 
 def test_bad_grid_is_config_error(tmp_path):
@@ -603,10 +618,11 @@ def test_a_singular_solve_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: Singular matrix")
 
 
-def test_a_failing_writer_leaves_no_partial_artifact(tmp_path, monkeypatch):
+def test_a_failing_writer_leaves_no_partial_artifact(tmp_path, monkeypatch, capsys):
     """Artifacts are written through a temporary file and renamed: when the
     mask CSV's writer fails after its first row, no mask file and no
-    temporary file is left, and an earlier mask file stays as it was."""
+    temporary file is left, and an earlier mask file stays as it was.  The
+    failure is an I/O one, not a configuration error."""
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"cfl_min": 0.2, "cfl_max": 0.5, "delta_min": 0.05,
                                   "delta_max": 0.3, "grid_ratio": 1.3}))
@@ -629,7 +645,8 @@ def test_a_failing_writer_leaves_no_partial_artifact(tmp_path, monkeypatch):
     monkeypatch.setattr(scan, "_csv_row", failing_row)
     for out in (kept, fresh):
         rows.clear()
-        assert main(args + [str(out)]) == cli.EXIT_CONFIG
+        assert main(args + [str(out)]) == cli.EXIT_IO
+        assert "I/O failure:" in capsys.readouterr().err
         assert len(rows) == 1
     assert sorted(p.name for p in kept.iterdir()) == [
         "mask_cubature-p1-lps-rk.csv", "scan_cubature-p1-lps-rk.json"]

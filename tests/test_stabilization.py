@@ -313,20 +313,81 @@ def test_energy_rate_nonpositive(family, degree, kind):
 @pytest.mark.parametrize("degree", ALL_DEGREES)
 @pytest.mark.parametrize("boundary", ("periodic", "dirichlet"))
 def test_jump_operator_matches_basis_derivatives(family, degree, boundary):
-    """J, built from the shared jump row (left cell, then right cell), equals
-    the operator written with the right cell's columns first."""
+    """The CIP S, summed face by face from the shared jump row, equals J^T J
+    for the face-jump operator J written from the basis derivatives, the
+    left cell's columns first, the order the sums run in (the right cell's
+    first changes the last bits of basic p = 3 entries)."""
     bc = (lambda t: (np.zeros(1), np.zeros(1))) if boundary == "dirichlet" else None
     system = make_system(family, degree, "cip", 0.1, n=5, boundary=boundary,
                          flux=Burgers(), bc=bc)
     nc = system.mesh.n_cells
     right = np.arange(nc) if boundary == "periodic" else np.arange(1, nc)
-    cols = np.hstack([system.cell_dofs[right], system.cell_dofs[right - 1]])
-    row = np.concatenate([system.ref.eval_basis_deriv(0.0),
-                          -system.ref.eval_basis_deriv(1.0)]) / system.mesh.dx
+    cols = np.hstack([system.cell_dofs[right - 1], system.cell_dofs[right]])
+    row = np.concatenate([-system.ref.eval_basis_deriv(1.0),
+                          system.ref.eval_basis_deriv(0.0)]) / system.mesh.dx
     want = sp.csr_matrix((np.tile(row, len(right)), cols.ravel(),
                           np.arange(0, cols.size + 1, cols.shape[1])),
                          shape=(len(right), system.n_nodes))
-    assert np.array_equal(system.J.toarray(), want.toarray())
+    assert np.array_equal(system.S.toarray(), (want.T @ want).toarray())
+
+
+def _sparse_product_oracle(ops, kind):
+    """The scipy matrices an ``Operators`` S replaces, as CSR: J^T J for CIP
+    (J the face-jump operator), S - T diag(1/d) C for a diagonal LPS mass,
+    and S itself for any other LPS mass, whose P must be T."""
+    n, mesh = ops.n_nodes, ops.mesh
+
+    def csc(A):
+        return sp.csc_matrix(A, shape=(n, n))
+
+    if kind == "cip":
+        nc = mesh.n_cells
+        right = np.arange(nc) if mesh.boundary == "periodic" else np.arange(1, nc)
+        cols = np.hstack([ops.cell_dofs[right - 1], ops.cell_dofs[right]])
+        J = sp.csr_matrix((np.tile(ops.local.jump / mesh.dx, len(right)), cols.ravel(),
+                           np.arange(0, cols.size + 1, cols.shape[1])), shape=(len(right), n))
+        return (J.T @ J).tocsr()
+    S = csc(ops._assemble_pairwise(ops.local.grad_grad / mesh.dx))
+    T = csc(ops._assemble_pairwise(ops.local.deriv.T))
+    if ops.P is not None:
+        assert np.array_equal(csc(ops.P).toarray(), T.toarray())
+        return S.tocsr()
+    return (S - T @ sp.diags(1.0 / csc(ops.M_galerkin).diagonal()) @ csc(ops.C)).tocsr()
+
+
+_MESHES = {"ring": Mesh1D(0.0, 5.0, 5), "periodic": Mesh1D(0.0, 2.0, 37),
+           "dirichlet": Mesh1D(0.0, 2.0, 37, "dirichlet")}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+@pytest.mark.parametrize("mesh", _MESHES.values(), ids=_MESHES.keys())
+@pytest.mark.parametrize("kind", ["cip", "lps"])
+def test_folded_operators_keep_the_bits_of_the_sparse_products(family, degree, mesh, kind):
+    """The numpy CIP S and diagonal-LPS S equal, value, pattern and bit, the
+    scipy products they replace; only the cubature mass is diagonal."""
+    ops = Operators(mesh, build_reference_element(family, degree), kind)
+    assert (ops.P is None) == (kind == "cip" or family == "cubature")
+    got = sp.csc_matrix(ops.S, shape=(ops.n_nodes,) * 2).tocsr()
+    want = _sparse_product_oracle(ops, kind)
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data.view(np.int64), want.data.view(np.int64))):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+@pytest.mark.parametrize("kind", ["cip", "lps"])
+def test_a_ring_narrower_than_the_band_stores_each_entry_once(family, degree, kind):
+    """On 1 to 4 periodic cells the band of an entry's column wraps onto
+    itself: S still holds each entry once, in order, and equals the scipy
+    product to rounding."""
+    for cells in range(1, 5):
+        ops = Operators(Mesh1D(0.0, 1.0, cells), build_reference_element(family, degree), kind)
+        got = sp.csc_matrix(ops.S, shape=(ops.n_nodes,) * 2)
+        assert got.has_canonical_format
+        want = _sparse_product_oracle(ops, kind).toarray()
+        assert np.allclose(got.toarray(), want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
 
 def test_energy_rate_cip_matches_jump_sum():
@@ -633,7 +694,7 @@ _LAZY_LU_SCRIPT = textwrap.dedent("""
     from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
 
     def loaded():
-        return "scipy.sparse.linalg" in sys.modules
+        return [name in sys.modules for name in ("scipy.sparse", "scipy.sparse.linalg")]
 
     out_dir, config = sys.argv[1:]
     seen = {"import": loaded()}
@@ -641,6 +702,10 @@ _LAZY_LU_SCRIPT = textwrap.dedent("""
                    "--time", time, "--config", config, "--out", out_dir])
              for family, degree, time in (("cubature", "3", "dec"), ("bernstein", "2", "rk"))]
     seen["scan"] = loaded()
+    codes.append(main(["modes", "--family", "bernstein", "--degree", "3", "--stab", "cip",
+                       "--time", "dec", "--delta", "0.1", "--theta-samples", "8",
+                       "--out", out_dir]))
+    seen["modes"] = loaded()
     run_simulation(PROBLEMS["advection"](), "cubature", 2, StabilizationSpec("lps", 0.04),
                    "ssprk", 0.5, 20)
     seen["run"] = loaded()
@@ -656,11 +721,13 @@ _LAZY_LU_SCRIPT = textwrap.dedent("""
 
 
 def test_sparse_lu_is_loaded_only_by_a_factorization(tmp_path):
-    """Scans, whose symbols fold even a non-diagonal LPS mass without
-    factorizing it, and a run whose matrices are all diagonal never import
-    scipy.sparse.linalg; the first non-diagonal projection loads it, and
-    its solve matches a dense one.  A fresh interpreter, since this test
-    module imports it itself."""
+    """Importing the package and the CLI, scans (whose symbols fold even a
+    non-diagonal LPS mass without factorizing it) and a ``modes`` call
+    never import scipy.sparse: the symbols fold numpy values.  A run
+    assembles scipy matrices, but one whose matrices are all diagonal never
+    imports scipy.sparse.linalg; the first non-diagonal projection loads
+    it, and its solve matches a dense one.  A fresh interpreter, since this
+    test module imports both itself."""
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"cfl_min": 0.1, "cfl_max": 1.0, "delta_min": 0.01,
                                   "delta_max": 1.0, "grid_ratio": 1.8, "theta_samples": 12}))
@@ -672,5 +739,7 @@ def test_sparse_lu_is_loaded_only_by_a_factorization(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == 0
-    assert report["seen"] == {"import": False, "scan": False, "run": False, "project": True}
+    assert report["seen"] == {"import": [False, False], "scan": [False, False],
+                              "modes": [False, False], "run": [True, False],
+                              "project": [True, True]}
     assert report["error"] <= 1e-12 * report["scale"]
