@@ -85,7 +85,10 @@ GRID = ("cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio", "theta_sam
 
 
 def _load_config(path, command):
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:   # not an I/O failure: the option names no readable file
+        raise ValueError(f"cannot read config: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     unread = sorted(key for key in data if key not in OPTIONS or command not in OPTIONS[key].reads)
@@ -135,29 +138,21 @@ def _resolved_header(cfg):
     return f"# cgstab config: {items}"
 
 
-class WriteFailure(Exception):
-    """An ``OSError`` while writing an artifact (exit ``EXIT_IO``)."""
-
-
 def _write(path, writer):
     """Create ``path`` by ``writer(fh)`` on an open text file.  The writer
     fills a temporary file beside ``path``, which then replaces it, so a
     writer that raises leaves no partial artifact and any earlier file
-    intact.  An ``OSError`` on the way, from ``mkdir`` on, is re-raised as
-    a ``WriteFailure``."""
+    intact."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            with open(tmp, "w") as fh:
-                writer(fh)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        raise WriteFailure(f"cannot write {path}: {exc}") from exc
+        with open(tmp, "w") as fh:
+            writer(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -345,12 +340,12 @@ def main(argv=None):
         # before ValueError, which LinAlgError subclasses
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except WriteFailure as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, UnsupportedDegree, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, UnsupportedDegree, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:   # an artifact or its directory could not be written
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -218,12 +218,10 @@ def _row_blocks(A, p):
     """{s: A[cell 0, cell s]} of a periodic CSC triple with p dofs a cell, in
     ascending s; the zero blocks are left out."""
     data, indices, indptr = A
-    cells = (len(indptr) - 1) // p
-    cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    first = indices < p
-    rows = np.zeros((p, cells * p))
-    rows[indices[first], cols[first]] = data[first]
-    rows = rows.reshape(p, cells, p)
+    dense = np.zeros((len(indptr) - 1,) * 2)
+    dense[indices, np.repeat(np.arange(len(dense)), np.diff(indptr))] = data
+    cells = len(dense) // p
+    rows = dense[:p].reshape(p, cells, p)
     shifts = range(-(cells // 2), cells // 2 + 1)
     return {s: rows[:, s % cells] for s in shifts if rows[:, s % cells].any()}
 

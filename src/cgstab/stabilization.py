@@ -62,36 +62,27 @@ def _diagonal(data, diag_pos):
     return None if np.max(offdiag) >= 1e-12 * np.min(np.abs(diag)) else diag
 
 
-def _outer_sum(n, dofs, offsets, u, v, reach):
-    """sum_q u_q v_q^T, u_q and v_q on the dofs of row q of (Q, m) tables,
-    summed in ascending q on the band of each column: slot reach + i - j
-    of column j holds entry (i, j).  ``offsets`` are the dofs less a base
-    of each row, so they count across a periodic seam; no two in a row lie
-    more than ``reach`` apart.  The rows go in chunks, which bound the
-    temporaries; np.add.at keeps the order."""
+def _outer_sum(n, dofs, u, v, reach, plus=None):
+    """The CSC triple of the nonzero entries of sum_q u_q v_q^T, u_q and v_q
+    on the dofs of row q of (Q, m) tables, no two of a row more than
+    ``reach`` apart, then ``plus`` (cols, rows, values) added.  Entry (row,
+    col) sums in slot (row - col + reach) mod n of column col of a band;
+    np.add.at adds each term in turn, in chunks that bound the temporaries,
+    so every entry is summed in ascending q: the bits and, with no zero
+    kept, the pattern of scipy's sparse products."""
     width = 2 * reach + 1
-    band = np.zeros(n * width)
-    base = dofs * width + reach - offsets
+    band = np.zeros((n, width))
     for q in range(0, len(dofs), 4096):
-        chunk = slice(q, q + 4096)
-        np.add.at(band, (base[chunk, None, :] + offsets[chunk, :, None]).ravel(),
-                  (u[chunk, :, None] * v[chunk, None, :]).ravel())
-    return band.reshape(n, width)
-
-
-def _band_csc(band):
-    """The CSC triple of the nonzero entries of an ``_outer_sum`` band, those
-    a scipy sparse product or sum stores."""
-    n, width = band.shape
-    reach = width // 2
-    if width > n:   # fewer dofs than slots: the slots of an entry lie n apart
-        band = np.stack([band[:, (np.arange(width) - reach) % n == s].sum(axis=1)
-                         for s in range(n)], axis=1)
-        reach = 0
-    col, slot = np.nonzero(band)
-    rows = (col + slot - reach) % n
-    order = np.argsort(col * n + rows, kind="stable")   # moves only the seam's wrapped rows
-    return (band[col, slot][order], rows[order].astype(np.int32),
+        row, col = dofs[q:q + 4096, :, None], dofs[q:q + 4096, None, :]
+        np.add.at(band.reshape(-1), (col * width + (row - col + reach) % n).ravel(),
+                  (u[q:q + 4096, :, None] * v[q:q + 4096, None, :]).ravel())
+    if plus is not None:
+        col, row, values = plus
+        band[col, (row - col + reach) % n] += values
+    col, off = np.divmod(np.flatnonzero(band), width)
+    row = (col + off - reach) % n
+    order = np.argsort(col * n + row, kind="stable")   # moves only the rows a seam wraps
+    return (band[col, off][order], row[order].astype(np.int32),
             np.searchsorted(col, np.arange(n + 1)).astype(np.int32))
 
 
@@ -100,9 +91,9 @@ class _Inverse:
 
     A ``_diagonal`` matrix is inverted by a division by ``diag``, any other
     factorized once into ``lu`` with ``_SPLU_OPTIONS``.  ``solve`` takes an
-    (n_nodes, n_comp) right-hand side.  ``scipy.sparse.linalg`` (about 10 MB
-    and 0.2 s to import beyond ``scipy.sparse``) is loaded by the first
-    factorization, so a run whose matrices are all diagonal never loads it.
+    (n_nodes, n_comp) right-hand side.  The first factorization loads
+    ``scipy.sparse.linalg`` (10 MB and 0.2 s beyond ``scipy.sparse``), so a
+    run whose matrices are all diagonal never loads it.
     """
 
     def __init__(self, matrix, diag_pos):
@@ -192,41 +183,28 @@ class Operators:
         self.mesh = mesh
         self.ref = ref
         p = ref.degree
-        self.n_nodes = mesh.n_nodes(p)
-        cells = np.arange(mesh.n_cells)[:, None] * p + np.arange(p + 1)[None, :]
-        if mesh.boundary == PERIODIC:
-            cells %= self.n_nodes
-        self.cell_dofs = cells
+        self.n_nodes = n = mesh.n_nodes(p)   # the modulus below wraps a periodic mesh only
+        self.cell_dofs = cells = (np.arange(mesh.n_cells)[:, None] * p + np.arange(p + 1)) % n
         self.local = local_matrices(ref)
-        self._setup_block_pattern()
+        # the CSC pattern of all cell blocks, shared by every pairwise matrix,
+        # its sorted keys and the slot of every block entry in it
+        self._keys, self._block_pos = np.unique((cells[:, None, :] * n + cells[:, :, None]).ravel(),
+                                                return_inverse=True)
+        # keys sort by column, then row: the canonical CSC order
+        self._pattern = ((self._keys % n).astype(np.int32),
+                         np.searchsorted(self._keys, np.arange(n + 1) * n).astype(np.int32))
+        self._diag_pos = np.searchsorted(self._keys, np.arange(n) * (n + 1))
         self.M_galerkin = self._assemble_pairwise(self.local.mass * mesh.dx)
         # read by the linear residual and the LPS projection only
         self.C = self._assemble_pairwise(self.local.deriv) if linear or kind == LPS else None
         self.T, self.S, self.P = self._stabilization_operators(kind, linear)
 
-    def _setup_block_pattern(self):
-        """CSC pattern of all cell blocks (shared by every pairwise matrix)
-        and the slot ``_block_pos`` of every block entry in it."""
-        n, nb = self.n_nodes, self.ref.degree + 1
-        shape = (self.mesh.n_cells, nb, nb)
-        rows = np.broadcast_to(self.cell_dofs[:, :, None], shape)
-        cols = np.broadcast_to(self.cell_dofs[:, None, :], shape)
-        keys, self._block_pos = np.unique((cols * n + rows).ravel(), return_inverse=True)
-        # keys sort by column, then row: the canonical CSC order
-        self._pattern = ((keys % n).astype(np.int32),
-                         np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32))
-        self._diag_pos = np.searchsorted(keys, np.arange(n) * (n + 1))
-
-    def _pairwise_data(self, blocks):
-        """Sum (p+1)x(p+1) blocks, shared or one per cell, into values on
-        the block pattern."""
+    def _assemble_pairwise(self, blocks):
+        """The CSC triple of (p+1)x(p+1) blocks, shared or one per cell,
+        summed on the block pattern."""
         nb = self.ref.degree + 1
         data = np.broadcast_to(blocks, (self.mesh.n_cells, nb, nb)).ravel()
-        return np.bincount(self._block_pos, data, minlength=len(self._pattern[0]))
-
-    def _assemble_pairwise(self, blocks):
-        """The CSC triple of blocks summed on the block pattern."""
-        return (self._pairwise_data(blocks),) + self._pattern
+        return (np.bincount(self._block_pos, data, minlength=len(self._keys)),) + self._pattern
 
     def _stabilization_operators(self, kind, linear):
         """The tau-free (T, S, P) of the stabilization, None where it has none.
@@ -234,18 +212,15 @@ class Operators:
         SUPG: the mass term tau a T, T = int dx_phi_i phi_j, and the linear
         convection term -tau a^2 S, S = int dx_phi_i dx_phi_j.  CIP: -tau S,
         S = J^T J.  LPS: -tau (S U - P W) with S as for SUPG and P = T; a
-        diagonal projection W = diag^-1 C U is folded into S.  The two
-        products are summed in scipy's order, so they keep its bits: J^T J
-        face by face, on the patch of the face's two cells (their shared dof
-        holds two entries of the jump row), T diag^-1 C over k ascending."""
+        diagonal projection W = diag^-1 C U is folded into S.  Both products
+        keep scipy's bits: J^T J is summed face by face on the dofs of the
+        face's two cells, T diag^-1 C over k ascending."""
         n, dx, p = self.n_nodes, self.mesh.dx, self.ref.degree
-        if kind == CIP:
-            nc = self.mesh.n_cells
-            right = np.arange(nc) if self.mesh.boundary == PERIODIC else np.arange(1, nc)
+        if kind == CIP:   # a face left of each cell, but the first on a Dirichlet mesh
+            right = np.arange(self.mesh.boundary == DIRICHLET, self.mesh.n_cells)
             patch = np.hstack([self.cell_dofs[right - 1], self.cell_dofs[right]])
-            offsets = np.broadcast_to(np.r_[np.arange(p + 1), np.arange(p, 2 * p + 1)], patch.shape)
             jump = np.broadcast_to(self.local.jump / dx, patch.shape)
-            return None, _band_csc(_outer_sum(n, patch, offsets, jump, jump, 2 * p)), None
+            return None, _outer_sum(n, patch, jump, jump, 2 * p), None
         if kind == NONE or (kind == SUPG and not linear):
             return None, None, None
         S = self._assemble_pairwise(self.local.grad_grad / dx)
@@ -255,28 +230,14 @@ class Operators:
         diag = _diagonal(self.M_galerkin[0], self._diag_pos)
         if diag is None:
             return None, S, T
-        return None, _band_csc(self._folded_lps_band(S[0], T[0], diag)), None
-
-    def _folded_lps_band(self, s_data, t_data, diag):
-        """S - T diag^-1 C on the band of reach 2p, given S's and T's values
-        on the block pattern.  T diag^-1 C = sum_k (T[:, k] / diag[k]) C[k, :]:
-        the pattern is symmetric, so both lie on the dofs of column k, listed
-        in row k of a table padded with dof k and zero values."""
-        n, p = self.n_nodes, self.ref.degree
-        rows, indptr = self._pattern
-        col = np.repeat(np.arange(n), np.diff(indptr))
-        slot = np.arange(len(rows)) - indptr[col]
-        offset = (rows - col + p) % n - p   # row - col, across a periodic seam too
-        dofs = np.repeat(np.arange(n)[:, None], slot.max() + 1, axis=1)
-        offsets = np.zeros_like(dofs)
-        t_col, c_row = np.zeros((2,) + dofs.shape)
-        dofs[col, slot], offsets[col, slot] = rows, offset
-        t_col[col, slot] = t_data * (1.0 / diag)[col]
-        c_row[col, slot] = self.C[0][np.searchsorted(col * n + rows, rows * n + col)]
-        X = _outer_sum(n, dofs, offsets, t_col, c_row, 2 * p)
-        band = np.zeros_like(X)
-        band[col, offset + 2 * p] = s_data
-        return band - X
+        # S + sum_k (T[:, k] / -diag[k]) T[:, k]^T is S - T diag^-1 C (C = T^T, negation
+        # is exact); row k of the tables: the dofs k-p .. k+p and T[k-p .. k+p, k]
+        col, rows = np.divmod(self._keys, n)
+        dofs = (np.arange(n)[:, None] + np.arange(-p, p + 1)) % n
+        t = np.zeros(dofs.shape)
+        t[col, (rows - col + p) % n] = T[0]
+        return None, _outer_sum(n, dofs, t * (-1.0 / diag)[:, None], t, 2 * p,
+                                (col, rows, S[0])), None
 
 
 class DiscreteSystem(Operators):
@@ -284,11 +245,10 @@ class DiscreteSystem(Operators):
 
     ``Operators`` with a flux, tau, mass and boundary data, and the
     quadrature operators ``Q`` and ``Qd`` (values and reference derivatives
-    at the quadrature points).  It wraps the operators' values as scipy
-    matrices, ``M_galerkin``, ``C`` and ``T`` CSC and ``S`` and ``P`` CSR.
-    A linear flux's residual is one CSR matrix and its mass is fixed.  Mass
-    solves and factorizations are counted so tests can assert that DeC
-    never touches the consistent mass.
+    at the quadrature points), whose operators are scipy matrices (``S`` and
+    ``P`` CSR, the others CSC).  A linear flux's residual is one CSR matrix
+    and its mass is fixed.  Mass solves and factorizations are counted so
+    tests can assert that DeC never touches the consistent mass.
     """
 
     def __init__(self, mesh, ref, stab, flux, bc=None):
@@ -296,11 +256,10 @@ class DiscreteSystem(Operators):
             raise ValueError("Dirichlet mesh needs boundary data")
         super().__init__(mesh, ref, stab.kind, flux.is_linear)
         import scipy.sparse as sp   # here, not at module level: a scan never loads it
-        shape = (self.n_nodes,) * 2
-        self.M_galerkin, self.C, self.T = (None if A is None else sp.csc_matrix(A, shape=shape)
-                                           for A in (self.M_galerkin, self.C, self.T))
-        self.S, self.P = (None if A is None else sp.csc_matrix(A, shape=shape).tocsr()
-                          for A in (self.S, self.P))
+        csc = [None if A is None else sp.csc_matrix(A, shape=(self.n_nodes,) * 2)
+               for A in (self.M_galerkin, self.C, self.T, self.S, self.P)]
+        self.M_galerkin, self.C, self.T = csc[:3]
+        self.S, self.P = (None if A is None else A.tocsr() for A in csc[3:])
         self.stab = stab
         self.flux = flux
         self.bc = bc
@@ -371,7 +330,7 @@ class DiscreteSystem(Operators):
         coef = tau * self.ref.quad_weights * self.flux.jacobian(u_q)
         kernel = self.Vd[:, :, None] * self.V[:, None, :]
         blocks = (coef @ kernel.reshape(len(self.V), -1)).reshape((-1,) + kernel.shape[1:])
-        return self.M_galerkin.data + self._pairwise_data(blocks)
+        return self.M_galerkin.data + self._assemble_pairwise(blocks)[0]
 
     def _set_mass(self, data):
         """Install mass values given on the block pattern."""
