@@ -320,7 +320,7 @@ def _dec_cfl_polynomial(M, K, Dvec, scale, config):
     degree by one, so after sweep s block q > s is zero and is not formed;
     the final degree equals the iteration count.  Block 0 stays exactly I
     (I - P (I - I) is I wherever P is finite), so it is kept as I and its
-    product W I is formed once.
+    product W I is formed once.  The last sweep forms only subtimestep M.
     """
     eye = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape).copy()
     Dinv = 1.0 / Dvec
@@ -332,7 +332,7 @@ def _dec_cfl_polynomial(M, K, Dvec, scale, config):
     for sweep in range(1, config.n_iter + 1):
         quad = [[w_eye] + [W @ S for S in Sz[1:]] for Sz in subs]  # W @ S_z[q-1]
         new = [subs[0]]                               # the step's start: identity only
-        for m in range(1, config.n_sub + 1):
+        for m in range(1, config.n_sub + 1) if sweep < config.n_iter else (config.n_sub,):
             Sm = subs[m]
             out = [eye]
             for q in range(1, sweep + 1):
@@ -343,7 +343,7 @@ def _dec_cfl_polynomial(M, K, Dvec, scale, config):
                 out.append(acc)
             new.append(out)
         subs = new
-    return np.stack(subs[config.n_sub], axis=0)  # (n_iter + 1, ..., p, p)
+    return np.stack(subs[-1], axis=0)  # (n_iter + 1, ..., p, p)
 
 
 def amplification_matrix(family, degree, stab, scheme_kind, theta, cfl,

@@ -248,9 +248,8 @@ def _mode_fields(comb, theta, cfls, scale, deltas, bound):
 
 def _rk_fields(nu, z, bound):
     """Stable rows and lambda on them of the stability polynomial sum nu_j z^j."""
-    lam = np.ones_like(z)
-    zp = np.ones_like(z)
-    for nu_j in nu:
+    lam, zp = 1.0 + nu[0] * z, z
+    for nu_j in nu[1:]:
         zp = zp * z
         lam = lam + nu_j * zp
     rows = _bounded(lam, bound)
@@ -331,8 +330,9 @@ def eta_u(k, omega, epsilon):
     principal-mode curves, the exact phase is k itself (unit speed).
     """
     k = np.asarray(k, dtype=float)
-    damp = np.trapezoid((np.exp(epsilon) - 1.0) ** 2, k, axis=-1)
-    disp = np.trapezoid(np.exp(epsilon) * (omega - k) ** 2, k, axis=-1)
+    growth = np.exp(epsilon)
+    damp = np.trapezoid((growth - 1.0) ** 2, k, axis=-1)
+    disp = np.trapezoid(growth * (omega - k) ** 2, k, axis=-1)
     return np.sqrt(3.0 / (2.0 * np.pi) * (damp + disp))
 
 

@@ -318,6 +318,12 @@ class DiscreteSystem(Operators):
                              shape=(shape[0] * shape[1], self.n_nodes))
 
     @property
+    def autonomous(self):
+        """True iff r(U, t) does not read t: the flux has no source, the only
+        term of ``residual`` that does (``apply_bc`` imposes the boundary data)."""
+        return getattr(self.flux, "source", None) is None
+
+    @property
     def mass_is_state_dependent(self):
         return self.stab.kind == SUPG and not self.flux.is_linear
 
@@ -388,7 +394,7 @@ class DiscreteSystem(Operators):
             u_q = (self.Q @ U2).reshape(shape)
             uxi_q = (self.Qd @ U2).reshape(shape)                 # reference gradient
             strong = self.flux.flux_x(u_q, uxi_q) / dx           # dx_f
-            if getattr(self.flux, "source", None) is not None:
+            if not self.autonomous:
                 strong[..., 1] += self.flux.source(self.quad_x, t)
             # - int phi_i (dx_f + source)
             r = -(self._QT @ (dx * w * strong).reshape(-1, self.n_comp))

@@ -122,6 +122,12 @@ def _check_finite(U):
     return U
 
 
+def _combine(coeffs, arrays):
+    """sum_j c_j a_j over the nonzero c_j, in order; a unit c_j takes a_j as is."""
+    terms = [a if c == 1.0 else c * a for c, a in zip(coeffs, arrays) if c != 0.0]
+    return sum(terms[1:], terms[0])
+
+
 def rk_step(system, U, t, dt, tableau):
     """One explicit Runge-Kutta step in Shu-Osher form; mass solves use the
     full operator.  The last row's boundary values are imposed at t + dt."""
@@ -129,11 +135,9 @@ def rk_step(system, U, t, dt, tableau):
     values = [U]
     cs = [0.0]
     ks = [system.solve_mass(system.residual(U, t))]
-    n = tableau.n_stages
     for s, (grow, mrow) in enumerate(zip(tableau.gamma, tableau.mu), start=1):
-        V = sum(g * values[j] for j, g in enumerate(grow) if g != 0.0)
-        V = V + dt * sum(m * ks[j] for j, m in enumerate(mrow) if m != 0.0)
-        if s == n:
+        V = _combine(grow, values) + dt * _combine(mrow, ks)
+        if s == tableau.n_stages:
             break
         c = sum(g * cs[j] + mrow[j] for j, g in enumerate(grow))
         system.apply_bc(V, t + c * dt)
@@ -145,33 +149,33 @@ def rk_step(system, U, t, dt, tableau):
 
 
 def dec_step(system, U, t, dt, config):
-    """One deferred-correction step; only the lumped diagonal is inverted."""
+    """One deferred-correction step; only the lumped diagonal is inverted.
+    Sweep 1 starts every subtimestep at U: its M (sub - U) is an exact zero,
+    and an autonomous system's residuals there are r(U).  The last sweep
+    forms only subtimestep M, the result."""
     system.refresh_mass(U)
     Dinv = 1.0 / system.lumped[:, None]
-    M = system.mass_matrix
     shape2 = (system.n_nodes, system.n_comp)
 
     nsub = config.n_sub
-    sub = [U.copy() for _ in range(nsub + 1)]
+    times = [t + beta * dt for beta in config.beta]
+    sub = [U] * (nsub + 1)
     r0 = system.residual(U, t)
-    for _ in range(config.n_iter):
-        rs = [r0] + [
-            system.residual(sub[m], t + config.beta[m - 1] * dt)
-            for m in range(1, nsub + 1)
-        ]
+    for k in range(1, config.n_iter + 1):
+        same = k == 1 and system.autonomous
+        rs = [r0] + [r0 if same else system.residual(sub[m], times[m - 1])
+                     for m in range(1, nsub + 1)]
         new = [U]
-        for m in range(1, nsub + 1):
-            quad = sum(
-                rho * rs[z] for z, rho in enumerate(config.rho[m - 1]) if rho != 0.0
-            )
-            diff = M @ (sub[m] - U).reshape(shape2)
-            upd = sub[m] + (
-                (dt * quad.reshape(shape2) - diff) * Dinv
-            ).reshape(U.shape)
-            system.apply_bc(upd, t + config.beta[m - 1] * dt)
+        for m in range(1, nsub + 1) if k < config.n_iter else (nsub,):
+            quad = sum(rho * rs[z] for z, rho in enumerate(config.rho[m - 1]) if rho != 0.0)
+            rhs = dt * quad.reshape(shape2)
+            if k > 1:
+                rhs -= system.mass_matrix @ (sub[m] - U).reshape(shape2)
+            upd = sub[m] + (rhs * Dinv).reshape(U.shape)
+            system.apply_bc(upd, times[m - 1])
             new.append(upd)
         sub = new
-    return _check_finite(sub[nsub])
+    return _check_finite(sub[-1])
 
 
 def expand_ssprk_coefficients(tableau):

@@ -17,7 +17,7 @@ from cgstab.fourier import (
     symbol_builder,
 )
 from cgstab.stabilization import DiscreteSystem, StabilizationSpec
-from cgstab.timeint import make_scheme
+from cgstab.timeint import DEC_CONFIGS, make_scheme
 
 from conftest import (
     ALL_DEGREES,
@@ -594,6 +594,49 @@ def test_dec_cfl_polynomial_matches_full_loop(family, kind, degree):
     assert got.shape == (degree + 2, 23, degree, degree)
     assert got.tobytes() == _dec_polynomial_loop(*args).tobytes()
 
+
+
+def _dec_polynomial_every_subtimestep(M, K, Dvec, scale, config):
+    """The DeC cfl polynomial with every subtimestep formed in every sweep,
+    the last one included."""
+    eye = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape).copy()
+    Dinv = 1.0 / Dvec
+    P = Dinv[..., :, None] * M
+    W = -scale * (Dinv[..., :, None] * K)
+    w_eye = W @ eye
+    zeros = np.zeros_like(eye)
+    subs = [[eye] for _ in range(config.n_sub + 1)]
+    for sweep in range(1, config.n_iter + 1):
+        quad = [[w_eye] + [W @ S for S in Sz[1:]] for Sz in subs]
+        new = [subs[0]]
+        for m in range(1, config.n_sub + 1):
+            Sm = subs[m]
+            out = [eye]
+            for q in range(1, sweep + 1):
+                acc = Sm[q] - P @ Sm[q] if q < sweep else zeros
+                for z, rho in enumerate(config.rho[m - 1]):
+                    if rho != 0.0 and q <= len(quad[z]):
+                        acc = acc + rho * quad[z][q - 1]
+                out.append(acc)
+            new.append(out)
+        subs = new
+    return np.stack(subs[config.n_sub], axis=0)
+
+
+@pytest.mark.parametrize("order", sorted(DEC_CONFIGS))
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_dec_cfl_polynomial_forms_only_the_last_subtimestep_bitwise(order, p):
+    """Forming only block M in the last sweep changes no bit of H, on
+    batched random symbols."""
+    rng = np.random.default_rng(10 * order + p)
+    shape = (3, 7, p, p)
+    M = np.eye(p) + 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    K = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    D = 1.0 + rng.random(size=(3, 1, p))
+    got = _dec_cfl_polynomial(M, K, D, 0.8, DEC_CONFIGS[order])
+    assert got.shape == (order + 1,) + shape
+    assert got.tobytes() == _dec_polynomial_every_subtimestep(
+        M, K, D, 0.8, DEC_CONFIGS[order]).tobytes()
 
 
 def _dec_polynomial_reforming_identity(M, K, Dvec, scale, config):

@@ -6,7 +6,7 @@ import pytest
 
 from cgstab import build_reference_element
 from cgstab.fluxes import LinearAdvection
-from cgstab.problems import burgers_problem
+from cgstab.problems import burgers_problem, shallow_water_problem
 from cgstab.solver import build_problem_system
 from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
 from cgstab.timeint import (
@@ -28,6 +28,7 @@ class ScalarODE:
     """Minimal system wrapper so the steppers can drive u' = f(u, t)."""
 
     n_comp = 1
+    autonomous = False   # f may read t
 
     def __init__(self, f, n=1):
         self.f = f
@@ -290,6 +291,90 @@ def test_dec_never_solves_full_mass():
     dec_step(system, U, 0.0, 0.01, DEC_CONFIGS[3])
     assert system.n_mass_solves == before
     assert system.n_mass_factorizations == 0
+
+
+# -- the deferred-correction loop before it skipped its dead work -------------
+
+def reference_dec_step(system, U, t, dt, config):
+    """Every sweep evaluates every subtimestep's residual, forms its
+    M (sub - U) product and updates every subtimestep."""
+    system.refresh_mass(U)
+    Dinv = 1.0 / system.lumped[:, None]
+    M = system.mass_matrix
+    shape2 = (system.n_nodes, system.n_comp)
+    nsub = config.n_sub
+    sub = [U.copy() for _ in range(nsub + 1)]
+    r0 = system.residual(U, t)
+    for _ in range(config.n_iter):
+        rs = [r0] + [system.residual(sub[m], t + config.beta[m - 1] * dt)
+                     for m in range(1, nsub + 1)]
+        new = [U]
+        for m in range(1, nsub + 1):
+            quad = sum(rho * rs[z] for z, rho in enumerate(config.rho[m - 1]) if rho != 0.0)
+            diff = M @ (sub[m] - U).reshape(shape2)
+            upd = sub[m] + ((dt * quad.reshape(shape2) - diff) * Dinv).reshape(U.shape)
+            system.apply_bc(upd, t + config.beta[m - 1] * dt)
+            new.append(upd)
+        sub = new
+    return sub[nsub]
+
+
+def _dec_cases():
+    """(id, system, U0, dt, configs): periodic advection with basic LPS and
+    cubature CIP, Dirichlet Burgers with basic SUPG, the sourced shallow-water
+    wave and the non-autonomous scalar ODE u' = cos(t) u."""
+    burgers, sw = burgers_problem(), shallow_water_problem()
+    cases = []
+    for family, kind, delta in (("basic", "lps", 0.2), ("cubature", "cip", 0.11)):
+        for p in ALL_DEGREES:
+            system = _advection_system(family, p, kind, delta)
+            U0 = system.interpolate(lambda x, t: np.sin(np.pi * x) + 0.3 * np.cos(3 * x))
+            cases.append((f"advection-{family}-{kind}-p{p}", system, U0, 0.04,
+                          (DEC_CONFIGS[p + 1],)))
+    for problem, n_cells, dt in ((burgers, 12, 0.01), (sw, 40, 0.05)):
+        for p in ALL_DEGREES:
+            system = build_problem_system(problem, "basic", p, StabilizationSpec("supg", 0.1),
+                                          n_cells)
+            cases.append((f"{problem.name}-basic-supg-p{p}", system,
+                          system.interpolate(problem.exact, 0.0), dt, (DEC_CONFIGS[p + 1],)))
+    ode = ScalarODE(lambda U, t: np.cos(t) * U, n=2)
+    cases.append(("ode-cos", ode, np.array([1.0, -0.4]), 0.3, tuple(DEC_CONFIGS.values())))
+    return cases
+
+
+DEC_CASES = _dec_cases()
+
+
+@pytest.mark.parametrize("case", DEC_CASES, ids=[case[0] for case in DEC_CASES])
+def test_dec_step_matches_the_every_subtimestep_loop_bitwise(case):
+    """Reusing r(U) in sweep 1, dropping its exact-zero M (sub - U) and
+    forming only subtimestep M in the last sweep change no bit."""
+    _, system, U0, dt, configs = case
+    for config in configs:
+        U, t = U0.copy(), 0.1
+        for _ in range(3):
+            new = dec_step(system, U.copy(), t, dt, config)
+            assert new.tobytes() == reference_dec_step(system, U.copy(), t, dt, config).tobytes()
+            U, t = new, t + dt
+
+
+@pytest.mark.parametrize("case", DEC_CASES, ids=[case[0] for case in DEC_CASES])
+def test_dec_step_residual_count(case):
+    """1 + (K - 1) M residuals a step for an autonomous system, whose sweep 1
+    reuses r(U); 1 + K M when the residual reads t (the shallow-water source,
+    the scalar ODE)."""
+    name, system, U0, dt, configs = case
+    assert system.autonomous == (not name.startswith(("sw", "ode")))
+    residual, times = system.residual, []
+    system.residual = lambda U, t=0.0: times.append(t) or residual(U, t)
+    try:
+        for config in configs:
+            K, M = config.n_iter, config.n_sub
+            del times[:]
+            dec_step(system, U0.copy(), 0.1, dt, config)
+            assert len(times) == (1 + (K - 1) * M if system.autonomous else 1 + K * M)
+    finally:
+        del system.residual
 
 
 def test_non_finite_state_detected():
