@@ -162,8 +162,8 @@ def dec_step(system, U, t, dt, config):
     sub = [U] * (nsub + 1)
     r0 = system.residual(U, t)
     for k in range(1, config.n_iter + 1):
-        same = k == 1 and system.autonomous
-        rs = [r0] + [r0 if same else system.residual(sub[m], times[m - 1])
+        reuse_r0 = k == 1 and system.autonomous
+        rs = [r0] + [r0 if reuse_r0 else system.residual(sub[m], times[m - 1])
                      for m in range(1, nsub + 1)]
         new = [U]
         for m in range(1, nsub + 1) if k < config.n_iter else (nsub,):

@@ -547,8 +547,8 @@ def test_eigvals_batched_non_finite_matrix_raises(n, bad):
 
 
 def _dec_polynomial_loop(M, K, Dvec, scale, config):
-    """The DeC cfl polynomial with every block of every sweep formed and
-    each W @ S product recomputed for every subtimestep."""
+    """The DeC cfl polynomial with every block of every subtimestep formed
+    in every sweep and each W @ S product recomputed for every subtimestep."""
     p = M.shape[-1]
     nq = config.n_iter + 1
     eye = np.broadcast_to(np.eye(p, dtype=complex), M.shape)
@@ -595,39 +595,12 @@ def test_dec_cfl_polynomial_matches_full_loop(family, kind, degree):
     assert got.tobytes() == _dec_polynomial_loop(*args).tobytes()
 
 
-
-def _dec_polynomial_every_subtimestep(M, K, Dvec, scale, config):
-    """The DeC cfl polynomial with every subtimestep formed in every sweep,
-    the last one included."""
-    eye = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape).copy()
-    Dinv = 1.0 / Dvec
-    P = Dinv[..., :, None] * M
-    W = -scale * (Dinv[..., :, None] * K)
-    w_eye = W @ eye
-    zeros = np.zeros_like(eye)
-    subs = [[eye] for _ in range(config.n_sub + 1)]
-    for sweep in range(1, config.n_iter + 1):
-        quad = [[w_eye] + [W @ S for S in Sz[1:]] for Sz in subs]
-        new = [subs[0]]
-        for m in range(1, config.n_sub + 1):
-            Sm = subs[m]
-            out = [eye]
-            for q in range(1, sweep + 1):
-                acc = Sm[q] - P @ Sm[q] if q < sweep else zeros
-                for z, rho in enumerate(config.rho[m - 1]):
-                    if rho != 0.0 and q <= len(quad[z]):
-                        acc = acc + rho * quad[z][q - 1]
-                out.append(acc)
-            new.append(out)
-        subs = new
-    return np.stack(subs[config.n_sub], axis=0)
-
-
 @pytest.mark.parametrize("order", sorted(DEC_CONFIGS))
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_dec_cfl_polynomial_forms_only_the_last_subtimestep_bitwise(order, p):
     """Forming only block M in the last sweep changes no bit of H, on
-    batched random symbols."""
+    batched random symbols, against the loop that forms every block of
+    every subtimestep in every sweep."""
     rng = np.random.default_rng(10 * order + p)
     shape = (3, 7, p, p)
     M = np.eye(p) + 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
@@ -635,8 +608,7 @@ def test_dec_cfl_polynomial_forms_only_the_last_subtimestep_bitwise(order, p):
     D = 1.0 + rng.random(size=(3, 1, p))
     got = _dec_cfl_polynomial(M, K, D, 0.8, DEC_CONFIGS[order])
     assert got.shape == (order + 1,) + shape
-    assert got.tobytes() == _dec_polynomial_every_subtimestep(
-        M, K, D, 0.8, DEC_CONFIGS[order]).tobytes()
+    assert got.tobytes() == _dec_polynomial_loop(M, K, D, 0.8, DEC_CONFIGS[order]).tobytes()
 
 
 def _dec_polynomial_reforming_identity(M, K, Dvec, scale, config):
