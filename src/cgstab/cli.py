@@ -26,9 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elements import FAMILIES, UnsupportedDegree
-from .fourier import (CONVENTION_CELL, CONVENTION_DOF, DEFAULT_CONVENTION, EigenSolveFailure,
-                      dt_scale, phase_damping, principal_mode, semidiscrete_modes)
+from .elements import FAMILIES
+from .fourier import EigenSolveFailure, phase_damping, principal_mode, semidiscrete_modes
 from .problems import PROBLEMS
 from .scan import Combination, ScanGrid, _mode_fields, scan_combination
 from .solver import BlowUp, convergence_study, run_simulation
@@ -57,15 +56,14 @@ class Option(NamedTuple):
 
 
 # Every option a subcommand accepts, beside --config.  A default here is one
-# the CLI owns; where the library owns it (the grid, mu, convention) the CLI
-# passes on only the keys given.  out and jobs are run settings: accepted
-# everywhere, never recorded.
+# the CLI owns; where the library owns it (the grid, mu) the CLI passes on
+# only the keys given.  out and jobs are run settings: accepted everywhere,
+# never recorded.
 OPTIONS = {
     "family": Option((str,), {"choices": FAMILIES}, ALL, "cubature"),
     "degree": Option((int,), {"type": int, "choices": (1, 2, 3)}, ALL, 2),
     "stab": Option((str,), {"choices": STAB_KINDS}, ALL, "none"),
     "time": Option((str,), {"choices": SCHEME_KINDS}, ALL, "ssprk"),
-    "convention": Option((str,), {"choices": (CONVENTION_CELL, CONVENTION_DOF)}, ALL),
     "cfl": Option(NUMBER, {"type": float}, POINT, 0.5),
     "delta": Option(NUMBER, {"type": float}, POINT, 0.0),
     # the default is modes'; the scans take ScanGrid.default's
@@ -175,7 +173,7 @@ def cmd_modes(cfg, out_dir):
     semi = bool(cfg.get("semi_discrete"))
     if semi:
         # the semi-discrete curves depend on neither the time scheme nor the step
-        cfg = {k: v for k, v in cfg.items() if k not in ("time", "cfl", "convention")}
+        cfg = {k: v for k, v in cfg.items() if k not in ("time", "cfl")}
         name = f"modes_{comb.family}-p{comb.degree}-{comb.stab_kind}.csv"
         ma = semidiscrete_modes(comb.family, comb.degree, stab, thetas)
         omega_over_k, eps, principal = ma.omega_over_k, ma.epsilon, ma.principal
@@ -183,15 +181,15 @@ def cmd_modes(cfg, out_dir):
         cfl = _value(cfg, "cfl")
         if not 0 < cfl < np.inf:
             raise ValueError(f"cfl must be positive and finite, got {cfl}")
-        scale = dt_scale(cfg.get("convention", DEFAULT_CONVENTION), 1.0, comb.degree)
         name = f"modes_{comb.label()}.csv"
-        # the scans' solver on one cfl row, kept by an infinite bound unless it overflows
+        # the scans' solver on one cfl row, kept by an infinite bound unless it
+        # overflows; at unit dx and unit speed, dt = cfl
         with np.errstate(over="ignore", invalid="ignore"):
-            (kept, lam), = _mode_fields(comb, thetas, np.array([cfl]), scale,
-                                        np.array([stab.delta]), np.array([np.inf]))
+            (kept, lam), = _mode_fields(comb, thetas, np.array([cfl]), np.array([stab.delta]),
+                                        np.array([np.inf]))
         if not (kept.all() and np.isfinite(lam).all()):
             raise EigenSolveFailure(f"non-finite propagator eigenvalues at cfl={cfl}")
-        omega, eps = phase_damping(lam[0], cfl * scale)
+        omega, eps = phase_damping(lam[0], cfl)
         k = thetas[:, None]
         omega_over_k, principal = omega / k, principal_mode(omega, k)
     # the semi-discrete basic-p1 curve: no reference for fully discrete omega/k
@@ -211,8 +209,7 @@ def cmd_modes(cfg, out_dir):
 
 def cmd_scan(cfg, out_dir):
     comb = _combination(cfg)
-    res = scan_combination(comb, ScanGrid.default(**_given(cfg, *GRID)),
-                           **_given(cfg, "convention", "mu"))
+    res = scan_combination(comb, ScanGrid.default(**_given(cfg, *GRID)), **_given(cfg, "mu"))
 
     def scan_json(fh):
         res.to_json(fh)
@@ -251,7 +248,7 @@ def _optimum_rows(comb, res):
 def cmd_optimize(cfg, out_dir):
     """Every combination that matches the given family, degree, stab and time."""
     grid = ScanGrid.default(**_given(cfg, *GRID))
-    given = _given(cfg, "convention", "mu")
+    given = _given(cfg, "mu")
     tasks = [(Combination(*values), grid, given)
              for values in itertools.product(*(OPTIONS[key].flag["choices"] for key in COMBINATION))
              if all(cfg.get(key, val) == val for key, val in zip(COMBINATION, values))]
@@ -275,7 +272,7 @@ def cmd_solve(cfg, out_dir):
     problem = PROBLEMS[_value(cfg, "problem")]()
     stab = StabilizationSpec(comb.stab_kind, _value(cfg, "delta"))
     run = run_simulation(problem, comb.family, comb.degree, stab, comb.scheme_kind,
-                         _value(cfg, "cfl"), _value(cfg, "cells"), **_given(cfg, "convention"))
+                         _value(cfg, "cfl"), _value(cfg, "cells"))
     payload = {"config": {k: str(v) for k, v in _recorded(cfg)}}
     payload.update(run.config_dict())
     path = _write(out_dir / f"solve_{run.problem}_{comb.label()}_{run.n_cells}.json",
@@ -294,7 +291,7 @@ def cmd_convergence(cfg, out_dir):
         raise ValueError(f"levels={levels} but dx1 lists {len(dx1)} mesh sizes")
     stab = StabilizationSpec(comb.stab_kind, _value(cfg, "delta"))
     rep = convergence_study(PROBLEMS[name](), comb.family, comb.degree, stab, comb.scheme_kind,
-                            _value(cfg, "cfl"), dx1_values=dx1, **_given(cfg, "convention"))
+                            _value(cfg, "cfl"), dx1_values=dx1)
     base = f"{name}_{comb.label()}"
     _write(out_dir / f"convergence_{base}.csv",
            lambda fh: fh.write(_resolved_header(cfg) + "\n" + rep.csv()))
@@ -340,7 +337,7 @@ def main(argv=None):
         # before ValueError, which LinAlgError subclasses
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, UnsupportedDegree, KeyError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:   # an artifact or its directory could not be written

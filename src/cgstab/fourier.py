@@ -36,23 +36,6 @@ class EigenSolveFailure(RuntimeError):
     """Closed-form and iterative eigenvalue paths both failed the residual check."""
 
 
-# time step conventions: dt = cfl * scale / speed
-CONVENTION_CELL = "cell"   # scale = dx
-CONVENTION_DOF = "dof"     # scale = dx / p
-
-# Calibrated against the unstabilized cubature entries of the reference
-# stability tables (see README): the per-cell convention reproduces them.
-DEFAULT_CONVENTION = CONVENTION_CELL
-
-
-def dt_scale(convention, dx, p):
-    if convention == CONVENTION_CELL:
-        return dx
-    if convention == CONVENTION_DOF:
-        return dx / p
-    raise ValueError(f"unknown CFL convention {convention!r}")
-
-
 # ---------------------------------------------------------------------------
 # small dense eigenvalue solver (closed forms up to 3x3, LAPACK fallback)
 # ---------------------------------------------------------------------------
@@ -310,11 +293,11 @@ def semidiscrete_modes(family, degree, stab, theta):
     return ModeAnalysis(omega / k, -np.real(lam), lam, principal_mode(omega, k))
 
 
-def _dec_cfl_polynomial(M, K, Dvec, scale, config):
+def _dec_cfl_polynomial(M, K, Dvec, config):
     """Coefficient matrices H_q of the DeC propagator G(cfl) = sum_q cfl^q H_q.
 
-    M, K are the unit-scaled symbols (possibly batched ...xpxp), Dvec the
-    real lumped diagonal and scale = dt / (cfl dx) for unit speed.  The
+    M, K are the symbols at unit dx and unit speed (possibly batched
+    ...xpxp), where dt = cfl, and Dvec the real lumped diagonal.  The
     deferred-correction update is iterated with the time step kept
     symbolic, inverting only D as the solver does.  Each sweep raises the
     degree by one, so after sweep s block q > s is zero and is not formed;
@@ -325,7 +308,7 @@ def _dec_cfl_polynomial(M, K, Dvec, scale, config):
     eye = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape).copy()
     Dinv = 1.0 / Dvec
     P = Dinv[..., :, None] * M            # D^{-1} M
-    W = -scale * (Dinv[..., :, None] * K)  # dt D^{-1} r-symbol per unit cfl
+    W = -(Dinv[..., :, None] * K)          # dt D^{-1} r-symbol per unit cfl
     w_eye = W @ eye
     zeros = np.zeros_like(eye)
     subs = [[eye] for _ in range(config.n_sub + 1)]  # subs[m][q], q <= sweep
@@ -346,9 +329,8 @@ def _dec_cfl_polynomial(M, K, Dvec, scale, config):
     return np.stack(subs[-1], axis=0)  # (n_iter + 1, ..., p, p)
 
 
-def amplification_matrix(family, degree, stab, scheme_kind, theta, cfl,
-                         convention=DEFAULT_CONVENTION):
-    """Fully discrete one-step propagator G at unit dx and unit speed.
+def amplification_matrix(family, degree, stab, scheme_kind, theta, cfl):
+    """Fully discrete one-step propagator G at unit dx and unit speed, so dt = cfl.
 
     theta may be an array, G then has shape theta.shape + (p, p).  RK and
     SSPRK use the expanded stability-polynomial form; deferred correction
@@ -360,11 +342,10 @@ def amplification_matrix(family, degree, stab, scheme_kind, theta, cfl,
     scheme = make_scheme(scheme_kind, degree + 1)
     theta = np.asarray(theta, dtype=float)
     M, K = b.mass(theta, stab.delta), b.conv(theta, stab.delta)
-    scale = dt_scale(convention, 1.0, degree)  # dt / (cfl dx): dx cancels
     if scheme.kind == "dec":
-        H = _dec_cfl_polynomial(M, K, b.lumped_diag(stab.delta), scale, scheme.tableau)
+        H = _dec_cfl_polynomial(M, K, b.lumped_diag(stab.delta), scheme.tableau)
         return np.tensordot(cfl ** np.arange(len(H)), H, axes=1)
-    Z = -cfl * scale * np.linalg.solve(M, K)   # dt times the ODE operator
+    Z = -cfl * np.linalg.solve(M, K)   # dt times the ODE operator
     G = Zp = np.eye(degree, dtype=complex)
     for nu_j in expand_ssprk_coefficients(scheme.tableau):
         Zp = Zp @ Z

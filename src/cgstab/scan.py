@@ -21,7 +21,7 @@ maximization subject to eta <= mu * min(eta) for either functional
 reference tables mark ambiguous optima.
 
 Results are speed invariant: the scan runs at unit advection speed and
-unit dof spacing, and the per-cell CFL convention makes dt = cfl * dx.
+unit dof spacing, and the CFL is per cell, dt = cfl * dx.
 """
 
 import json
@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import (_EIG_CHUNK, _ELIDE_VALUES, DEFAULT_CONVENTION, EigenSolveFailure,
-                      _dec_cfl_polynomial, dt_scale, eigvals_batched, phase_damping,
-                      principal_mode, symbol_builder)
+from .fourier import (_EIG_CHUNK, _ELIDE_VALUES, EigenSolveFailure, _dec_cfl_polynomial,
+                      eigvals_batched, phase_damping, principal_mode, symbol_builder)
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 K_MAX = 2.0 * np.pi / 3.0
@@ -97,7 +96,6 @@ class ScanResult:
     eta_u: np.ndarray         # NaN where unstable
     eta_w: np.ndarray
     optima: dict              # strategy -> dict(cfl, delta, objective, monotone_safe)
-    convention: str = DEFAULT_CONVENTION
     mu: float = 1.3
     eig_failures: int = 0
 
@@ -113,7 +111,7 @@ class ScanResult:
                 "eta_u": self.eta_u, "eta_w": self.eta_w}
         payload = {
             "combination": vars(self.combination),
-            "convention": self.convention,
+            "convention": "cell",   # the CFL is per cell; the field keeps the file's bytes
             "mu": self.mu,
             "cfl_values": self.cfl_values.tolist(),
             "delta_values": self.delta_values.tolist(),
@@ -145,7 +143,7 @@ class ScanResult:
         """Write the mask CSV, one line per cell, to the text stream ``fh``,
         one CFL row at a time, so the text held in memory is one row
         whatever the grid."""
-        fh.write(f"# {self.combination.label()}\n# convention={self.convention}\n"
+        fh.write(f"# {self.combination.label()}\n# convention=cell\n"
                  "cfl,delta,stable,eta_u,eta_w\n")
         deltas = [f"{d:.12g}" for d in self.delta_values.tolist()]
         for cfl, st, eu, ew in zip(self.cfl_values.tolist(), self.stable, self.eta_u, self.eta_w):
@@ -189,15 +187,16 @@ def _half_turn(n, p):
     return kept, src, mirrored
 
 
-def _mode_fields(comb, theta, cfls, scale, deltas, bound):
+def _mode_fields(comb, theta, cfls, deltas, bound):
     """Stable rows and lambda(G) on them for a block of delta values of the
     combination ``comb``: an iterator of (rows, lam[rows]), one per delta,
     in order.
 
     The one producer of propagator eigenvalues: the scans and ``cgstab
     modes`` (one cfl, an infinite bound, a block of one delta) both call
-    it.  lam holds every (cfl, theta, mode), shape (n_cfl, n_theta, p); a
-    row is stable iff every |lambda| <= bound[row].
+    it, at unit dx and unit speed, so dt = cfl.  lam holds every (cfl,
+    theta, mode), shape (n_cfl, n_theta, p); a row is stable iff every
+    |lambda| <= bound[row].
 
     The call folds the symbols of the whole block.  For an RK scheme it
     solves the eigenvalues of M^-1 K there, and the stability polynomial
@@ -216,11 +215,11 @@ def _mode_fields(comb, theta, cfls, scale, deltas, bound):
     if scheme.kind != "dec":
         nu = expand_ssprk_coefficients(scheme.tableau)
         lamA = eigvals_batched(np.linalg.solve(M, Kt))    # (n_delta, n_theta, p)
-        return (_rk_fields(nu, -scale * np.multiply.outer(cfls, a), bound) for a in lamA)
+        return (_rk_fields(nu, -np.multiply.outer(cfls, a), bound) for a in lamA)
     probe = np.zeros(len(theta), dtype=bool)
     probe[_PROBE_STRIDE - 1::_PROBE_STRIDE] = True
     D = b.lumped_diag(deltas)[:, None]
-    Hp = _dec_cfl_polynomial(M[:, probe], Kt[:, probe], D, scale, scheme.tableau)
+    Hp = _dec_cfl_polynomial(M[:, probe], Kt[:, probe], D, scheme.tableau)
     powers = cfls[:, None] ** np.arange(len(Hp))[None, :]
     # G is formed on every cfl row: a tensordot over fewer rows rounds differently
     step = max(1, _EIG_CHUNK // max(1, len(cfls) * probe.sum()))   # columns per probe solve
@@ -233,7 +232,7 @@ def _mode_fields(comb, theta, cfls, scale, deltas, bound):
         for j, rows in enumerate(alive.T):
             lam = np.empty((rows.sum(), len(theta), lam_probe.shape[-1]), dtype=complex)
             if len(lam):
-                Hr = _dec_cfl_polynomial(M[j, ~probe], Kt[j, ~probe], D[j], scale, scheme.tableau)
+                Hr = _dec_cfl_polynomial(M[j, ~probe], Kt[j, ~probe], D[j], scheme.tableau)
                 G = np.tensordot(powers, Hr, axes=(1, 0))
                 lam[:, probe] = lam_probe[rows, j]
                 lam[:, ~probe] = eigvals_batched(G[rows])
@@ -268,7 +267,7 @@ def _block_width(n_theta, p):
     return max(1, (_ELIDE_VALUES - 1) // (n_theta * p * p))
 
 
-def _scan_fields(comb, grid, convention):
+def _scan_fields(comb, grid):
     """Mask and error fields on the (n_cfl, n_delta) grid, in blocks of delta columns.
 
     Only the samples ``_half_turn`` keeps are solved; a row is stable iff
@@ -286,8 +285,7 @@ def _scan_fields(comb, grid, convention):
     theta = p * k[kept]               # dx = p when dx_p = 1
     sign = np.where(mirrored, -1.0, 1.0)[:, None]
     cfls = grid.cfl_values
-    scale = dt_scale(convention, 1.0, p)   # dt = cfl*scale*dx/speed, dx folded out
-    dt_row = cfls * scale * p          # dx = p, speed = 1
+    dt_row = cfls * p                 # dt = cfl dx / speed, dx = p, speed = 1
     bound = np.exp(EPS_TOL * dt_row)
     deltas = grid.delta_values
     shape = (len(cfls), len(deltas))
@@ -296,8 +294,7 @@ def _scan_fields(comb, grid, convention):
     ew = np.full(shape, np.nan)
 
     def solve(cols):
-        for j, (rows, lam) in zip(cols, _mode_fields(comb, theta, cfls, scale, deltas[cols],
-                                                     bound)):
+        for j, (rows, lam) in zip(cols, _mode_fields(comb, theta, cfls, deltas[cols], bound)):
             stable[:, j] = rows
             if not rows.any():
                 continue
@@ -342,16 +339,16 @@ def eta_w(k, omega):
     return np.sqrt(np.trapezoid(((omega - k) / k) ** 2, k, axis=-1))
 
 
-def scan_combination(comb, grid=None, convention=DEFAULT_CONVENTION, mu=1.3):
+def scan_combination(comb, grid=None, mu=1.3):
     """Full sweep: mask, error fields, and the three optima."""
     if not 1 <= mu < np.inf:
         raise ValueError(f"mu must be finite and at least 1, got {mu}")
     grid = grid or ScanGrid.default()
-    stable, eu, ew, failures = _scan_fields(comb, grid, convention)
-    result = ScanResult(comb, grid, stable, eu, ew, {}, convention, mu, failures)
+    stable, eu, ew, failures = _scan_fields(comb, grid)
+    result = ScanResult(comb, grid, stable, eu, ew, {}, mu, failures)
     for strategy in ("max_cfl", "min_eta_u", "min_eta_w"):
         try:
-            cfl, delta, obj = optimize(result, strategy, mu=mu)
+            cfl, delta, obj = optimize(result, strategy)
         except NoStableRegion:
             result.optima[strategy] = None
             continue
@@ -364,15 +361,16 @@ def scan_combination(comb, grid=None, convention=DEFAULT_CONVENTION, mu=1.3):
     return result
 
 
-def optimize(result, strategy, mu=1.3):
+def optimize(result, strategy):
     """Pick (CFL*, delta*) for one strategy from a completed ScanResult.
 
     max_cfl: largest stable CFL, ties broken by the largest delta.
     min_eta_u / min_eta_w: among stable cells whose objective stays below
-    mu times the global stable minimum, the largest CFL; ties prefer the
-    smaller objective, then the larger delta.  Below mu = 1 not even the
-    minimum is feasible, so mu must be finite and at least 1.
+    result.mu times the global stable minimum, the largest CFL; ties prefer
+    the smaller objective, then the larger delta.  Below mu = 1 not even
+    the minimum is feasible, so mu must be finite and at least 1.
     """
+    mu = result.mu
     if not 1 <= mu < np.inf:
         raise ValueError(f"mu must be finite and at least 1, got {mu}")
     stable = result.stable

@@ -7,7 +7,6 @@ import numpy as np
 from .elements import build_reference_element
 from .stabilization import DIRICHLET, Mesh1D, assemble_system
 from .timeint import BlowUp, make_scheme
-from .fourier import DEFAULT_CONVENTION, dt_scale
 
 
 @dataclass
@@ -79,13 +78,12 @@ def l2_error(system, U, exact, t):
     return float(np.sqrt(system.mesh.dx * np.sum(w[None, :] * (vals - ex) ** 2)))
 
 
-def run_simulation(problem, family, degree, stab, scheme, cfl, n_cells,
-                   convention=DEFAULT_CONVENTION, monitor=None):
+def run_simulation(problem, family, degree, stab, scheme, cfl, n_cells, monitor=None):
     """Advance one configuration to t_final and report the L2 error.
 
     ``stab`` is a StabilizationSpec and ``scheme`` a time-scheme kind
-    ("rk", "ssprk" or "dec"), run at order degree + 1.  dt follows the
-    calibrated CFL convention with the instantaneous global maximum wave
+    ("rk", "ssprk" or "dec"), run at order degree + 1.  The CFL is per
+    cell: dt = cfl dx / speed, with the instantaneous global maximum wave
     speed (refreshed every step for nonlinear fluxes); the last step is
     clipped to land on t_final exactly.  With a zero wave speed every dt
     is stable, so the run takes one step to t_final.  A step that no
@@ -100,10 +98,9 @@ def run_simulation(problem, family, degree, stab, scheme, cfl, n_cells,
     U = system.interpolate(problem.exact, 0.0)
     t = 0.0
     n_steps = 0
-    scale = dt_scale(convention, system.mesh.dx, degree)
     while t < problem.t_final - 1e-13:
         speed = problem.flux.max_speed(U.reshape(system.n_nodes, system.n_comp))
-        dt = min(cfl * scale / speed if speed else np.inf, problem.t_final - t)
+        dt = min(cfl * system.mesh.dx / speed if speed else np.inf, problem.t_final - t)
         if not t + dt > t:
             raise BlowUp(f"time step {n_steps + 1} does not advance t = {t:.6g} (dt = {dt:.3g})")
         U = scheme.step(system, U, t, dt)   # raises BlowUp on NaN/Inf
@@ -134,7 +131,7 @@ def cells_for_level(problem, degree, dx1):
 
 
 def convergence_study(problem, family, degree, stab, scheme, cfl,
-                      dx1_values=DX1_DEFAULT, convention=DEFAULT_CONVENTION):
+                      dx1_values=DX1_DEFAULT):
     """Run a mesh sequence and fit the convergence order.
 
     Levels that blow up are recorded and excluded from the fit; at least
@@ -150,8 +147,7 @@ def convergence_study(problem, family, degree, stab, scheme, cfl,
     report = ConvergenceReport(problem.name)
     for dx1, n_cells in zip(dx1_values, cells):
         try:
-            run = run_simulation(problem, family, degree, stab, scheme, cfl,
-                                 n_cells, convention=convention)
+            run = run_simulation(problem, family, degree, stab, scheme, cfl, n_cells)
         except BlowUp:
             report.failed_levels.append({"dx": degree * dx1, "n_cells": n_cells})
             continue

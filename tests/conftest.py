@@ -23,8 +23,7 @@ def fourier_mode_state(system, theta, u_red):
 
 
 def one_step_reduced(family, p, stab_kind, delta, scheme_kind, mode_index,
-                     u_red, cfl, n_cells=8, a=1.3, dx=0.7,
-                     convention="cell"):
+                     u_red, cfl, n_cells=8, a=1.3, dx=0.7):
     """One real periodic solver step applied to a Fourier mode, reduced back.
 
     This is the time-domain oracle for the amplification matrix: linearity
@@ -37,17 +36,15 @@ def one_step_reduced(family, p, stab_kind, delta, scheme_kind, mode_index,
     system = assemble_system(mesh, ref, stab, LinearAdvection(a))
     theta = 2.0 * np.pi * mode_index / n_cells
     U = fourier_mode_state(system, theta, u_red)
-    scale = mesh.dx if convention == "cell" else mesh.dx / p
-    dt = cfl * scale / abs(a)
+    dt = cfl * mesh.dx / abs(a)
     scheme = make_scheme(scheme_kind, p + 1)
     Ur = scheme.step(system, U.real.copy(), 0.0, dt)
     Ui = scheme.step(system, U.imag.copy(), 0.0, dt)
     return (Ur + 1j * Ui)[:p], theta
 
 
-def predicted_step(family, p, stab_kind, delta, scheme_kind, theta, u_red,
-                   cfl, convention="cell"):
+def predicted_step(family, p, stab_kind, delta, scheme_kind, theta, u_red, cfl):
     """G applied to the reduced mode; dx and the speed cancel in the symbol."""
     G = amplification_matrix(family, p, StabilizationSpec(stab_kind, delta), scheme_kind,
-                             theta, cfl, convention=convention)
+                             theta, cfl)
     return G @ u_red

@@ -4,8 +4,9 @@ Tolerances are fixed here, not tuned at runtime.  Reference values quoted
 from the published stability/convergence tables are marked in comments as
 (table).  Criterion 3 follows a two-stage contract: a time-step
 convention calibration against the unstabilized cubature p=2 anchors is
-attempted first under both candidate conventions.  Those anchors are not
-attainable by either convention: the tabled values imply a reduced-symbol
+attempted first under both candidate conventions, per cell (the one the
+toolkit uses) and per dof (a per-dof CFL c is the per-cell CFL c/p).
+Those anchors are not attainable by either convention: the tabled values imply a reduced-symbol
 spectral radius near 3.43, while the exact p = 2 collocated symbol has
 radius exactly 3 (provable from its characteristic polynomial), so the
 suite falls back to the property form: every tabled point stable, the
@@ -98,15 +99,16 @@ def test_criterion_2_amplification_oracle():
 
 # -------------------------------------------------------------- criterion 3
 
-def _point_stable(family, p, kind, scheme, cfl, delta, convention="cell"):
+def _point_stable(family, p, kind, scheme, cfl, delta):
     comb = Combination(family, p, kind, scheme)
     grid = ScanGrid(np.array([cfl]), np.array([max(delta, 1e-300)]), 100)
-    return bool(scan_combination(comb, grid, convention=convention).stable[0, 0])
+    return bool(scan_combination(comb, grid).stable[0, 0])
 
 
-def _boundary_cfl(family, p, kind, scheme, delta, convention="cell"):
+def _boundary_cfl(family, p, kind, scheme, delta, per_dof=False):
+    """The stability boundary by bisection; per dof, a CFL c is the per-cell c / p."""
     lo, hi = 1e-3, 8.0
-    f = lambda c: _point_stable(family, p, kind, scheme, c, delta, convention)
+    f = lambda c: _point_stable(family, p, kind, scheme, c / p if per_dof else c, delta)
     if not f(lo):
         return 0.0
     if f(hi):
@@ -158,7 +160,7 @@ def test_criterion_3_cfl_calibration_and_table_points():
     for convention in ("cell", "dof"):
         steps = []
         for scheme, ref in anchors.items():
-            bd = _boundary_cfl("cubature", 2, "none", scheme, 0.0, convention)
+            bd = _boundary_cfl("cubature", 2, "none", scheme, 0.0, per_dof=convention == "dof")
             steps.append(abs(np.log(bd / ref) / np.log(GRID_RATIO)))
             lines.append(f"  anchor {scheme} ({convention}): boundary {bd:.4f} vs {ref} "
                          f"({steps[-1]:.1f} grid steps)")

@@ -11,7 +11,7 @@ import pytest
 
 from cgstab import cli, scan
 from cgstab.cli import main
-from cgstab.fourier import amplification_matrix, dt_scale, phase_damping, principal_mode
+from cgstab.fourier import amplification_matrix, phase_damping, principal_mode
 from cgstab.scan import Combination, ScanGrid, _mode_fields, scan_combination
 from cgstab.stabilization import StabilizationSpec
 from conftest import ALL_DEGREES, ALL_FAMILIES, ALL_SCHEMES, ALL_STABS
@@ -45,8 +45,7 @@ def test_modes_semidiscrete_file_ignores_the_time_scheme(tmp_path):
     texts = []
     for scheme, cfl in (("rk", "0.3"), ("dec", "0.7")):
         out = tmp_path / scheme
-        assert run_cli(common + ["--time", scheme, "--cfl", cfl, "--convention", "dof",
-                                 "--out", str(out)]) == 0
+        assert run_cli(common + ["--time", scheme, "--cfl", cfl, "--out", str(out)]) == 0
         assert [path.name for path in out.iterdir()] == ["modes_cubature-p2-cip.csv"]
         texts.append((out / "modes_cubature-p2-cip.csv").read_bytes())
     assert texts[0] == texts[1]
@@ -102,10 +101,9 @@ def test_modes_rows_are_the_scan_engine_reduction(tmp_path, label):
     cfl, delta, n = 0.3, 0.05, 37
     rows = _modes_rows(tmp_path, comb, cfl, delta, n)
     theta = np.pi * np.arange(1, n + 1) / n
-    scale = dt_scale("cell", 1.0, comb.degree)
-    (kept, lam), = _mode_fields(comb, theta, np.array([cfl]), scale, np.array([delta]),
+    (kept, lam), = _mode_fields(comb, theta, np.array([cfl]), np.array([delta]),
                                 np.array([np.inf]))
-    omega, eps = phase_damping(lam[0], cfl * scale)
+    omega, eps = phase_damping(lam[0], cfl)
     pick = principal_mode(omega, theta[:, None])
     want = [[f"{t:.12g}", str(i), f"{omega[j, i] / t:.12g}", f"{eps[j, i]:.12g}",
              str(int(i == pick[j]))] for j, t in enumerate(theta) for i in range(comb.degree)]
@@ -129,7 +127,7 @@ def test_modes_match_lapack_on_the_public_propagator(tmp_path, comb):
     n, p = 50, comb.degree
     rows = _modes_rows(tmp_path, comb, cfl, delta, n)
     theta = np.pi * np.arange(1, n + 1) / n
-    dt = cfl * dt_scale("cell", 1.0, p)
+    dt = cfl   # unit dx and unit speed
     w = np.array([[float(r[2]), float(r[3])] for r in rows]).reshape(n, p, 2)
     mine = np.exp(w[..., 1] * dt - 1j * w[..., 0] * theta[:, None] * dt)
     mine_pick = np.array([int(r[4]) for r in rows]).reshape(n, p).argmax(axis=-1)
@@ -477,19 +475,18 @@ def test_optimize_combination_keys_filter_the_sweep(tmp_path):
 # the options each subcommand reads, written out here rather than read from the CLI
 READS = {
     "modes": {"family", "degree", "stab", "time", "cfl", "delta", "theta_samples",
-              "convention", "semi_discrete"},
-    "scan": {"family", "degree", "stab", "time", "theta_samples", "convention", "mu",
+              "semi_discrete"},
+    "scan": {"family", "degree", "stab", "time", "theta_samples", "mu",
              "cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio"},
-    "solve": {"family", "degree", "stab", "time", "problem", "cfl", "delta", "cells",
-              "convention"},
+    "solve": {"family", "degree", "stab", "time", "problem", "cfl", "delta", "cells"},
     "convergence": {"family", "degree", "stab", "time", "problem", "cfl", "delta", "levels",
-                    "dx1", "convention"},
+                    "dx1"},
 }
 READS["optimize"] = READS["scan"]
 CONFIG_ONLY = {"cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio", "dx1"}
 # one valid value per option, as a JSON value and as a flag's argument (None: a bare flag)
 VALUES = {"family": "basic", "degree": 1, "stab": "cip", "time": "rk", "cfl": 0.3,
-          "delta": 0.1, "theta_samples": 8, "convention": "dof", "semi_discrete": True,
+          "delta": 0.1, "theta_samples": 8, "semi_discrete": True,
           "mu": 1.5, "cfl_min": 0.1, "cfl_max": 1.0, "delta_min": 0.01, "delta_max": 1.0,
           "grid_ratio": 1.5, "problem": "burgers", "cells": 20, "levels": 3,
           "dx1": [0.1, 0.05, 0.025], "out": "x", "jobs": 2}
@@ -507,7 +504,7 @@ def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys, com
     """out and jobs are accepted everywhere; any other option the subcommand
     does not read, as a flag or a config key, returns 2 with a configuration
     error naming it and writes nothing."""
-    assert sum(map(len, READS.values())) == 52
+    assert sum(map(len, READS.values())) == 47
     accepted = READS[command] | {"out", "jobs"}
     path = tmp_path / "c.json"
     for key in VALUES:
@@ -536,6 +533,23 @@ def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys, com
     path.write_text(json.dumps({unread: VALUES[unread]}))
     assert main([command, "--config", str(path), *out]) == 2
     assert repr(unread) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_the_cfl_convention_is_no_option(tmp_path, capsys, command):
+    """The CFL is per cell: --convention and a "convention" config key are
+    configuration errors on every subcommand, and nothing is written."""
+    args = [command, "--family", "basic", "--degree", "1", "--stab", "none", "--time", "rk",
+            "--out", str(tmp_path / "out")]
+    assert main(args + ["--convention", "cell"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--convention" in err
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"convention": "cell"}))
+    assert main(args + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "'convention'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -616,6 +630,19 @@ def test_a_singular_solve_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "semidiscrete_modes", singular)
     assert main(["modes", "--semi-discrete", "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numerical failure: Singular matrix")
+
+
+def test_a_key_error_inside_a_command_propagates(tmp_path, monkeypatch):
+    """Configuration is checked before a command runs (config keys by
+    _load_config, flag values by argparse), so a KeyError inside one is a
+    bug: it propagates with its traceback instead of exiting 2."""
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "scan_combination", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["scan", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_failing_writer_leaves_no_partial_artifact(tmp_path, monkeypatch, capsys):

@@ -116,7 +116,7 @@ def test_eig_bits_do_not_depend_on_batch_size():
     b = symbol_builder("cubature", 3, "lps")
     theta = 3 * _wavenumbers(100)
     H = _dec_cfl_polynomial(b.mass(theta, 0.01), b.conv(theta, 0.01), b.lumped_diag(0.01),
-                            1.0, make_scheme("dec", 4).tableau)
+                            make_scheme("dec", 4).tableau)
     cfls = ScanGrid.default().cfl_values
     G = np.tensordot(cfls[:, None] ** np.arange(len(H)), H, axes=(1, 0)).reshape(-1, 3, 3)
     assert len(G) == 20200
@@ -411,17 +411,6 @@ def test_oracle_equivalence_property(family, degree, kind, delta, scheme, mode, 
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(got)
 
 
-def test_oracle_per_dof_convention():
-    """The dt = cfl dx / (p a) variant stays consistent with the solver."""
-    rng = np.random.default_rng(99)
-    u_red = rng.normal(size=3) + 1j * rng.normal(size=3)
-    got, theta = one_step_reduced("cubature", 3, "lps", 0.1, "ssprk", 2, u_red,
-                                  cfl=0.9, convention="dof")
-    want = predicted_step("cubature", 3, "lps", 0.1, "ssprk", theta, u_red,
-                          cfl=0.9, convention="dof")
-    assert np.linalg.norm(got - want) / np.linalg.norm(got) < 1e-9
-
-
 def test_conjugate_symmetry():
     stab = StabilizationSpec("cip", 0.004)
     for theta in (0.7, 1.9):
@@ -546,7 +535,7 @@ def test_eigvals_batched_non_finite_matrix_raises(n, bad):
         eigvals_batched(A)
 
 
-def _dec_polynomial_loop(M, K, Dvec, scale, config):
+def _dec_polynomial_loop(M, K, Dvec, config):
     """The DeC cfl polynomial with every block of every subtimestep formed
     in every sweep and each W @ S product recomputed for every subtimestep."""
     p = M.shape[-1]
@@ -554,7 +543,7 @@ def _dec_polynomial_loop(M, K, Dvec, scale, config):
     eye = np.broadcast_to(np.eye(p, dtype=complex), M.shape)
     Dinv = 1.0 / Dvec
     P = Dinv[..., :, None] * M
-    W = -scale * (Dinv[..., :, None] * K)
+    W = -(Dinv[..., :, None] * K)
     zeros = np.zeros_like(eye)
 
     def fresh():
@@ -588,7 +577,7 @@ def test_dec_cfl_polynomial_matches_full_loop(family, kind, degree):
     changes no bit of the coefficients."""
     b = symbol_builder(family, degree, kind)
     theta = np.linspace(0.05, np.pi, 23)
-    args = (b.mass(theta, 0.07), b.conv(theta, 0.07), b.lumped_diag(0.07), 1.0,
+    args = (b.mass(theta, 0.07), b.conv(theta, 0.07), b.lumped_diag(0.07),
             make_scheme("dec", degree + 1).tableau)
     got = _dec_cfl_polynomial(*args)
     assert got.shape == (degree + 2, 23, degree, degree)
@@ -606,18 +595,18 @@ def test_dec_cfl_polynomial_forms_only_the_last_subtimestep_bitwise(order, p):
     M = np.eye(p) + 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     K = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     D = 1.0 + rng.random(size=(3, 1, p))
-    got = _dec_cfl_polynomial(M, K, D, 0.8, DEC_CONFIGS[order])
+    got = _dec_cfl_polynomial(M, K, D, DEC_CONFIGS[order])
     assert got.shape == (order + 1,) + shape
-    assert got.tobytes() == _dec_polynomial_loop(M, K, D, 0.8, DEC_CONFIGS[order]).tobytes()
+    assert got.tobytes() == _dec_polynomial_loop(M, K, D, DEC_CONFIGS[order]).tobytes()
 
 
-def _dec_polynomial_reforming_identity(M, K, Dvec, scale, config):
+def _dec_polynomial_reforming_identity(M, K, Dvec, config):
     """The DeC cfl polynomial with block 0 re-formed as S_0 - P (S_0 - I)
     and W @ S_0 re-multiplied in every sweep."""
     eye = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape)
     Dinv = 1.0 / Dvec
     P = Dinv[..., :, None] * M
-    W = -scale * (Dinv[..., :, None] * K)
+    W = -(Dinv[..., :, None] * K)
     zeros = np.zeros_like(eye)
     subs = [[eye.copy()] for _ in range(config.n_sub + 1)]
     for sweep in range(1, config.n_iter + 1):
@@ -652,6 +641,6 @@ def test_dec_cfl_polynomial_keeps_the_identity_block_bitwise(family, kind, degre
     block = (b.mass(theta, deltas), b.conv(theta, deltas), b.lumped_diag(deltas)[:, None])
     for M, K, D in (column, block):
         assert (D > 0).all()
-        got = _dec_cfl_polynomial(M, K, D, 0.8, config)
+        got = _dec_cfl_polynomial(M, K, D, config)
         assert got.shape == (degree + 2,) + M.shape
-        assert got.tobytes() == _dec_polynomial_reforming_identity(M, K, D, 0.8, config).tobytes()
+        assert got.tobytes() == _dec_polynomial_reforming_identity(M, K, D, config).tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -6,9 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cgstab.fourier import (DEFAULT_CONVENTION, EigenSolveFailure, _dec_cfl_polynomial,
-                            dt_scale, eigvals_batched, phase_damping, principal_mode,
-                            symbol_builder)
+from cgstab.fourier import (EigenSolveFailure, _dec_cfl_polynomial, eigvals_batched,
+                            phase_damping, principal_mode, symbol_builder)
 from cgstab.scan import (
     EPS_TOL,
     Combination,
@@ -165,11 +165,23 @@ def test_mu_below_one_or_not_finite_is_rejected(mu, monkeypatch):
     comb = Combination("cubature", 1, "lps", "ssprk")
     res = scan_combination(comb, ScanGrid(np.array([0.2]), np.array([0.3]), 32))
     with pytest.raises(ValueError, match="mu"):
-        optimize(res, "min_eta_u", mu=mu)
+        optimize(dataclasses.replace(res, mu=mu), "min_eta_u")
     # checked before the sweep, not after it
     monkeypatch.setattr("cgstab.scan._scan_fields", lambda *a: pytest.fail("scanned"))
     with pytest.raises(ValueError, match="mu"):
         scan_combination(comb, res.grid, mu=mu)
+
+
+@pytest.mark.parametrize("mu", [1.0, 3.0])
+def test_optimize_reads_the_results_mu(mu):
+    """optimize takes mu from the result, so it reproduces the scan's own
+    optima; at mu = 3, a fixed 1.3 picks another min_eta_u cell."""
+    res = scan_combination(Combination("basic", 1, "supg", "rk"),
+                           ScanGrid.default(grid_ratio=1.1, theta_samples=30), mu=mu)
+    for strategy, opt in res.optima.items():
+        cfl, delta, objective = optimize(res, strategy)
+        assert (cfl, delta) == (opt["cfl"], opt["delta"]), strategy
+        assert objective == opt["objective"] or np.isnan(objective) and np.isnan(opt["objective"])
 
 
 def test_monotone_safety_flags_stripe():
@@ -444,15 +456,13 @@ def _unscreened_dec_fields(comb, grid):
     k = _wavenumbers(grid.theta_samples)
     kept, src, mirrored = _half_turn(grid.theta_samples, p)
     cfls = grid.cfl_values
-    scale = dt_scale(DEFAULT_CONVENTION, 1.0, p)
-    dt_row = cfls * scale * p
+    dt_row = cfls * p
     fields = [np.zeros((len(cfls), len(grid.delta_values)), dtype=bool),
               np.full((len(cfls), len(grid.delta_values)), np.nan),
               np.full((len(cfls), len(grid.delta_values)), np.nan)]
     for j, d in enumerate(grid.delta_values):
         theta = p * k[kept]
-        H = _dec_cfl_polynomial(b.mass(theta, d), b.conv(theta, d), b.lumped_diag(d), scale,
-                                config)
+        H = _dec_cfl_polynomial(b.mass(theta, d), b.conv(theta, d), b.lumped_diag(d), config)
         G = np.tensordot(cfls[:, None] ** np.arange(len(H))[None, :], H, axes=(1, 0))
         lam = eigvals_batched(G)
         rows = np.abs(lam).max(axis=(1, 2)) <= np.exp(EPS_TOL * dt_row)
@@ -495,12 +505,10 @@ def test_failed_dec_probe_or_rest_solve_leaves_its_delta_column_unstable(monkeyp
     want = scan_combination(comb, grid)
     b = symbol_builder(comb.family, comb.degree, comb.stab_kind)
     config = make_scheme("dec", comb.degree + 1).tableau
-    scale = dt_scale(DEFAULT_CONVENTION, 1.0, comb.degree)
     markers = []
     for j, sample in ((1, scan._PROBE_STRIDE - 1), (3, 0)):     # a probe, then a rest sample
         d = grid.delta_values[j]
-        H = _dec_cfl_polynomial(b.mass(theta, d), b.conv(theta, d), b.lumped_diag(d), scale,
-                                config)
+        H = _dec_cfl_polynomial(b.mass(theta, d), b.conv(theta, d), b.lumped_diag(d), config)
         powers = grid.cfl_values[:, None] ** np.arange(len(H))[None, :]
         markers.append(np.tensordot(powers, H, axes=(1, 0))[0, sample])
     _fail_batches_holding(monkeypatch, markers)
@@ -545,7 +553,7 @@ def test_to_json_matches_indented_json_dumps():
 
     payload = {
         "combination": vars(res.combination),
-        "convention": res.convention,
+        "convention": "cell",
         "mu": res.mu,
         "cfl_values": res.cfl_values.tolist(),
         "delta_values": res.delta_values.tolist(),
