@@ -19,23 +19,22 @@ Rerun with the default DIR after a change, and ``git diff tests/data/``
 shows every optimum, flag, stable count, scan and modes file that moved.
 """
 
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import multiprocessing
 import os
+import sys
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 # One BLAS thread, set before numpy loads, as in CI: under two OpenBLAS
 # threads the DeC propagator of some p = 3 modes files rounds differently.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import itertools  # noqa: E402
-import multiprocessing  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from concurrent.futures import ProcessPoolExecutor  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 from cgstab import cli  # noqa: E402
 from cgstab.scan import Combination, ScanGrid, scan_combination  # noqa: E402
@@ -71,7 +70,7 @@ def modes_runs(combs):
         argv = ["--family", comb.family, "--degree", str(comb.degree), "--stab", comb.stab_kind]
         runs.append((comb.label(), argv + ["--time", comb.scheme_kind, "--cfl", MODES_CFL,
                                            "--delta", MODES_DELTA]))
-    for family, degree, stab in {(c.family, c.degree, c.stab_kind): None for c in combs}:
+    for family, degree, stab in dict.fromkeys((c.family, c.degree, c.stab_kind) for c in combs):
         runs.append((f"{family}-p{degree}-{stab}-semi_discrete",
                      ["--family", family, "--degree", str(degree), "--stab", stab,
                       "--delta", MODES_DELTA, "--semi-discrete"]))
