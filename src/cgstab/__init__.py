@@ -12,7 +12,6 @@ from .elements import (
     CUBATURE,
     FAMILIES,
     ReferenceElement,
-    UnsupportedDegree,
     build_reference_element,
     local_matrices,
 )
@@ -46,7 +45,6 @@ from .fourier import (
 )
 from .scan import (
     Combination,
-    NoStableRegion,
     ScanGrid,
     ScanResult,
     eta_u,

@@ -11,8 +11,10 @@ Subcommands:
 Each subcommand accepts only the options it reads (``OPTIONS``), as flags
 or config-file keys; any other is a configuration error.  All outputs are
 plain CSV or JSON.  They record the options given (not the defaults, nor
---out and --jobs), and reruns with the same inputs reproduce them byte for
-byte.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
+--out and --jobs), and under one BLAS thread reruns with the same inputs
+reproduce them byte for byte (more threads can move the last digits of a
+p = 3 DeC modes file).  Exit codes: 0 success, 2 configuration error,
+3 numerical failure (BlowUp, NoConvergence, numpy.linalg.LinAlgError),
 4 no stable region, 5 an artifact could not be written.
 """
 
@@ -27,11 +29,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .elements import FAMILIES
-from .fourier import EigenSolveFailure, phase_damping, principal_mode, semidiscrete_modes
-from .problems import PROBLEMS
+from .fourier import phase_damping, principal_mode, semidiscrete_modes
+from .problems import PROBLEMS, NoConvergence
 from .scan import Combination, ScanGrid, _mode_fields, scan_combination
 from .solver import BlowUp, convergence_study, run_simulation
-from .stabilization import STAB_KINDS, SingularMass, StabilizationSpec
+from .stabilization import STAB_KINDS, StabilizationSpec
 from .timeint import SCHEME_KINDS
 
 EXIT_OK = 0
@@ -188,7 +190,7 @@ def cmd_modes(cfg, out_dir):
             (kept, lam), = _mode_fields(comb, thetas, np.array([cfl]), np.array([stab.delta]),
                                         np.array([np.inf]))
         if not (kept.all() and np.isfinite(lam).all()):
-            raise EigenSolveFailure(f"non-finite propagator eigenvalues at cfl={cfl}")
+            raise np.linalg.LinAlgError(f"non-finite propagator eigenvalues at cfl={cfl}")
         omega, eps = phase_damping(lam[0], cfl)
         k = thetas[:, None]
         omega_over_k, principal = omega / k, principal_mode(omega, k)
@@ -211,15 +213,11 @@ def cmd_scan(cfg, out_dir):
     comb = _combination(cfg)
     res = scan_combination(comb, ScanGrid.default(**_given(cfg, *GRID)), **_given(cfg, "mu"))
 
-    def scan_json(fh):
-        res.to_json(fh)
-        fh.write("\n")
-
     def mask_csv(fh):
         fh.write(_resolved_header(cfg) + "\n")
         res.mask_csv(fh)
 
-    _write(out_dir / f"scan_{comb.label()}.json", scan_json)
+    _write(out_dir / f"scan_{comb.label()}.json", res.to_json)
     path = _write(out_dir / f"mask_{comb.label()}.csv", mask_csv)
     print(path)
     if not res.stable.any():
@@ -333,7 +331,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         cfg = _merge(args)
         return COMMANDS[args.command](cfg, Path(_value(cfg, "out")))
-    except (BlowUp, EigenSolveFailure, SingularMass, np.linalg.LinAlgError) as exc:
+    except (BlowUp, NoConvergence, np.linalg.LinAlgError) as exc:
         # before ValueError, which LinAlgError subclasses
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -29,10 +29,6 @@ FAMILIES = (BASIC, CUBATURE, BERNSTEIN)
 MAX_DEGREE = 3
 
 
-class UnsupportedDegree(ValueError):
-    """Raised for polynomial degrees outside the supported range [1, 3]."""
-
-
 def gauss_legendre(n):
     """n-point Gauss-Legendre rule mapped to [0, 1]; weights sum to 1."""
     x, w = np.polynomial.legendre.leggauss(n)
@@ -92,13 +88,11 @@ def build_reference_element(family, degree):
 
     Raises
     ------
-    UnsupportedDegree
-        If degree is outside [1, 3].
     ValueError
-        For an unknown family tag.
+        For a degree outside [1, 3] or an unknown family tag.
     """
     if not 1 <= degree <= MAX_DEGREE:
-        raise UnsupportedDegree(f"degree must be in [1, {MAX_DEGREE}], got {degree}")
+        raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {degree}")
     if family not in FAMILIES:
         raise ValueError(f"unknown element family {family!r}")
 

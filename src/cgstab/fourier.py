@@ -32,10 +32,6 @@ from .stabilization import Mesh1D, Operators
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 
-class EigenSolveFailure(RuntimeError):
-    """Closed-form and iterative eigenvalue paths both failed the residual check."""
-
-
 # ---------------------------------------------------------------------------
 # small dense eigenvalue solver (closed forms up to 3x3, LAPACK fallback)
 # ---------------------------------------------------------------------------
@@ -134,7 +130,7 @@ def eigvals_batched(A):
     Closed forms (quadratic formula, Cardano) solve every matrix; one whose
     characteristic residual exceeds _RESIDUAL_TOL * |A|^n is re-solved by
     LAPACK, and one still above it, or with a NaN or infinite entry, raises
-    EigenSolveFailure.  The closed forms always run on a batch axis: on a
+    numpy.linalg.LinAlgError.  The closed forms always run on a batch axis: on a
     lone matrix NumPy's scalar paths would change the last bits.  They run
     in chunks of _EIG_CHUNK matrices, so a matrix gets the same bits in a
     batch of any size.
@@ -163,10 +159,10 @@ def _eig_checked(A):
         bad = ~np.all(_char_residual(A, lam) <= limit, axis=-1) | (scale == np.inf)
         if np.any(bad):
             if not np.all(np.isfinite(A[bad])):
-                raise EigenSolveFailure("non-finite matrix")
+                raise np.linalg.LinAlgError("non-finite matrix")
             lam[bad] = np.linalg.eigvals(A[bad])
             if np.any(_char_residual(A[bad], lam[bad]) > limit[bad]):
-                raise EigenSolveFailure("characteristic residual above tolerance")
+                raise np.linalg.LinAlgError("characteristic residual above tolerance")
     return lam
 
 

@@ -29,17 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import (_EIG_CHUNK, _ELIDE_VALUES, EigenSolveFailure, _dec_cfl_polynomial,
-                      eigvals_batched, phase_damping, principal_mode, symbol_builder)
+from .fourier import (_EIG_CHUNK, _ELIDE_VALUES, _dec_cfl_polynomial, eigvals_batched,
+                      phase_damping, principal_mode, symbol_builder)
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 K_MAX = 2.0 * np.pi / 3.0
 EPS_TOL = 1e-12
 _PROBE_STRIDE = 10
-
-
-class NoStableRegion(RuntimeError):
-    """The stability mask is empty for this combination."""
 
 
 def geometric_grid(lo, hi, ratio=1.03):
@@ -95,7 +91,7 @@ class ScanResult:
     stable: np.ndarray        # (n_cfl, n_delta) bool
     eta_u: np.ndarray         # NaN where unstable
     eta_w: np.ndarray
-    optima: dict              # strategy -> dict(cfl, delta, objective, monotone_safe)
+    optima: dict              # strategy -> dict(cfl, delta, objective, monotone_safe) or None
     mu: float = 1.3
     eig_failures: int = 0
 
@@ -104,7 +100,7 @@ class ScanResult:
         row of the (n_cfl, n_delta) arrays at a time, so the text held in
         memory is one row whatever the grid.  The bytes are those of
         ``json.dumps(..., indent=1)`` with non-finite array values written
-        as null, and no newline ends them; the arrays skip the pure-Python
+        as null, and one newline ends them; the arrays skip the pure-Python
         encoder of ``json``.  The ``max_cfl`` objective is written as a bare
         NaN, which Python's ``json`` reads and a strict parser rejects."""
         rows = {"stable": (row.astype(int) for row in self.stable),
@@ -129,7 +125,7 @@ class ScanResult:
                 fh.write(sep + _json_row(row))
                 sep = "\n  ],\n  [\n   "
             fh.write("\n  ]\n ]")
-        fh.write(text)
+        fh.write(text + "\n")
 
     @property
     def cfl_values(self):
@@ -311,11 +307,11 @@ def _scan_fields(comb, grid):
         block = range(start, min(start + width, len(deltas)))
         try:
             solve(block)
-        except (EigenSolveFailure, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             for j in block:
                 try:
                     solve(range(j, j + 1))
-                except (EigenSolveFailure, np.linalg.LinAlgError):
+                except np.linalg.LinAlgError:
                     failures += 1
     return stable, eu, ew, failures
 
@@ -347,16 +343,12 @@ def scan_combination(comb, grid=None, mu=1.3):
     stable, eu, ew, failures = _scan_fields(comb, grid)
     result = ScanResult(comb, grid, stable, eu, ew, {}, mu, failures)
     for strategy in ("max_cfl", "min_eta_u", "min_eta_w"):
-        try:
-            cfl, delta, obj = optimize(result, strategy)
-        except NoStableRegion:
-            result.optima[strategy] = None
-            continue
-        result.optima[strategy] = {
-            "cfl": cfl,
-            "delta": delta,
-            "objective": obj,
-            "monotone_safe": monotone_safety_check(result, cfl, delta),
+        pick = optimize(result, strategy)
+        result.optima[strategy] = None if pick is None else {
+            "cfl": pick[0],
+            "delta": pick[1],
+            "objective": pick[2],
+            "monotone_safe": monotone_safety_check(result, *pick[:2]),
         }
     return result
 
@@ -368,14 +360,16 @@ def optimize(result, strategy):
     min_eta_u / min_eta_w: among stable cells whose objective stays below
     result.mu times the global stable minimum, the largest CFL; ties prefer
     the smaller objective, then the larger delta.  Below mu = 1 not even
-    the minimum is feasible, so mu must be finite and at least 1.
+    the minimum is feasible, so mu must be finite and at least 1.  Returns
+    (cfl, delta, objective), or None when no stable cell (with a finite
+    objective) exists.
     """
     mu = result.mu
     if not 1 <= mu < np.inf:
         raise ValueError(f"mu must be finite and at least 1, got {mu}")
     stable = result.stable
     if not stable.any():
-        raise NoStableRegion(result.combination.label())
+        return None
     cfls, deltas = result.cfl_values, result.delta_values
     if strategy == "max_cfl":
         i = int(np.max(np.nonzero(stable.any(axis=1))[0]))
@@ -384,7 +378,7 @@ def optimize(result, strategy):
     field = {"min_eta_u": result.eta_u, "min_eta_w": result.eta_w}[strategy]
     finite = stable & np.isfinite(field)
     if not finite.any():
-        raise NoStableRegion(f"{result.combination.label()}: no finite objective")
+        return None
     best = np.nanmin(field[finite])
     feasible = finite & (field <= mu * best + 1e-12)
     i = int(np.max(np.nonzero(feasible.any(axis=1))[0]))

@@ -41,10 +41,6 @@ PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
 
 
-class SingularMass(RuntimeError):
-    """Mass (or projection) factorization failed."""
-
-
 # SuperLU's setting for structurally symmetric patterns, which every block
 # pattern is: minimum degree on A^T + A, and a diagonal pivot whenever it is
 # at least 0.1 of the column's largest entry.  Without the threshold the
@@ -103,7 +99,7 @@ class _Inverse:
             try:
                 self.lu = splu(matrix, **_SPLU_OPTIONS)
             except RuntimeError as exc:
-                raise SingularMass(str(exc)) from exc
+                raise np.linalg.LinAlgError(str(exc)) from exc
 
     def solve(self, b):
         return b / self.diag[:, None] if self.lu is None else self.lu.solve(b)
@@ -347,7 +343,7 @@ class DiscreteSystem(Operators):
             data[self._diag_pos[[0, -1]]] = 1.0
         self.lumped = np.bincount(rows, data, minlength=self.n_nodes)
         if np.any(self.lumped <= 0):
-            raise SingularMass("lumped mass has nonpositive entries")
+            raise np.linalg.LinAlgError("lumped mass has nonpositive entries")
         self.mass_matrix = sp.csc_matrix((data,) + self._pattern, shape=(self.n_nodes,) * 2)
         self._mass_inverse = None
 

@@ -48,7 +48,6 @@ def record_one(comb):
     res = scan_combination(comb, ScanGrid.default())
     text = io.StringIO()
     res.to_json(text)
-    text.write("\n")   # as cmd_scan ends the file
     digest = hashlib.sha256(text.getvalue().encode()).hexdigest()
     return cli._optimum_rows(comb, res), f"{comb.label()},{int(res.stable.sum())},{digest}"
 

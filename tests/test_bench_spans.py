@@ -1,0 +1,41 @@
+"""The benchmark tracer wraps names inside the package (``bench/spans.py``).
+
+A rename or a move of any of them fails its ``install`` with an
+AttributeError or a KeyError, here rather than in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from cgstab import cli, problems, scan, stabilization
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_tracer_patches_resolves_and_is_restored():
+    patched = [(scan, "_mode_fields"), (scan, "_dec_cfl_polynomial"), (scan, "eigvals_batched"),
+               (cli, "scan_combination")]
+    before = [getattr(owner, attr) for owner, attr in patched]
+    to_json = vars(scan.ScanResult)["to_json"]
+    residual = vars(stabilization.DiscreteSystem)["residual"]
+    factories = dict(problems.PROBLEMS)
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        assert all(getattr(owner, attr) is not fn for (owner, attr), fn in zip(patched, before))
+        assert vars(scan.ScanResult)["to_json"] is not to_json
+        assert vars(stabilization.DiscreteSystem)["residual"] is not residual
+        assert all(problems.PROBLEMS[key] is not make for key, make in factories.items())
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(patched, before))
+    assert vars(scan.ScanResult)["to_json"] is to_json
+    assert vars(stabilization.DiscreteSystem)["residual"] is residual
+    assert problems.PROBLEMS == factories

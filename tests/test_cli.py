@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cgstab import cli, scan
 from cgstab.cli import main
 from cgstab.fourier import amplification_matrix, phase_damping, principal_mode
+from cgstab.problems import NoConvergence
 from cgstab.scan import Combination, ScanGrid, _mode_fields, scan_combination
-from cgstab.stabilization import StabilizationSpec
+from cgstab.stabilization import StabilizationSpec, _Inverse
 from conftest import ALL_DEGREES, ALL_FAMILIES, ALL_SCHEMES, ALL_STABS
 
 
@@ -630,6 +632,27 @@ def test_a_singular_solve_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "semidiscrete_modes", singular)
     assert main(["modes", "--semi-discrete", "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("numerical failure: Singular matrix")
+
+
+def _stalled_characteristics(*args, **kwargs):
+    raise NoConvergence("Burgers characteristic iteration stalled")
+
+
+def _singular_mass(*args, **kwargs):
+    _Inverse(sp.csc_matrix(np.ones((3, 3))), np.array([0, 4, 8]))
+
+
+@pytest.mark.parametrize("failing, message", [
+    (_stalled_characteristics, "Burgers characteristic iteration stalled"),
+    (_singular_mass, "Factor is exactly singular"),
+])
+def test_a_failed_run_is_a_numerical_failure(tmp_path, monkeypatch, capsys, failing, message):
+    """A run whose exact solution does not converge, or whose mass is
+    singular, exits 3 with one numerical-failure line and no traceback."""
+    monkeypatch.setattr(cli, "run_simulation", failing)
+    assert main(["solve", "--problem", "burgers", "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines() == [f"numerical failure: {message}"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_a_key_error_inside_a_command_propagates(tmp_path, monkeypatch):

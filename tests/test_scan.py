@@ -7,12 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cgstab.fourier import (EigenSolveFailure, _dec_cfl_polynomial, eigvals_batched,
-                            phase_damping, principal_mode, symbol_builder)
+from cgstab.fourier import (_dec_cfl_polynomial, eigvals_batched, phase_damping, principal_mode,
+                            symbol_builder)
 from cgstab.scan import (
     EPS_TOL,
     Combination,
-    NoStableRegion,
     ScanGrid,
     ScanResult,
     eta_u,
@@ -156,8 +155,7 @@ def test_optimize_no_stable_region():
     comb = Combination("basic", 1, "none", "rk")
     res = scan_combination(comb, ScanGrid(np.array([0.5]), np.array([0.1]), 24))
     assert res.optima["max_cfl"] is None
-    with pytest.raises(NoStableRegion):
-        optimize(res, "max_cfl")
+    assert optimize(res, "max_cfl") is None
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.0, -1.0, np.nan, np.inf])
@@ -246,7 +244,7 @@ def _fail_batches_holding(monkeypatch, markers):
     def failing(A):
         flat = np.reshape(A, (-1, A.shape[-1] ** 2))
         if any(np.all(flat == m.reshape(-1), axis=1).any() for m in markers):
-            raise EigenSolveFailure("injected")
+            raise np.linalg.LinAlgError("injected")
         return solve(A)
 
     monkeypatch.setattr(scan, "eigvals_batched", failing)
@@ -564,7 +562,7 @@ def test_to_json_matches_indented_json_dumps():
         "optima": res.optima,
         "eig_failures": res.eig_failures,
     }
-    assert _json_text(res) == json.dumps(payload, indent=1)
+    assert _json_text(res) == json.dumps(payload, indent=1) + "\n"
 
 
 def _export_peak(write):
