@@ -130,10 +130,10 @@ def eigvals_batched(A):
     Closed forms (quadratic formula, Cardano) solve every matrix; one whose
     characteristic residual exceeds _RESIDUAL_TOL * |A|^n is re-solved by
     LAPACK, and one still above it, or with a NaN or infinite entry, raises
-    numpy.linalg.LinAlgError.  The closed forms always run on a batch axis: on a
-    lone matrix NumPy's scalar paths would change the last bits.  They run
-    in chunks of _EIG_CHUNK matrices, so a matrix gets the same bits in a
-    batch of any size.
+    numpy.linalg.LinAlgError.  The closed forms always run on a batch axis:
+    on a lone matrix NumPy's scalar paths would change the last bits.  They
+    run in chunks of _EIG_CHUNK matrices, so a matrix gets the same bits in
+    a batch of any size.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
