@@ -12,10 +12,9 @@ Each subcommand accepts only the options it reads (``OPTIONS``), as flags
 or config-file keys; any other is a configuration error.  All outputs are
 plain CSV or JSON.  They record the options given (not the defaults, nor
 --out and --jobs), and under one BLAS thread reruns with the same inputs
-reproduce them byte for byte (more threads can move the last digits of a
-p = 3 DeC modes file).  Exit codes: 0 success, 2 configuration error,
-3 numerical failure (BlowUp, NoConvergence, numpy.linalg.LinAlgError),
-4 no stable region, 5 an artifact could not be written.
+reproduce them byte for byte.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure, 4 no stable region, 5 an artifact could not be
+written.
 """
 
 import argparse
