@@ -8,6 +8,8 @@ from .elements import build_reference_element
 from .stabilization import DIRICHLET, Mesh1D, assemble_system
 from .timeint import BlowUp, make_scheme
 
+MAX_STEPS = 10**7   # the most time steps a run may project at its initial speed
+
 
 @dataclass
 class RunResult:
@@ -88,14 +90,18 @@ def run_simulation(problem, family, degree, stab, scheme, cfl, n_cells, monitor=
     clipped to land on t_final exactly.  With a zero wave speed every dt
     is stable, so the run takes one step to t_final.  A step that no
     longer advances t (dt vanishing under a growing, infinite or NaN wave
-    speed) raises BlowUp.  A CFL that is not positive and finite raises
-    ValueError.
+    speed) raises BlowUp.  A CFL that is not positive and finite, or one
+    that projects more than MAX_STEPS steps, t_final speed / (cfl dx) at
+    the initial speed, raises ValueError.
     """
     if not 0 < cfl < np.inf:
         raise ValueError(f"cfl must be positive and finite, got {cfl}")
     scheme = make_scheme(scheme, degree + 1)
     system = build_problem_system(problem, family, degree, stab, n_cells)
     U = system.interpolate(problem.exact, 0.0)
+    speed = problem.flux.max_speed(U.reshape(system.n_nodes, system.n_comp))
+    if problem.t_final * speed > MAX_STEPS * cfl * system.mesh.dx:
+        raise ValueError(f"cfl {cfl} projects more than {MAX_STEPS} time steps")
     t = 0.0
     n_steps = 0
     while t < problem.t_final - 1e-13:

@@ -305,6 +305,17 @@ def test_cfl_not_positive_and_finite_is_config_error(tmp_path, capsys, command, 
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_too_many_projected_steps_is_config_error(tmp_path, capsys, monkeypatch, command):
+    from cgstab import solver
+
+    monkeypatch.setattr(solver, "MAX_STEPS", 10)
+    rc = run_cli([command, "--out", str(tmp_path)])   # advection at cfl 0.5: 100+ steps
+    assert rc == 2
+    assert "projects more than 10 time steps" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_mu_below_one_is_config_error(tmp_path, capsys):
     rc = run_cli(["scan", "--family", "cubature", "--degree", "1", "--stab", "cip",
                   "--time", "ssprk", "--mu", "0.5", "--out", str(tmp_path)])

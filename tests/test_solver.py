@@ -186,3 +186,21 @@ def test_zero_wave_speed_steps_to_t_final():
     U0 = run.system.interpolate(problem.exact, 0.0)
     assert run.n_steps == 1
     assert np.array_equal(run.U, U0)
+
+
+@pytest.mark.parametrize("problem, cfl, cells", [
+    (burgers_problem(), 1e-300, 4),          # about 10^299 steps
+    (linear_advection_problem(), 1e-6, 40),  # 10^8 steps
+])
+def test_a_run_that_projects_too_many_steps_raises_before_stepping(problem, cfl, cells):
+    steps = []
+
+    def monitor(t, U, system):
+        steps.append(t)
+        if len(steps) >= 100:
+            raise AssertionError(f"still stepping at t = {t}")
+
+    with pytest.raises(ValueError, match="projects more than"):
+        run_simulation(problem, "cubature", 1, StabilizationSpec(), "rk", cfl, cells,
+                       monitor=monitor)
+    assert steps == []
