@@ -1,36 +1,22 @@
-"""Record the checked-in contracts in tests/data, or check the tree against them.
+"""Record the four checked-in contracts in tests/data, or check against them.
 
     python tests/record.py [--jobs N] [--check]
 
-Runs in one pool of N processes (default 1):
+A pool of N processes (default 1) runs the 108 default-grid scans, 144
+``cgstab modes`` runs (each combination at --cfl 0.3, then each family,
+degree and stab --semi-discrete, all at --delta 0.05) and each combination
+in the time domain at CFL 0.1 on three problems (``PROBLEMS``).  It writes
+the ``optimize.csv`` that ``cgstab optimize`` writes and a digest line per
+run: its label; its stable-cell count, exit code or step count (``BlowUp``);
+values written with ``repr`` (the sums of eta_u and eta_w over a scan's
+stable cells, of omega_over_k and epsilon over every row of a modes CSV, a
+run's L2 error); and the SHA-256 of the scan JSON, modes CSV or final state.
+So ``git diff tests/data/`` shows how far each value moved.
 
-* the 108 default-grid scans, one per combination;
-* 144 ``cgstab modes`` runs: each combination at --cfl 0.3 --delta 0.05,
-  then each (family, degree, stab) with --semi-discrete at --delta 0.05;
-* the 324-run time-domain grid at CFL 0.1: advection to t = 0.3 and Burgers
-  to t = 0.05 on 12 cells, the sourced shallow-water wave to t = 1.0 on 40
-  cells; the three families, degrees 1-3, none / SUPG 0.1 / CIP 0.005 /
-  LPS 0.1 and rk / ssprk / dec.
-
-It writes four files to tests/data beside this script, one line per run:
-
-    optimize.csv       the bytes ``cgstab optimize`` writes
-    sweep_digest.csv   the stable-cell count, the sums of eta_u and eta_w
-                       over the stable cells, and the SHA-256 of the
-                       ``scan_<label>.json`` that ``cgstab scan`` writes
-    modes_digest.csv   the exit code, the sums of omega_over_k and epsilon
-                       over every row of the CSV it writes, and the CSV's
-                       SHA-256 (all three empty if it writes none)
-    states_digest.csv  the step count or ``BlowUp``, the L2 error and the
-                       SHA-256 of the final state's bytes (both empty for a
-                       blow-up)
-
-The sums and errors are written with ``repr``, so after a rerun ``git diff
-tests/data/`` shows how far each value moved.  With --check nothing is
-written, and the recording is compared with tests/data: optimize.csv, every
-label, count, exit code and step count must match exactly, and every value
-to a relative 1e-12.  Lines where only the hash moved are counted but pass.
-Any other difference is printed as ``old -> new`` and exits 1.
+--check writes nothing and compares with tests/data: optimize.csv, labels,
+counts, exit codes and step counts exactly, values to a relative 1e-12.
+Lines where only the hash moved are counted and pass; any other difference
+is printed as ``old -> new`` and exits 1.
 """
 
 import argparse
@@ -47,17 +33,14 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 if __name__ in ("__main__", "__mp_main__"):
-    # One BLAS thread, set before numpy loads, as in CI: under two OpenBLAS
-    # threads the DeC propagator of some p = 3 modes files rounds differently.
+    # One BLAS thread in the script and its workers, not in an importer, set before
+    # numpy loads: under two, some p = 3 DeC modes files round differently.
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
-from cgstab import cli  # noqa: E402
-from cgstab.problems import burgers_problem, linear_advection_problem, shallow_water_problem  # noqa: E402
-from cgstab.scan import Combination, ScanGrid, scan_combination  # noqa: E402
-from cgstab.solver import run_simulation  # noqa: E402
-from cgstab.stabilization import StabilizationSpec  # noqa: E402
-from cgstab.timeint import BlowUp  # noqa: E402
+from cgstab import (BlowUp, Combination, ScanGrid, StabilizationSpec,  # noqa: E402
+                    burgers_problem, cli, linear_advection_problem, run_simulation,
+                    scan_combination, shallow_water_problem)
 
 DATA = Path(__file__).parent / "data"
 HEADERS = {
@@ -66,23 +49,17 @@ HEADERS = {
     "modes_digest.csv": "run,exit_code,sum_omega_over_k,sum_epsilon,modes_csv_sha256",
     "states_digest.csv": "run,steps,l2_error,final_state_sha256",
 }
-MODES_CFL = "0.3"
-MODES_DELTA = "0.05"
 PROBLEMS = {  # label: (problem, cells)
     "advection": (linear_advection_problem(t_final=0.3), 12),
     "burgers": (burgers_problem(t_final=0.05), 12),
     "sw": (shallow_water_problem(t_final=1.0), 40),
 }
-STABS = (("none", 0.0), ("supg", 0.1), ("cip", 0.005), ("lps", 0.1))
-CFL = 0.1
+DELTAS = {"none": 0.0, "supg": 0.1, "cip": 0.005, "lps": 0.1}   # of the time-domain runs
 
 
-def _sha(data):
-    return hashlib.sha256(data).hexdigest()
-
-
-def _sum(values):
-    return repr(math.fsum(values))
+def _line(*fields, data):
+    """A digest line: the fields (floats as their repr), then the SHA-256 of data."""
+    return ",".join([*map(str, fields), hashlib.sha256(data).hexdigest()])
 
 
 def scan_lines(comb):
@@ -91,13 +68,19 @@ def scan_lines(comb):
     text = io.StringIO()
     res.to_json(text)
     st = res.stable
-    line = (f"{comb.label()},{int(st.sum())},{_sum(res.eta_u[st].tolist())},"
-            f"{_sum(res.eta_w[st].tolist())},{_sha(text.getvalue().encode())}")
-    return [("optimize.csv", row) for row in cli._optimum_rows(comb, res)] + [("sweep_digest.csv", line)]
+    line = _line(comb.label(), int(st.sum()), math.fsum(res.eta_u[st].tolist()),
+                 math.fsum(res.eta_w[st].tolist()), data=text.getvalue().encode())
+    rows = [("optimize.csv", row) for row in cli._optimum_rows(comb, res)]
+    return rows + [("sweep_digest.csv", line)]
 
 
-def modes_lines(label, argv):
-    """The modes digest line of ``cgstab modes argv``."""
+def modes_lines(comb, semi):
+    """The modes digest line of ``cgstab modes`` on comb, or on its
+    family, degree and stab with --semi-discrete."""
+    mode = ["--semi-discrete"] if semi else ["--time", comb.scheme_kind, "--cfl", "0.3"]
+    argv = ["--family", comb.family, "--degree", str(comb.degree), "--stab", comb.stab_kind,
+            "--delta", "0.05", *mode]
+    label = f"{comb.family}-p{comb.degree}-{comb.stab_kind}-semi_discrete" if semi else comb.label()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["modes", *argv, "--out", out])
@@ -105,19 +88,21 @@ def modes_lines(label, argv):
     if not written:
         return [("modes_digest.csv", f"{label},{code},,,")]
     rows = [row.split(",") for row in written[0].decode().splitlines()[2:]]
-    return [("modes_digest.csv", f"{label},{code},{_sum(float(r[2]) for r in rows)},"
-                                 f"{_sum(float(r[3]) for r in rows)},{_sha(written[0])}")]
+    return [("modes_digest.csv", _line(label, code, math.fsum(float(r[2]) for r in rows),
+                                       math.fsum(float(r[3]) for r in rows), data=written[0]))]
 
 
-def state_lines(name, family, degree, stab, delta, scheme):
+def state_lines(name, comb):
     """The states digest line of one time-domain run."""
-    label = f"{name}-{family}-p{degree}-{stab}-{scheme}"
+    problem, cells = PROBLEMS[name]
+    label = f"{name}-{comb.label()}"
     try:
-        run = run_simulation(PROBLEMS[name][0], family, degree, StabilizationSpec(stab, delta),
-                             scheme, CFL, PROBLEMS[name][1])
+        run = run_simulation(problem, comb.family, comb.degree,
+                             StabilizationSpec(comb.stab_kind, DELTAS[comb.stab_kind]),
+                             comb.scheme_kind, 0.1, cells)
     except BlowUp:
         return [("states_digest.csv", f"{label},BlowUp,,")]
-    return [("states_digest.csv", f"{label},{run.n_steps},{run.l2_error!r},{_sha(run.U.tobytes())}")]
+    return [("states_digest.csv", _line(label, run.n_steps, run.l2_error, data=run.U.tobytes()))]
 
 
 def runs():
@@ -125,33 +110,20 @@ def runs():
     # cmd_optimize's order: the product of the flags' choices
     combs = [Combination(*values) for values in itertools.product(
         *(cli.OPTIONS[key].flag["choices"] for key in cli.COMBINATION))]
-    tasks = [(scan_lines, (comb,)) for comb in combs]
-    for comb in combs:
-        tasks.append((modes_lines, (comb.label(), [
-            "--family", comb.family, "--degree", str(comb.degree), "--stab", comb.stab_kind,
-            "--time", comb.scheme_kind, "--cfl", MODES_CFL, "--delta", MODES_DELTA])))
-    for family, degree, stab in dict.fromkeys((c.family, c.degree, c.stab_kind) for c in combs):
-        tasks.append((modes_lines, (f"{family}-p{degree}-{stab}-semi_discrete", [
-            "--family", family, "--degree", str(degree), "--stab", stab,
-            "--delta", MODES_DELTA, "--semi-discrete"])))
-    for name, family, degree, (stab, delta), scheme in itertools.product(
-            PROBLEMS, ("basic", "cubature", "bernstein"), (1, 2, 3), STABS, ("rk", "ssprk", "dec")):
-        tasks.append((state_lines, (name, family, degree, stab, delta, scheme)))
-    return tasks
+    return ([(scan_lines, (comb,)) for comb in combs]
+            + [(modes_lines, (comb, False)) for comb in combs]
+            + [(modes_lines, (comb, True)) for comb in combs if comb.scheme_kind == "rk"]
+            + [(state_lines, (name, comb)) for name in PROBLEMS for comb in combs])
 
 
 def _call(task):
-    function, args = task
-    return function(*args)
+    return task[0](*task[1])
 
 
 def record(jobs):
     """{file name: text} of the four contracts."""
-    if jobs > 1:
-        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(_call, runs()))
-    else:
-        results = list(map(_call, runs()))
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = list(pool.map(_call, runs()))
     files = {name: [header] for name, header in HEADERS.items()}
     for name, line in itertools.chain.from_iterable(results):
         files[name].append(line)
@@ -172,24 +144,18 @@ def compare(old, new):
     hash alone moved)} of two recordings, each {file name: text}."""
     report = {}
     for name, text in new.items():
-        differ, hash_only = [], 0
         pairs = itertools.zip_longest(old[name].splitlines(), text.splitlines(), fillvalue="")
-        for i, (a, b) in enumerate(pairs):
-            if a == b:
-                continue
-            if name != "optimize.csv" and i > 0 and _values_agree(a, b):
-                hash_only += 1
-            else:
-                differ.append(f"{a} -> {b}")
-        report[name] = differ, hash_only
+        moved = [(i, a, b) for i, (a, b) in enumerate(pairs) if a != b]
+        differ = [f"{a} -> {b}" for i, a, b in moved
+                  if name == "optimize.csv" or i == 0 or not _values_agree(a, b)]
+        report[name] = differ, len(moved) - len(differ)
     return report
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--check", action="store_true",
-                        help="compare with tests/data and write nothing")
+    parser.add_argument("--check", action="store_true")
     args = parser.parse_args(argv)
     files = record(args.jobs)
     if not args.check:
