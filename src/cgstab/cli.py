@@ -30,7 +30,7 @@ import numpy as np
 from .elements import FAMILIES
 from .fourier import phase_damping, principal_mode, semidiscrete_modes
 from .problems import PROBLEMS, NoConvergence
-from .scan import Combination, ScanGrid, _mode_fields, scan_combination
+from .scan import MAX_THETA_SAMPLES, Combination, ScanGrid, _mode_fields, scan_combination
 from .solver import BlowUp, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, StabilizationSpec
 from .timeint import SCHEME_KINDS
@@ -168,8 +168,8 @@ def cmd_modes(cfg, out_dir):
     comb = _combination(cfg)
     stab = StabilizationSpec(comb.stab_kind, _value(cfg, "delta"))
     n_theta = _value(cfg, "theta_samples")
-    if n_theta < 1:
-        raise ValueError(f"need at least 1 wavenumber sample, got {n_theta}")
+    if not 1 <= n_theta <= MAX_THETA_SAMPLES:
+        raise ValueError(f"need 1 to {MAX_THETA_SAMPLES} wavenumber samples, got {n_theta}")
     thetas = np.pi * np.arange(1, n_theta + 1) / n_theta   # k = theta at dx = 1
     semi = bool(cfg.get("semi_discrete"))
     if semi:

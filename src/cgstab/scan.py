@@ -25,25 +25,30 @@ unit dof spacing, and the CFL is per cell, dt = cfl * dx.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import (_EIG_CHUNK, _ELIDE_VALUES, _dec_cfl_polynomial, eigvals_batched,
+from .fourier import (_ELIDE_VALUES, _dec_cfl_polynomial, eigvals_batched,
                       phase_damping, principal_mode, symbol_builder)
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 K_MAX = 2.0 * np.pi / 3.0
 EPS_TOL = 1e-12
 _PROBE_STRIDE = 10
+MAX_SCAN_CELLS = 10**7      # 15x the largest scan in use, 602 x 1,065 cells at ratio 1.01
+MAX_THETA_SAMPLES = 2000    # 10x the 200 samples of cgstab modes
 
 
 def geometric_grid(lo, hi, ratio=1.03):
-    """Geometric grid ratio^n covering [lo, hi], anchored at 1."""
+    """Geometric grid ratio^n covering [lo, hi], anchored at 1.  A grid of
+    more than MAX_SCAN_CELLS values raises ValueError before it is built."""
     if not (np.isfinite([lo, hi, ratio]).all() and ratio > 1.0 and hi > lo > 0.0):
         raise ValueError(f"need finite ratio > 1 and 0 < lo < hi, got {lo}, {hi}, {ratio}")
     n_lo = int(np.ceil(np.log(lo) / np.log(ratio) - 1e-12))
     n_hi = int(np.floor(np.log(hi) / np.log(ratio) + 1e-12))
+    if n_hi - n_lo + 1 > MAX_SCAN_CELLS:
+        raise ValueError(f"{n_hi - n_lo + 1} grid values exceed the {MAX_SCAN_CELLS} scan cells")
     return ratio ** np.arange(n_lo, n_hi + 1, dtype=float)
 
 
@@ -60,8 +65,11 @@ class ScanGrid:
             v = np.asarray(vals, dtype=float)
             if v.ndim != 1 or len(v) == 0 or np.any(np.diff(v) <= 0) or v[0] <= 0:
                 raise ValueError("grids must be strictly increasing and positive")
-        if self.theta_samples < 2:
-            raise ValueError(f"need at least 2 wavenumber samples, got {self.theta_samples}")
+        if not 2 <= self.theta_samples <= MAX_THETA_SAMPLES:
+            raise ValueError(f"need 2 to {MAX_THETA_SAMPLES} wavenumber samples, "
+                             f"got {self.theta_samples}")
+        if len(self.cfl_values) * len(self.delta_values) > MAX_SCAN_CELLS:
+            raise ValueError(f"a scan grid holds at most {MAX_SCAN_CELLS} cells")
 
     @classmethod
     def default(cls, cfl_min=0.01, cfl_max=4.0, delta_min=1e-4, delta_max=4.0,
@@ -216,29 +224,29 @@ def _mode_fields(comb, theta, cfls, deltas, bound):
     probe[_PROBE_STRIDE - 1::_PROBE_STRIDE] = True
     D = b.lumped_diag(deltas)[:, None]
     Hp = _dec_cfl_polynomial(M[:, probe], Kt[:, probe], D, scheme.tableau)
-    powers = cfls[:, None] ** np.arange(len(Hp))[None, :]
-    # G is formed on every cfl row: a tensordot over fewer rows rounds differently
-    step = max(1, _EIG_CHUNK // max(1, len(cfls) * probe.sum()))   # columns per probe solve
-    lam_probe = np.concatenate([
-        eigvals_batched(np.tensordot(powers, Hp[:, i:i + step], axes=(1, 0)))
-        for i in range(0, len(deltas), step)], axis=1)             # (n_cfl, n_delta, n_probe, p)
-    alive = np.all(np.abs(lam_probe) <= bound[:, None, None, None], axis=(2, 3))
+    lam_probe = _dec_eigenvalues(Hp, cfls)              # (n_cfl, n_delta, n_probe, p)
 
     def columns():
-        for j, rows in enumerate(alive.T):
+        for j in range(len(deltas)):
+            rows = _bounded(lam_probe[:, j], bound)
             lam = np.empty((rows.sum(), len(theta), lam_probe.shape[-1]), dtype=complex)
             if len(lam):
                 Hr = _dec_cfl_polynomial(M[j, ~probe], Kt[j, ~probe], D[j], scheme.tableau)
-                G = np.tensordot(powers, Hr, axes=(1, 0))
                 lam[:, probe] = lam_probe[rows, j]
-                lam[:, ~probe] = eigvals_batched(G[rows])
+                lam[:, ~probe] = _dec_eigenvalues(Hr, cfls, rows)
                 rest = _bounded(lam[:, ~probe], bound[rows])
-                rows = rows.copy()
                 rows[rows] = rest
                 lam = lam[rest]
             yield rows, lam
 
     return columns()
+
+
+def _dec_eigenvalues(H, cfls, rows=slice(None)):
+    """lambda of the DeC propagator G = sum_q cfl^q H_q on the cfl rows ``rows``.  G is
+    formed on every row, since a tensordot over fewer rows rounds differently."""
+    G = np.tensordot(cfls[:, None] ** np.arange(len(H)), H, axes=(1, 0))
+    return eigvals_batched(G[rows])
 
 
 def _rk_fields(nu, z, bound):

@@ -9,6 +9,7 @@ from .stabilization import DIRICHLET, Mesh1D, assemble_system
 from .timeint import BlowUp, make_scheme
 
 MAX_STEPS = 10**7   # the most time steps a run may project at its initial speed
+MAX_CELLS = 10**5   # the most cells a run may assemble: 10x the largest run in use
 
 
 @dataclass
@@ -92,10 +93,13 @@ def run_simulation(problem, family, degree, stab, scheme, cfl, n_cells, monitor=
     longer advances t (dt vanishing under a growing, infinite or NaN wave
     speed) raises BlowUp.  A CFL that is not positive and finite, or one
     that projects more than MAX_STEPS steps, t_final speed / (cfl dx) at
-    the initial speed, raises ValueError.
+    the initial speed, raises ValueError; so does a mesh of more than
+    MAX_CELLS cells, before it is built.
     """
     if not 0 < cfl < np.inf:
         raise ValueError(f"cfl must be positive and finite, got {cfl}")
+    if n_cells > MAX_CELLS:
+        raise ValueError(f"a run assembles at most {MAX_CELLS} cells, got {n_cells}")
     scheme = make_scheme(scheme, degree + 1)
     system = build_problem_system(problem, family, degree, stab, n_cells)
     U = system.interpolate(problem.exact, 0.0)

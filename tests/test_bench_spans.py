@@ -7,6 +7,8 @@ AttributeError or a KeyError, here rather than in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from cgstab import cli, problems, scan, stabilization
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -39,3 +41,23 @@ def test_every_name_the_tracer_patches_resolves_and_is_restored():
     assert vars(scan.ScanResult)["to_json"] is to_json
     assert vars(stabilization.DiscreteSystem)["residual"] is residual
     assert problems.PROBLEMS == factories
+
+
+def test_traced_dec_scans_solve_only_the_live_rows():
+    """A small traced DeC sweep: one probe solve per scan and one rest solve
+    per delta column, on the rows that survive the probe.  Solving the rest
+    on every cfl row, or forming a wavenumber twice, grows these counts."""
+    grid = scan.ScanGrid(np.array([0.1, 0.2, 0.3, 2.0]), np.array([0.05, 0.1, 0.15, 0.2]), 20)
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        mark = tracer.mark()
+        for comb in (scan.Combination("cubature", 2, "lps", "dec"),
+                     scan.Combination("basic", 3, "supg", "dec")):
+            scan.scan_combination(comb, grid)
+        layers, counts, _ = tracer.layers(mark)
+    finally:
+        tracer.uninstall()
+    assert counts["fourier.eig.matrices"] == 260
+    assert layers["fourier.eig"]["calls"] == 10
+    assert layers["scan.dec_poly"]["calls"] == 10

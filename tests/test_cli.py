@@ -316,6 +316,25 @@ def test_too_many_projected_steps_is_config_error(tmp_path, capsys, monkeypatch,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, module, name, value, message", [
+    ("scan", "scan", "MAX_SCAN_CELLS", 300, "grid values exceed"),       # the 358 delta values
+    ("optimize", "scan", "MAX_SCAN_CELLS", 1000, "at most 1000 cells"),  # 202 x 358 cells
+    ("scan", "scan", "MAX_THETA_SAMPLES", 99, "wavenumber samples"),     # the default 100
+    ("modes", "cli", "MAX_THETA_SAMPLES", 199, "wavenumber samples"),    # the default 200
+    ("solve", "solver", "MAX_CELLS", 39, "at most 39 cells"),            # the default 40
+])
+def test_oversized_work_is_config_error(tmp_path, capsys, monkeypatch, command, module, name,
+                                        value, message):
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(f"cgstab.{module}"), name, value)
+    rc = run_cli([command, "--family", "cubature", "--degree", "1", "--stab", "cip",
+                  "--time", "ssprk", "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_mu_below_one_is_config_error(tmp_path, capsys):
     rc = run_cli(["scan", "--family", "cubature", "--degree", "1", "--stab", "cip",
                   "--time", "ssprk", "--mu", "0.5", "--out", str(tmp_path)])

@@ -20,6 +20,7 @@ from cgstab.scan import (
     monotone_safety_check,
     optimize,
     scan_combination,
+    _dec_eigenvalues,
     _half_turn,
     _wavenumbers,
 )
@@ -43,10 +44,22 @@ def test_scan_grid_validation():
         ScanGrid(np.array([0.5, 0.4]), np.array([0.1]))
 
 
-@pytest.mark.parametrize("n", [1, 0, -3])
-def test_scan_grid_needs_two_wavenumbers(n):
+@pytest.mark.parametrize("n", [1, 0, -3, 2001])
+def test_scan_grid_needs_two_to_max_wavenumbers(n):
     with pytest.raises(ValueError, match="wavenumber"):
         ScanGrid(np.array([0.5]), np.array([0.1]), n)
+
+
+def test_an_oversized_scan_grid_raises_before_it_is_built(monkeypatch):
+    """Ratio 1.0001 asks for 59,918 x 105,972 = 6.3e9 cells; an axis of
+    more values than a scan may have cells raises before its arange."""
+    import cgstab.scan as scan
+
+    with pytest.raises(ValueError, match="at most 10000000 cells"):
+        ScanGrid.default(grid_ratio=1.0001)
+    monkeypatch.setattr(scan, "MAX_SCAN_CELLS", 201)
+    with pytest.raises(ValueError, match="202 grid values exceed the 201 scan cells"):
+        geometric_grid(0.01, 4.0)
 
 
 @pytest.mark.parametrize("p,n,mirrors", [(1, 100, 0), (2, 100, 25), (3, 100, 49),
@@ -461,8 +474,7 @@ def _unscreened_dec_fields(comb, grid):
     for j, d in enumerate(grid.delta_values):
         theta = p * k[kept]
         H = _dec_cfl_polynomial(b.mass(theta, d), b.conv(theta, d), b.lumped_diag(d), config)
-        G = np.tensordot(cfls[:, None] ** np.arange(len(H))[None, :], H, axes=(1, 0))
-        lam = eigvals_batched(G)
+        lam = _dec_eigenvalues(H, cfls)
         rows = np.abs(lam).max(axis=(1, 2)) <= np.exp(EPS_TOL * dt_row)
         if not rows.any():
             continue
@@ -500,15 +512,13 @@ def test_failed_dec_probe_or_rest_solve_leaves_its_delta_column_unstable(monkeyp
     grid = ScanGrid(np.array([0.1, 0.2, 0.3]), np.array([0.05, 0.1, 0.15, 0.2]), 20)
     theta = _scan_theta(comb, grid)
     assert len(grid.delta_values) <= scan._block_width(len(theta), comb.degree)
+    batches = []
+    solve = scan.eigvals_batched
+    monkeypatch.setattr(scan, "eigvals_batched", lambda A: batches.append(A) or solve(A))
     want = scan_combination(comb, grid)
-    b = symbol_builder(comb.family, comb.degree, comb.stab_kind)
-    config = make_scheme("dec", comb.degree + 1).tableau
-    markers = []
-    for j, sample in ((1, scan._PROBE_STRIDE - 1), (3, 0)):     # a probe, then a rest sample
-        d = grid.delta_values[j]
-        H = _dec_cfl_polynomial(b.mass(theta, d), b.conv(theta, d), b.lumped_diag(d), config)
-        powers = grid.cfl_values[:, None] ** np.arange(len(H))[None, :]
-        markers.append(np.tensordot(powers, H, axes=(1, 0))[0, sample])
+    monkeypatch.setattr(scan, "eigvals_batched", solve)
+    assert len(batches) == 1 + len(grid.delta_values)     # the probe, then each column's rest
+    markers = [batches[0][0, 1, 0], batches[4][0, 0]]      # column 1's probe, column 3's rest
     _fail_batches_holding(monkeypatch, markers)
     failed = np.array([False, True, False, True])
     _assert_only_failed_columns_change(scan_combination(comb, grid), want, failed)

@@ -204,3 +204,14 @@ def test_a_run_that_projects_too_many_steps_raises_before_stepping(problem, cfl,
         run_simulation(problem, "cubature", 1, StabilizationSpec(), "rk", cfl, cells,
                        monitor=monitor)
     assert steps == []
+
+
+def test_an_oversized_mesh_raises_before_it_is_built(monkeypatch):
+    import cgstab.solver as solver
+
+    def unreached(*args):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(solver, "build_problem_system", unreached)
+    with pytest.raises(ValueError, match="at most 100000 cells"):
+        run_simulation(ADV, "cubature", 1, StabilizationSpec(), "rk", 0.5, 10**8)
