@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cgstab import cli, scan
+from cgstab import cli, scan, solver
 from cgstab.cli import main
 from cgstab.fourier import amplification_matrix, phase_damping, principal_mode
 from cgstab.problems import NoConvergence
@@ -317,17 +317,16 @@ def test_too_many_projected_steps_is_config_error(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command, module, name, value, message", [
-    ("scan", "scan", "MAX_SCAN_CELLS", 300, "grid values exceed"),       # the 358 delta values
-    ("optimize", "scan", "MAX_SCAN_CELLS", 1000, "at most 1000 cells"),  # 202 x 358 cells
-    ("scan", "scan", "MAX_THETA_SAMPLES", 99, "wavenumber samples"),     # the default 100
-    ("modes", "cli", "MAX_THETA_SAMPLES", 199, "wavenumber samples"),    # the default 200
-    ("solve", "solver", "MAX_CELLS", 39, "at most 39 cells"),            # the default 40
+    ("scan", scan, "MAX_SCAN_CELLS", 300, "grid values exceed"),         # the 358 delta values
+    ("optimize", scan, "MAX_SCAN_CELLS", 1000, "at most 1000 cells"),    # 202 x 358 cells
+    ("scan", scan, "MAX_THETA_SAMPLES", 99, "wavenumber samples"),       # the default 100
+    ("modes", cli, "MAX_THETA_SAMPLES", 199, "wavenumber samples"),      # the default 200
+    ("solve", solver, "MAX_CELLS", 39, "at most 39 cells"),              # the default 40
 ])
 def test_oversized_work_is_config_error(tmp_path, capsys, monkeypatch, command, module, name,
                                         value, message):
-    import importlib
-
-    monkeypatch.setattr(importlib.import_module(f"cgstab.{module}"), name, value)
+    """Each size guard refuses before any work or artifact: exit 2, nothing written."""
+    monkeypatch.setattr(module, name, value)
     rc = run_cli([command, "--family", "cubature", "--degree", "1", "--stab", "cip",
                   "--time", "ssprk", "--out", str(tmp_path)])
     assert rc == 2
