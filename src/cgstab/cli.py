@@ -30,7 +30,8 @@ import numpy as np
 from .elements import FAMILIES
 from .fourier import phase_damping, principal_mode, semidiscrete_modes
 from .problems import PROBLEMS, NoConvergence
-from .scan import MAX_THETA_SAMPLES, Combination, ScanGrid, _mode_fields, scan_combination
+from .scan import (MAX_THETA_SAMPLES, STRATEGIES, Combination, ScanGrid, _mode_fields,
+                   scan_combination)
 from .solver import BlowUp, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, StabilizationSpec
 from .timeint import SCHEME_KINDS
@@ -111,6 +112,8 @@ def _merge(args):
     cfg = _load_config(args.config, args.command) if args.config else {}
     cfg.update((key, val) for key, val in vars(args).items()
                if key not in ("config", "command") and val is not None)
+    if cfg.get("jobs", 1) < 1:
+        raise ValueError(f"jobs must be at least 1, got {cfg['jobs']}")
     return cfg
 
 
@@ -225,40 +228,40 @@ def cmd_scan(cfg, out_dir):
     return EXIT_OK
 
 
+def _combinations(cfg):
+    """Every combination that matches the given family, degree, stab and
+    time, in optimize.csv order: the product of the flags' choices."""
+    for values in itertools.product(*(OPTIONS[key].flag["choices"] for key in COMBINATION)):
+        if all(cfg.get(key, val) == val for key, val in zip(COMBINATION, values)):
+            yield Combination(*values)
+
+
 def _optimize_one(task):
     comb, grid, given = task
-    return _optimum_rows(comb, scan_combination(comb, grid, **given))
+    return _optimum_rows(scan_combination(comb, grid, **given))
 
 
-def _optimum_rows(comb, res):
+def _optimum_rows(res):
+    label = res.combination.label()
     rows = []
-    for strategy in ("max_cfl", "min_eta_u", "min_eta_w"):
+    for strategy in STRATEGIES:
         opt = res.optima[strategy]
         if opt is None:
-            rows.append(f"{comb.label()},{strategy},/,/,/")
+            rows.append(f"{label},{strategy},/,/,/")
         else:
-            rows.append(f"{comb.label()},{strategy},{opt['cfl']:.6g},{opt['delta']:.6g},"
+            rows.append(f"{label},{strategy},{opt['cfl']:.6g},{opt['delta']:.6g},"
                         f"{int(opt['monotone_safe'])}")
     return rows
 
 
 def cmd_optimize(cfg, out_dir):
-    """Every combination that matches the given family, degree, stab and time."""
+    """Scan every matching combination in a pool of min(jobs, combinations) workers."""
+    from concurrent.futures import ProcessPoolExecutor   # only optimize loads it
     grid = ScanGrid.default(**_given(cfg, *GRID))
-    given = _given(cfg, "mu")
-    tasks = [(Combination(*values), grid, given)
-             for values in itertools.product(*(OPTIONS[key].flag["choices"] for key in COMBINATION))
-             if all(cfg.get(key, val) == val for key, val in zip(COMBINATION, values))]
-    workers = min(_value(cfg, "jobs"), len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor   # only a pool loads it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_optimize_one, tasks))
-    else:
-        blocks = [_optimize_one(t) for t in tasks]
-    lines = [_resolved_header(cfg), "combination,strategy,cfl,delta,monotone_safe"]
-    for block in blocks:  # deterministic: input order
-        lines.extend(block)
+    tasks = [(comb, grid, _given(cfg, "mu")) for comb in _combinations(cfg)]
+    with ProcessPoolExecutor(max_workers=min(_value(cfg, "jobs"), len(tasks))) as pool:
+        lines = [_resolved_header(cfg), "combination,strategy,cfl,delta,monotone_safe",
+                 *itertools.chain.from_iterable(pool.map(_optimize_one, tasks))]  # input order
     path = _write(out_dir / "optimize.csv", _lines(lines))
     print(path)
     return EXIT_OK

@@ -38,6 +38,7 @@ EPS_TOL = 1e-12
 _PROBE_STRIDE = 10
 MAX_SCAN_CELLS = 10**7      # 15x the largest scan in use, 602 x 1,065 cells at ratio 1.01
 MAX_THETA_SAMPLES = 2000    # 10x the 200 samples of cgstab modes
+STRATEGIES = ("max_cfl", "min_eta_u", "min_eta_w")   # the optima, in optimize.csv order
 
 
 def geometric_grid(lo, hi, ratio=1.03):
@@ -350,14 +351,7 @@ def scan_combination(comb, grid=None, mu=1.3):
     grid = grid or ScanGrid.default()
     stable, eu, ew, failures = _scan_fields(comb, grid)
     result = ScanResult(comb, grid, stable, eu, ew, {}, mu, failures)
-    for strategy in ("max_cfl", "min_eta_u", "min_eta_w"):
-        pick = optimize(result, strategy)
-        result.optima[strategy] = None if pick is None else {
-            "cfl": pick[0],
-            "delta": pick[1],
-            "objective": pick[2],
-            "monotone_safe": monotone_safety_check(result, *pick[:2]),
-        }
+    result.optima.update((strategy, optimize(result, strategy)) for strategy in STRATEGIES)
     return result
 
 
@@ -369,8 +363,9 @@ def optimize(result, strategy):
     result.mu times the global stable minimum, the largest CFL; ties prefer
     the smaller objective, then the larger delta.  Below mu = 1 not even
     the minimum is feasible, so mu must be finite and at least 1.  Returns
-    (cfl, delta, objective), or None when no stable cell (with a finite
-    objective) exists.
+    the record ``result.optima`` stores, {"cfl", "delta", "objective" (NaN
+    for max_cfl), "monotone_safe"}, or None when no stable cell (with a
+    finite objective) exists.
     """
     mu = result.mu
     if not 1 <= mu < np.inf:
@@ -379,22 +374,22 @@ def optimize(result, strategy):
     if not stable.any():
         return None
     cfls, deltas = result.cfl_values, result.delta_values
-    if strategy == "max_cfl":
-        i = int(np.max(np.nonzero(stable.any(axis=1))[0]))
-        j = int(np.max(np.nonzero(stable[i])[0]))
-        return float(cfls[i]), float(deltas[j]), float("nan")
-    field = {"min_eta_u": result.eta_u, "min_eta_w": result.eta_w}[strategy]
-    finite = stable & np.isfinite(field)
-    if not finite.any():
-        return None
-    best = np.nanmin(field[finite])
-    feasible = finite & (field <= mu * best + 1e-12)
+    if strategy == "max_cfl":   # every stable cell is feasible, at one flat objective
+        field, feasible = np.broadcast_to(0.0, stable.shape), stable
+    else:
+        field = {"min_eta_u": result.eta_u, "min_eta_w": result.eta_w}[strategy]
+        finite = stable & np.isfinite(field)
+        if not finite.any():
+            return None
+        feasible = finite & (field <= mu * np.nanmin(field[finite]) + 1e-12)
     i = int(np.max(np.nonzero(feasible.any(axis=1))[0]))
     js = np.nonzero(feasible[i])[0]
     row = field[i, js]
-    j_best = js[row <= row.min() + 1e-15]
-    j = int(j_best.max())
-    return float(cfls[i]), float(deltas[j]), float(field[i, j])
+    j = int(js[row <= row.min() + 1e-15].max())
+    cfl, delta = float(cfls[i]), float(deltas[j])
+    return {"cfl": cfl, "delta": delta,
+            "objective": float("nan") if strategy == "max_cfl" else float(field[i, j]),
+            "monotone_safe": monotone_safety_check(result, cfl, delta)}
 
 
 def monotone_safety_check(result, cfl, delta):

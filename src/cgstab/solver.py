@@ -147,13 +147,16 @@ def convergence_study(problem, family, degree, stab, scheme, cfl,
     Levels that blow up are recorded and excluded from the fit; at least
     three surviving levels are required for a meaningful order.  Levels
     that give one mesh (a repeated dx1, or two that round to one cell
-    count) raise ValueError: the fit through them is no order.
+    count) raise ValueError: the fit through them is no order.  So does a
+    level of more than MAX_CELLS cells, before the first level runs.
     """
     if len(dx1_values) < 3:
         raise ValueError("need at least 3 levels")
     cells = [cells_for_level(problem, degree, dx1) for dx1 in dx1_values]
     if len(set(cells)) < len(cells):
         raise ValueError(f"levels must give distinct meshes, got cell counts {cells}")
+    if max(cells) > MAX_CELLS:
+        raise ValueError(f"a run assembles at most {MAX_CELLS} cells, got cell counts {cells}")
     report = ConvergenceReport(problem.name)
     for dx1, n_cells in zip(dx1_values, cells):
         try:

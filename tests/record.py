@@ -38,9 +38,9 @@ if __name__ in ("__main__", "__mp_main__"):
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
-from cgstab import (BlowUp, Combination, ScanGrid, StabilizationSpec,  # noqa: E402
-                    burgers_problem, cli, linear_advection_problem, run_simulation,
-                    scan_combination, shallow_water_problem)
+from cgstab import (BlowUp, ScanGrid, StabilizationSpec, burgers_problem, cli,  # noqa: E402
+                    linear_advection_problem, run_simulation, scan_combination,
+                    shallow_water_problem)
 
 DATA = Path(__file__).parent / "data"
 HEADERS = {
@@ -70,7 +70,7 @@ def scan_lines(comb):
     st = res.stable
     line = _line(comb.label(), int(st.sum()), math.fsum(res.eta_u[st].tolist()),
                  math.fsum(res.eta_w[st].tolist()), data=text.getvalue().encode())
-    rows = [("optimize.csv", row) for row in cli._optimum_rows(comb, res)]
+    rows = [("optimize.csv", row) for row in cli._optimum_rows(res)]
     return rows + [("sweep_digest.csv", line)]
 
 
@@ -107,9 +107,7 @@ def state_lines(name, comb):
 
 def runs():
     """(function, args) of every run, the scans first."""
-    # cmd_optimize's order: the product of the flags' choices
-    combs = [Combination(*values) for values in itertools.product(
-        *(cli.OPTIONS[key].flag["choices"] for key in cli.COMBINATION))]
+    combs = list(cli._combinations({}))   # in optimize.csv order
     return ([(scan_lines, (comb,)) for comb in combs]
             + [(modes_lines, (comb, False)) for comb in combs]
             + [(modes_lines, (comb, True)) for comb in combs if comb.scheme_kind == "rk"]

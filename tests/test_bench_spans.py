@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cgstab import cli, problems, scan, stabilization
+from cgstab import cli, problems, scan, solver, stabilization
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -61,3 +61,21 @@ def test_traced_dec_scans_solve_only_the_live_rows():
     assert counts["fourier.eig.matrices"] == 260
     assert layers["fourier.eig"]["calls"] == 10
     assert layers["scan.dec_poly"]["calls"] == 10
+
+
+def test_a_traced_shallow_water_study_times_the_exact_solution_and_the_source():
+    """The tracer wraps ``exact`` and the momentum source on each problem the
+    PROBLEMS factories build; a study built through them records both."""
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        mark = tracer.mark()
+        rep = solver.convergence_study(problems.PROBLEMS["sw"](t_final=0.5), "cubature", 1,
+                                       stabilization.StabilizationSpec("cip", 0.094), "ssprk",
+                                       1.304, dx1_values=(8.0, 4.0, 2.0))
+        layers, _, _ = tracer.layers(mark)
+    finally:
+        tracer.uninstall()
+    assert len(rep.levels) == 3
+    assert layers["problems.exact"]["calls"] > 0
+    assert layers["fluxes.source"]["calls"] > 0

@@ -343,8 +343,8 @@ def test_mu_below_one_is_config_error(tmp_path, capsys):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor, which ``cmd_optimize`` imports only
-    for a pool: records the worker count, maps serially."""
+    """Stands in for ProcessPoolExecutor, which ``cmd_optimize`` imports when
+    it runs: records the worker count, maps serially."""
 
     workers = []
 
@@ -374,7 +374,18 @@ def test_optimize_starts_no_more_workers_than_combinations(tmp_path, monkeypatch
     rc = run_cli(["optimize", "--config", str(path), "--family", "cubature", "--degree", "1",
                   "--stab", "cip", "--time", "ssprk", "--jobs", "4",
                   "--out", str(tmp_path / "one")])
-    assert rc == 0 and _RecordingPool.workers == [108]   # one combination: no pool
+    assert rc == 0 and _RecordingPool.workers == [108, 1]   # one combination: a pool of one
+
+
+@pytest.mark.parametrize("command", cli.ALL)
+def test_jobs_below_one_is_config_error(tmp_path, capsys, command):
+    """--jobs 0, or a config file's jobs of -3, exits 2 and writes nothing."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"jobs": -3}))
+    for args, got in ((["--jobs", "0"], "got 0"), (["--config", str(path)], "got -3")):
+        assert run_cli([command, *args, "--out", str(tmp_path / "out")]) == 2
+        assert f"jobs must be at least 1, {got}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_an_output_directory_that_cannot_be_made_is_an_io_failure(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import tracemalloc
 
@@ -193,9 +194,12 @@ def test_optimize_reads_the_results_mu(mu):
     res = scan_combination(Combination("basic", 1, "supg", "rk"),
                            ScanGrid.default(grid_ratio=1.1, theta_samples=30), mu=mu)
     for strategy, opt in res.optima.items():
-        cfl, delta, objective = optimize(res, strategy)
-        assert (cfl, delta) == (opt["cfl"], opt["delta"]), strategy
-        assert objective == opt["objective"] or np.isnan(objective) and np.isnan(opt["objective"])
+        pick = optimize(res, strategy)
+        assert list(pick) == ["cfl", "delta", "objective", "monotone_safe"], strategy
+        assert (pick["cfl"], pick["delta"]) == (opt["cfl"], opt["delta"]), strategy
+        assert pick["monotone_safe"] == opt["monotone_safe"], strategy
+        a, b = pick["objective"], opt["objective"]
+        assert a == b or math.isnan(a) and math.isnan(b), strategy
 
 
 def test_monotone_safety_flags_stripe():
@@ -218,9 +222,10 @@ def test_monotone_safety_truncated_grid():
 def test_optimize_max_cfl_takes_the_largest_stable_row():
     comb = Combination("cubature", 1, "lps", "ssprk")
     grid = ScanGrid(np.array([0.2, 0.4]), np.array([0.3]), 24)
-    cfl, delta, _ = optimize(scan_combination(comb, grid), "max_cfl")
-    assert cfl == pytest.approx(0.4)
-    assert delta == pytest.approx(0.3)
+    pick = optimize(scan_combination(comb, grid), "max_cfl")
+    assert pick["cfl"] == pytest.approx(0.4)
+    assert pick["delta"] == pytest.approx(0.3)
+    assert math.isnan(pick["objective"])
 
 
 def test_dec_basic_p3_has_no_practical_stable_region():

@@ -215,3 +215,18 @@ def test_an_oversized_mesh_raises_before_it_is_built(monkeypatch):
     monkeypatch.setattr(solver, "build_problem_system", unreached)
     with pytest.raises(ValueError, match="at most 100000 cells"):
         run_simulation(ADV, "cubature", 1, StabilizationSpec(), "rk", 0.5, 10**8)
+
+
+def test_an_oversized_level_is_refused_before_any_level_runs(monkeypatch):
+    """At most 50 cells: the 80-cell level of dx1 (0.1, 0.05, 0.025) on
+    [0, 2] is refused before the 20- and 40-cell levels run."""
+    import cgstab.solver as solver
+
+    runs = []
+    monkeypatch.setattr(solver, "MAX_CELLS", 50)
+    monkeypatch.setattr(solver, "run_simulation", lambda *args: runs.append(args))
+    with pytest.raises(ValueError, match=r"at most 50 cells, got cell counts \[20, 40, 80\]"):
+        convergence_study(linear_advection_problem(t_final=0.2), "cubature", 1,
+                          StabilizationSpec("cip", 0.094), "ssprk", 1.0,
+                          dx1_values=(0.1, 0.05, 0.025))
+    assert runs == []
