@@ -25,7 +25,6 @@ from .stabilization import (
     Mesh1D,
     StabilizationSpec,
     assemble_system,
-    semi_discrete_energy_rate,
     tau_cell,
 )
 from .timeint import (

@@ -20,6 +20,7 @@ written.
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from .fourier import phase_damping, principal_mode, semidiscrete_modes
 from .problems import PROBLEMS, NoConvergence
 from .scan import (MAX_THETA_SAMPLES, STRATEGIES, Combination, ScanGrid, _mode_fields,
                    scan_combination)
-from .solver import BlowUp, convergence_study, run_simulation
+from .solver import MAX_CELLS, BlowUp, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, StabilizationSpec
 from .timeint import SCHEME_KINDS
 
@@ -58,9 +59,8 @@ class Option(NamedTuple):
 
 
 # Every option a subcommand accepts, beside --config.  A default here is one
-# the CLI owns; where the library owns it (the grid, mu) the CLI passes on
-# only the keys given.  out and jobs are run settings: accepted everywhere,
-# never recorded.
+# the CLI owns; where the library owns it (the grid) the CLI passes on only
+# the keys given.  out and jobs are run settings, never recorded.
 OPTIONS = {
     "family": Option((str,), {"choices": FAMILIES}, ALL, "cubature"),
     "degree": Option((int,), {"type": int, "choices": (1, 2, 3)}, ALL, 2),
@@ -71,7 +71,6 @@ OPTIONS = {
     # the default is modes'; the scans take ScanGrid.default's
     "theta_samples": Option((int,), {"type": int}, ("modes",) + SWEEP, 200),
     "semi_discrete": Option((bool,), {"action": "store_true", "default": None}, ("modes",)),
-    "mu": Option(NUMBER, {"type": float}, SWEEP),
     **dict.fromkeys(("cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio"),
                     Option(NUMBER, None, SWEEP)),
     "problem": Option((str,), {"choices": tuple(PROBLEMS)}, ("solve", "convergence"), "advection"),
@@ -79,7 +78,8 @@ OPTIONS = {
     "levels": Option((int,), {"type": int}, ("convergence",), 4),
     "dx1": Option((list,), None, ("convergence",)),
     "out": Option((str,), {}, ALL, "out"),
-    "jobs": Option((int,), {"type": int}, ALL, 1),
+    # optimize alone runs a pool; scan accepts --jobs since the benchmark's scans pass it
+    "jobs": Option((int,), {"type": int}, SWEEP, 1),
 }
 GRID = ("cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio", "theta_samples")
 
@@ -102,8 +102,10 @@ def _load_config(path, command):
         choices = (opt.flag or {}).get("choices")
         if choices and val not in choices:
             raise ValueError(f"config key {key!r} must be one of {choices}, got {val!r}")
-    if not all(type(x) in NUMBER and x > 0 for x in data.get("dx1", ())):
-        raise ValueError(f"dx1 must list positive numbers, got {data['dx1']!r}")
+        if opt.types == NUMBER and type(val) is int and abs(val) > sys.float_info.max:
+            raise ValueError(f"config key {key!r} is an integer past the float range")
+    if not all(type(x) in NUMBER and 0 < x <= sys.float_info.max for x in data.get("dx1", ())):
+        raise ValueError(f"dx1 must list positive finite numbers, got {data['dx1']!r}")
     return data
 
 
@@ -213,7 +215,7 @@ def cmd_modes(cfg, out_dir):
 
 def cmd_scan(cfg, out_dir):
     comb = _combination(cfg)
-    res = scan_combination(comb, ScanGrid.default(**_given(cfg, *GRID)), **_given(cfg, "mu"))
+    res = scan_combination(comb, ScanGrid.default(**_given(cfg, *GRID)))
 
     def mask_csv(fh):
         fh.write(_resolved_header(cfg) + "\n")
@@ -237,8 +239,7 @@ def _combinations(cfg):
 
 
 def _optimize_one(task):
-    comb, grid, given = task
-    return _optimum_rows(scan_combination(comb, grid, **given))
+    return _optimum_rows(scan_combination(*task))
 
 
 def _optimum_rows(res):
@@ -258,7 +259,7 @@ def cmd_optimize(cfg, out_dir):
     """Scan every matching combination in a pool of min(jobs, combinations) workers."""
     from concurrent.futures import ProcessPoolExecutor   # only optimize loads it
     grid = ScanGrid.default(**_given(cfg, *GRID))
-    tasks = [(comb, grid, _given(cfg, "mu")) for comb in _combinations(cfg)]
+    tasks = [(comb, grid) for comb in _combinations(cfg)]
     with ProcessPoolExecutor(max_workers=min(_value(cfg, "jobs"), len(tasks))) as pool:
         lines = [_resolved_header(cfg), "combination,strategy,cfl,delta,monotone_safe",
                  *itertools.chain.from_iterable(pool.map(_optimize_one, tasks))]  # input order
@@ -286,7 +287,12 @@ def cmd_convergence(cfg, out_dir):
     name = _value(cfg, "problem")
     levels = _value(cfg, "levels")
     first = 0.5 if name == "sw" else 0.05
-    dx1 = tuple(cfg["dx1"]) if "dx1" in cfg else tuple(first / 2**k for k in range(levels))
+    if "dx1" in cfg:
+        dx1 = tuple(cfg["dx1"])
+    elif levels > 1 + math.log2(MAX_CELLS):   # each level doubles the cells: none fits
+        raise ValueError(f"{levels} levels double the cells past {MAX_CELLS}")
+    else:
+        dx1 = tuple(first / 2**k for k in range(levels))
     if "levels" in cfg and len(dx1) != levels:
         raise ValueError(f"levels={levels} but dx1 lists {len(dx1)} mesh sizes")
     stab = StabilizationSpec(comb.stab_kind, _value(cfg, "delta"))

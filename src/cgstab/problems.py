@@ -34,13 +34,13 @@ class ProblemSpec:
         return np.atleast_1d(left), np.atleast_1d(right)
 
 
-def linear_advection_problem(a=1.0, t_final=5.0):
-    """u_t + a u_x = 0 on [0, 2], u0 = 0.1 sin(pi x), periodic."""
+def linear_advection_problem(t_final=5.0):
+    """u_t + u_x = 0 on [0, 2], u0 = 0.1 sin(pi x), periodic."""
 
     def exact(x, t):
-        return 0.1 * np.sin(np.pi * (np.asarray(x) - a * t))
+        return 0.1 * np.sin(np.pi * (np.asarray(x) - t))
 
-    return ProblemSpec("advection", LinearAdvection(a), 0.0, 2.0, t_final,
+    return ProblemSpec("advection", LinearAdvection(), 0.0, 2.0, t_final,
                        "periodic", exact)
 
 

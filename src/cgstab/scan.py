@@ -16,9 +16,9 @@ turn: the symbols and the propagator at 2pi - theta are the conjugates of
 those at theta.  A scan solves one sample of each pair and mirrors the
 other (omega -> -omega, eps as is).  Three selection strategies
 are offered: plain CFL maximization over the stable cells, and CFL
-maximization subject to eta <= mu * min(eta) for either functional
-(mu = 1.3 by default).  Ties prefer the largest delta, matching how the
-reference tables mark ambiguous optima.
+maximization subject to eta <= MU * min(eta) for either functional, at
+the fixed tolerance MU = 1.3.  Ties prefer the largest delta, matching
+how the reference tables mark ambiguous optima.
 
 Results are speed invariant: the scan runs at unit advection speed and
 unit dof spacing, and the CFL is per cell, dt = cfl * dx.
@@ -39,6 +39,7 @@ _PROBE_STRIDE = 10
 MAX_SCAN_CELLS = 10**7      # 15x the largest scan in use, 602 x 1,065 cells at ratio 1.01
 MAX_THETA_SAMPLES = 2000    # 10x the 200 samples of cgstab modes
 STRATEGIES = ("max_cfl", "min_eta_u", "min_eta_w")   # the optima, in optimize.csv order
+MU = 1.3    # the eta strategies' tolerance: eta <= MU * min(eta)
 
 
 def geometric_grid(lo, hi, ratio=1.03):
@@ -101,7 +102,6 @@ class ScanResult:
     eta_u: np.ndarray         # NaN where unstable
     eta_w: np.ndarray
     optima: dict              # strategy -> dict(cfl, delta, objective, monotone_safe) or None
-    mu: float = 1.3
     eig_failures: int = 0
 
     def to_json(self, fh):
@@ -117,7 +117,7 @@ class ScanResult:
         payload = {
             "combination": vars(self.combination),
             "convention": "cell",   # the CFL is per cell; the field keeps the file's bytes
-            "mu": self.mu,
+            "mu": MU,
             "cfl_values": self.cfl_values.tolist(),
             "delta_values": self.delta_values.tolist(),
             "theta_samples": self.grid.theta_samples,
@@ -344,13 +344,11 @@ def eta_w(k, omega):
     return np.sqrt(np.trapezoid(((omega - k) / k) ** 2, k, axis=-1))
 
 
-def scan_combination(comb, grid=None, mu=1.3):
+def scan_combination(comb, grid=None):
     """Full sweep: mask, error fields, and the three optima."""
-    if not 1 <= mu < np.inf:
-        raise ValueError(f"mu must be finite and at least 1, got {mu}")
     grid = grid or ScanGrid.default()
     stable, eu, ew, failures = _scan_fields(comb, grid)
-    result = ScanResult(comb, grid, stable, eu, ew, {}, mu, failures)
+    result = ScanResult(comb, grid, stable, eu, ew, {}, failures)
     result.optima.update((strategy, optimize(result, strategy)) for strategy in STRATEGIES)
     return result
 
@@ -360,16 +358,12 @@ def optimize(result, strategy):
 
     max_cfl: largest stable CFL, ties broken by the largest delta.
     min_eta_u / min_eta_w: among stable cells whose objective stays below
-    result.mu times the global stable minimum, the largest CFL; ties prefer
-    the smaller objective, then the larger delta.  Below mu = 1 not even
-    the minimum is feasible, so mu must be finite and at least 1.  Returns
+    MU times the global stable minimum, the largest CFL; ties prefer
+    the smaller objective, then the larger delta.  Returns
     the record ``result.optima`` stores, {"cfl", "delta", "objective" (NaN
     for max_cfl), "monotone_safe"}, or None when no stable cell (with a
     finite objective) exists.
     """
-    mu = result.mu
-    if not 1 <= mu < np.inf:
-        raise ValueError(f"mu must be finite and at least 1, got {mu}")
     stable = result.stable
     if not stable.any():
         return None
@@ -381,7 +375,7 @@ def optimize(result, strategy):
         finite = stable & np.isfinite(field)
         if not finite.any():
             return None
-        feasible = finite & (field <= mu * np.nanmin(field[finite]) + 1e-12)
+        feasible = finite & (field <= MU * np.nanmin(field[finite]) + 1e-12)
     i = int(np.max(np.nonzero(feasible.any(axis=1))[0]))
     js = np.nonzero(feasible[i])[0]
     row = field[i, js]

@@ -131,9 +131,13 @@ DX1_DEFAULT = (0.05, 0.025, 0.0125, 0.00625)
 
 
 def cells_for_level(problem, degree, dx1):
-    """Cell count for one level under the equal-dof mesh parity."""
+    """Cell count for one level under the equal-dof mesh parity.  A level of
+    more than MAX_CELLS cells raises ValueError before its count is rounded,
+    so a subnormal dx1 is refused, not overflowed."""
     length = problem.x_right - problem.x_left
     n = length / (degree * dx1)
+    if not n <= MAX_CELLS:
+        raise ValueError(f"a run assembles at most {MAX_CELLS} cells, got {n:.6g} at dx1 = {dx1}")
     n_round = int(round(n))
     if abs(n - n_round) > 1e-9:
         n_round = max(int(np.ceil(n)), 2)
@@ -155,8 +159,6 @@ def convergence_study(problem, family, degree, stab, scheme, cfl,
     cells = [cells_for_level(problem, degree, dx1) for dx1 in dx1_values]
     if len(set(cells)) < len(cells):
         raise ValueError(f"levels must give distinct meshes, got cell counts {cells}")
-    if max(cells) > MAX_CELLS:
-        raise ValueError(f"a run assembles at most {MAX_CELLS} cells, got cell counts {cells}")
     report = ConvergenceReport(problem.name)
     for dx1, n_cells in zip(dx1_values, cells):
         try:

@@ -441,15 +441,3 @@ def assemble_system(mesh, ref, stab, flux, bc=None):
     """The DiscreteSystem; kept as the name bench/spans.py wraps to time assembly."""
     return DiscreteSystem(mesh, ref, stab, flux, bc=bc)
 
-
-def semi_discrete_energy_rate(system, U):
-    """d/dt ||u_h||^2 / 2 = U . r(U) for the linear periodic system.
-
-    Nonpositive for CIP and LPS, zero for the plain Galerkin scheme.  The
-    SUPG energy balance lives in a different norm, so it is rejected here.
-    """
-    if system.stab.kind == SUPG:
-        raise ValueError("energy rate in the L2 norm is not meaningful for SUPG")
-    if system.mesh.boundary != PERIODIC or not system.flux.is_linear:
-        raise ValueError("energy rate contract requires a periodic linear system")
-    return float(U @ system.residual(U))

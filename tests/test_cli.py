@@ -178,8 +178,8 @@ def test_output_directory_changes_no_byte(tmp_path):
     """The recorded configuration leaves out --out and --jobs."""
     for out, jobs in (("a", "1"), ("b", "2")):
         common = ["--family", "cubature", "--degree", "1", "--stab", "cip", "--time", "ssprk",
-                  "--jobs", jobs, "--out", str(tmp_path / out)]
-        assert run_cli(["scan", "--theta-samples", "12"] + common) == 0
+                  "--out", str(tmp_path / out)]
+        assert run_cli(["scan", "--theta-samples", "12", "--jobs", jobs] + common) == 0
         assert run_cli(["solve", "--delta", "0.094", "--cells", "12"] + common) == 0
         assert run_cli(["modes", "--delta", "0.094", "--theta-samples", "12"] + common) == 0
         assert run_cli(["convergence", "--delta", "0.094", "--cfl", "1.0", "--levels", "3",
@@ -260,6 +260,20 @@ def test_levels_validation(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("levels, dx1", [(1023, None), (1100, None), (None, [5e-324, 1e-3, 1e-4])],
+                         ids=["levels-1023", "levels-1100", "subnormal-dx1"])
+def test_levels_past_the_cell_limit_are_config_error(tmp_path, capsys, levels, dx1):
+    """A level count or a dx1 whose cells overflow a float (1 / 2**1100, or
+    2 / 5e-324) exits 2 before any level runs, and nothing is written."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({} if dx1 is None else {"dx1": dx1}))
+    args = [] if levels is None else ["--levels", str(levels)]
+    rc = run_cli(["convergence", *args, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_levels_and_dx1_of_different_counts_are_config_error(tmp_path, capsys):
     """A dx1 list from the config file may not silently override --levels."""
     path = tmp_path / "dx.json"
@@ -334,14 +348,6 @@ def test_oversized_work_is_config_error(tmp_path, capsys, monkeypatch, command, 
     assert not any(tmp_path.iterdir())
 
 
-def test_mu_below_one_is_config_error(tmp_path, capsys):
-    rc = run_cli(["scan", "--family", "cubature", "--degree", "1", "--stab", "cip",
-                  "--time", "ssprk", "--mu", "0.5", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "mu must be finite and at least 1" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor, which ``cmd_optimize`` imports when
     it runs: records the worker count, maps serially."""
@@ -377,7 +383,7 @@ def test_optimize_starts_no_more_workers_than_combinations(tmp_path, monkeypatch
     assert rc == 0 and _RecordingPool.workers == [108, 1]   # one combination: a pool of one
 
 
-@pytest.mark.parametrize("command", cli.ALL)
+@pytest.mark.parametrize("command", cli.SWEEP)
 def test_jobs_below_one_is_config_error(tmp_path, capsys, command):
     """--jobs 0, or a config file's jobs of -3, exits 2 and writes nothing."""
     path = tmp_path / "c.json"
@@ -474,6 +480,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("modes", {"cfl": "0.5"}),
     ("modes", {"out": 3, "semi_discrete": True}),
     ("modes", 3),
+    ("convergence", {"dx1": [10**400, 0.025, 0.0125]}),   # integers no float holds
+    ("modes", {"delta": 10**400}),
+    ("scan", {"grid_ratio": -10**400}),
 ])
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "typed.json"
@@ -518,7 +527,7 @@ def test_optimize_combination_keys_filter_the_sweep(tmp_path):
 READS = {
     "modes": {"family", "degree", "stab", "time", "cfl", "delta", "theta_samples",
               "semi_discrete"},
-    "scan": {"family", "degree", "stab", "time", "theta_samples", "mu",
+    "scan": {"family", "degree", "stab", "time", "theta_samples",
              "cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio"},
     "solve": {"family", "degree", "stab", "time", "problem", "cfl", "delta", "cells"},
     "convergence": {"family", "degree", "stab", "time", "problem", "cfl", "delta", "levels",
@@ -526,14 +535,15 @@ READS = {
 }
 READS["optimize"] = READS["scan"]
 CONFIG_ONLY = {"cfl_min", "cfl_max", "delta_min", "delta_max", "grid_ratio", "dx1"}
-# one valid value per option, as a JSON value and as a flag's argument (None: a bare flag)
+# one valid value per option, as a JSON value and as a flag's argument (None: a bare flag);
+# mu, fixed at scan.MU, is an option of no subcommand
 VALUES = {"family": "basic", "degree": 1, "stab": "cip", "time": "rk", "cfl": 0.3,
           "delta": 0.1, "theta_samples": 8, "semi_discrete": True,
-          "mu": 1.5, "cfl_min": 0.1, "cfl_max": 1.0, "delta_min": 0.01, "delta_max": 1.0,
+          "mu": 1.3, "cfl_min": 0.1, "cfl_max": 1.0, "delta_min": 0.01, "delta_max": 1.0,
           "grid_ratio": 1.5, "problem": "burgers", "cells": 20, "levels": 3,
           "dx1": [0.1, 0.05, 0.025], "out": "x", "jobs": 2}
-UNREAD = {"modes": "cells", "scan": "cfl", "optimize": "delta", "solve": "mu",
-          "convergence": "theta_samples"}
+UNREAD = {"modes": ("cells", "jobs"), "scan": ("cfl", "mu"), "optimize": ("delta", "mu"),
+          "solve": ("jobs",), "convergence": ("theta_samples", "jobs")}
 
 
 def _flag(key):
@@ -543,11 +553,11 @@ def _flag(key):
 
 @pytest.mark.parametrize("command", sorted(READS))
 def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys, command):
-    """out and jobs are accepted everywhere; any other option the subcommand
-    does not read, as a flag or a config key, returns 2 with a configuration
-    error naming it and writes nothing."""
-    assert sum(map(len, READS.values())) == 47
-    accepted = READS[command] | {"out", "jobs"}
+    """out is accepted everywhere and jobs by the sweeps; any other option the
+    subcommand does not read, as a flag or a config key, returns 2 with a
+    configuration error naming it and writes nothing."""
+    assert sum(map(len, READS.values())) == 45
+    accepted = READS[command] | {"out"} | ({"jobs"} if command in cli.SWEEP else set())
     path = tmp_path / "c.json"
     for key in VALUES:
         path.write_text(json.dumps({key: VALUES[key]}))
@@ -567,15 +577,15 @@ def test_each_subcommand_accepts_only_the_options_it_reads(tmp_path, capsys, com
         assert took_flag == (key in accepted), key
     capsys.readouterr()
 
-    unread = UNREAD[command]
     out = ["--out", str(tmp_path / "out")]
-    assert main([command, *_flag(unread), *out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "--" + unread.replace("_", "-") in err
-    path.write_text(json.dumps({unread: VALUES[unread]}))
-    assert main([command, "--config", str(path), *out]) == 2
-    assert repr(unread) in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for unread in UNREAD[command]:
+        assert main([command, *_flag(unread), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--" + unread.replace("_", "-") in err
+        path.write_text(json.dumps({unread: VALUES[unread]}))
+        assert main([command, "--config", str(path), *out]) == 2
+        assert repr(unread) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", sorted(READS))
@@ -616,12 +626,12 @@ def test_help_still_exits_zero(capsys):
 
 def test_json_integers_reach_the_library_as_floats(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"mu": 2, "cfl_min": 0.25, "cfl_max": 1, "delta_min": 0.0625,
+    path.write_text(json.dumps({"cfl_min": 0.25, "cfl_max": 1, "delta_min": 0.0625,
                                 "delta_max": 1, "grid_ratio": 4, "theta_samples": 4}))
     assert run_cli(["scan", "--config", str(path), "--family", "cubature", "--degree", "1",
                     "--stab", "cip", "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "scan_cubature-p1-cip-ssprk.json").read_text())
-    assert payload["mu"] == 2.0 and type(payload["mu"]) is float
+    assert type(payload["cfl_values"][-1]) is float
     assert payload["cfl_values"] == [0.25, 1.0] and payload["delta_values"] == [0.0625, 0.25, 1.0]
 
 
@@ -646,6 +656,30 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(_readme_block("Quick start", "python"), "README.md", "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert abs(float(out[-1]) - 3.0) < 0.25
+
+
+def test_readme_options_table_is_cli_options():
+    """Each row of the README's options table lists exactly the options its
+    subcommands read, beside the run settings out and jobs, with "combination"
+    for the four combination keys and a dagger on exactly the config-only keys."""
+    text = README.read_text().split("| subcommand | options it reads |\n| --- | --- |\n", 1)[1]
+    rows = {}
+    for line in text.split("\n\n", 1)[0].splitlines():
+        commands, options = line.strip("|").split("|")
+        for command in commands.replace("`", "").split(","):
+            rows[command.strip()] = options
+    assert sorted(rows) == sorted(cli.ALL)
+    for command, options in rows.items():
+        listed = {}
+        for item in options.split(","):
+            name = item.split("(")[0].strip()
+            if name == "combination":
+                listed.update(dict.fromkeys(cli.COMBINATION, False))
+            else:
+                listed[name.strip("`†")] = name.endswith("†")
+        reads = {key: opt.flag is None for key, opt in cli.OPTIONS.items()
+                 if command in opt.reads and key not in ("out", "jobs")}
+        assert listed == reads, command
 
 
 def _readme_command_lines():

@@ -330,6 +330,16 @@ def test_p2_closed_form_both_modes():
         assert np.max(np.abs(ma.epsilon)) < 1e-10
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("degree", ALL_DEGREES)
+def test_galerkin_semidiscrete_modes_do_not_dissipate(family, degree):
+    """Without stabilization no semi-discrete mode is damped or amplified:
+    max|eps| over every mode on 400 theta in (0, pi] stays at rounding."""
+    theta = np.pi * np.arange(1, 401) / 400
+    ma = semidiscrete_modes(family, degree, NOSTAB, theta)
+    assert np.max(np.abs(ma.epsilon)) <= 1e-12
+
+
 def test_lps_semidiscrete_damps_every_mode():
     stab = StabilizationSpec("lps", 0.3)
     for theta in np.linspace(0.1, np.pi, 20):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -12,6 +11,7 @@ from cgstab.fourier import (_dec_cfl_polynomial, eigvals_batched, phase_damping,
                             symbol_builder)
 from cgstab.scan import (
     EPS_TOL,
+    MU,
     Combination,
     ScanGrid,
     ScanResult,
@@ -173,33 +173,6 @@ def test_optimize_no_stable_region():
     res = scan_combination(comb, ScanGrid(np.array([0.5]), np.array([0.1]), 24))
     assert res.optima["max_cfl"] is None
     assert optimize(res, "max_cfl") is None
-
-
-@pytest.mark.parametrize("mu", [0.5, 0.0, -1.0, np.nan, np.inf])
-def test_mu_below_one_or_not_finite_is_rejected(mu, monkeypatch):
-    comb = Combination("cubature", 1, "lps", "ssprk")
-    res = scan_combination(comb, ScanGrid(np.array([0.2]), np.array([0.3]), 32))
-    with pytest.raises(ValueError, match="mu"):
-        optimize(dataclasses.replace(res, mu=mu), "min_eta_u")
-    # checked before the sweep, not after it
-    monkeypatch.setattr("cgstab.scan._scan_fields", lambda *a: pytest.fail("scanned"))
-    with pytest.raises(ValueError, match="mu"):
-        scan_combination(comb, res.grid, mu=mu)
-
-
-@pytest.mark.parametrize("mu", [1.0, 3.0])
-def test_optimize_reads_the_results_mu(mu):
-    """optimize takes mu from the result, so it reproduces the scan's own
-    optima; at mu = 3, a fixed 1.3 picks another min_eta_u cell."""
-    res = scan_combination(Combination("basic", 1, "supg", "rk"),
-                           ScanGrid.default(grid_ratio=1.1, theta_samples=30), mu=mu)
-    for strategy, opt in res.optima.items():
-        pick = optimize(res, strategy)
-        assert list(pick) == ["cfl", "delta", "objective", "monotone_safe"], strategy
-        assert (pick["cfl"], pick["delta"]) == (opt["cfl"], opt["delta"]), strategy
-        assert pick["monotone_safe"] == opt["monotone_safe"], strategy
-        a, b = pick["objective"], opt["objective"]
-        assert a == b or math.isnan(a) and math.isnan(b), strategy
 
 
 def test_monotone_safety_flags_stripe():
@@ -570,7 +543,7 @@ def test_to_json_matches_indented_json_dumps():
     payload = {
         "combination": vars(res.combination),
         "convention": "cell",
-        "mu": res.mu,
+        "mu": MU,
         "cfl_values": res.cfl_values.tolist(),
         "delta_values": res.delta_values.tolist(),
         "theta_samples": res.grid.theta_samples,

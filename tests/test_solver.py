@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cgstab.fluxes import LinearAdvection
 from cgstab.problems import burgers_problem, linear_advection_problem
 from cgstab.solver import (
     BlowUp,
@@ -181,7 +184,8 @@ def test_stalled_time_is_a_blowup():
 
 
 def test_zero_wave_speed_steps_to_t_final():
-    problem = linear_advection_problem(a=0.0, t_final=0.8)
+    problem = dataclasses.replace(linear_advection_problem(t_final=0.8), flux=LinearAdvection(0.0),
+                                  exact=lambda x, t: 0.1 * np.sin(np.pi * np.asarray(x)))
     run = run_simulation(problem, "basic", 2, StabilizationSpec("cip", 0.1), "rk", 0.5, 10)
     U0 = run.system.interpolate(problem.exact, 0.0)
     assert run.n_steps == 1
@@ -219,14 +223,19 @@ def test_an_oversized_mesh_raises_before_it_is_built(monkeypatch):
 
 def test_an_oversized_level_is_refused_before_any_level_runs(monkeypatch):
     """At most 50 cells: the 80-cell level of dx1 (0.1, 0.05, 0.025) on
-    [0, 2] is refused before the 20- and 40-cell levels run."""
+    [0, 2] is refused before the 20- and 40-cell levels run, and a subnormal
+    dx1, whose cell count is infinite, before any level."""
     import cgstab.solver as solver
 
     runs = []
     monkeypatch.setattr(solver, "MAX_CELLS", 50)
     monkeypatch.setattr(solver, "run_simulation", lambda *args: runs.append(args))
-    with pytest.raises(ValueError, match=r"at most 50 cells, got cell counts \[20, 40, 80\]"):
+    with pytest.raises(ValueError, match="at most 50 cells, got 80 at dx1 = 0.025"):
         convergence_study(linear_advection_problem(t_final=0.2), "cubature", 1,
                           StabilizationSpec("cip", 0.094), "ssprk", 1.0,
                           dx1_values=(0.1, 0.05, 0.025))
+    with pytest.raises(ValueError, match="at most 50 cells, got inf at dx1 = 5e-324"):
+        convergence_study(linear_advection_problem(t_final=0.2), "cubature", 1,
+                          StabilizationSpec("cip", 0.094), "ssprk", 1.0,
+                          dx1_values=(5e-324, 1e-3, 1e-4))
     assert runs == []

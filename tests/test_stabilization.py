@@ -26,7 +26,6 @@ from cgstab.stabilization import (
     StabilizationSpec,
     _Inverse,
     assemble_system,
-    semi_discrete_energy_rate,
     tau_cell,
 )
 
@@ -137,7 +136,7 @@ def test_energy_rate_sign_property(family, degree, kind, delta, a, n, seed):
     """Galerkin conserves the discrete energy; CIP and LPS only dissipate it."""
     system = make_system(family, degree, kind, delta, n=n, flux=LinearAdvection(a))
     U = np.random.default_rng(seed).normal(size=system.n_nodes)
-    rate = semi_discrete_energy_rate(system, U)
+    rate = U @ system.residual(U)
     if kind == "none":
         assert abs(rate) <= 1e-10 * (U @ U)
     else:
@@ -294,7 +293,7 @@ def test_energy_rate_none_zero():
     system = make_system("basic", 3, "none", 0.0)
     rng = np.random.default_rng(4)
     U = rng.normal(size=system.n_nodes)
-    assert abs(semi_discrete_energy_rate(system, U)) < 1e-12 * (U @ U)
+    assert abs(U @ system.residual(U)) < 1e-12 * (U @ U)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -305,7 +304,7 @@ def test_energy_rate_nonpositive(family, degree, kind):
     rng = np.random.default_rng(degree + len(kind))
     for _ in range(100):
         U = rng.normal(size=system.n_nodes)
-        assert semi_discrete_energy_rate(system, U) <= 1e-12 * (U @ U)
+        assert U @ system.residual(U) <= 1e-12 * (U @ U)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -411,7 +410,7 @@ def test_energy_rate_cip_matches_jump_sum():
     system = make_system("basic", 2, "cip", 0.41, n=6)
     rng = np.random.default_rng(12)
     U = rng.normal(size=system.n_nodes)
-    rate = semi_discrete_energy_rate(system, U)
+    rate = U @ system.residual(U)
     # independent evaluation of -sum_f tau [u_x]^2
     dx = system.mesh.dx
     tau = 0.41 * dx**2
@@ -426,7 +425,7 @@ def test_energy_rate_lps_matches_projection_defect():
     system = make_system("cubature", 3, "lps", 0.27, n=6)
     rng = np.random.default_rng(13)
     U = rng.normal(size=system.n_nodes)
-    rate = semi_discrete_energy_rate(system, U)
+    rate = U @ system.residual(U)
     dx = system.mesh.dx
     tau = 0.27 * dx
     W = system.project_gradient(U)[:, 0]
@@ -437,12 +436,6 @@ def test_energy_rate_lps_matches_projection_defect():
     w = system.ref.quad_weights
     defect = dx * np.sum(w[None, :] * (ux - wq) ** 2)
     assert rate == pytest.approx(-tau * defect, rel=1e-10, abs=1e-12)
-
-
-def test_energy_rate_rejects_supg():
-    system = make_system("basic", 1, "supg", 0.3)
-    with pytest.raises(ValueError):
-        semi_discrete_energy_rate(system, np.ones(system.n_nodes))
 
 
 def test_supg_mass_block_included():
