@@ -15,7 +15,7 @@ import numpy as np
 from cgstab import build_reference_element
 from cgstab.fluxes import LinearAdvection
 from cgstab.fourier import amplification_matrix, eigvals_batched, phase_damping, principal_mode
-from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
+from cgstab.stabilization import DiscreteSystem, Mesh1D, StabilizationSpec
 from cgstab.timeint import make_scheme
 
 rng = np.random.default_rng(1)
@@ -27,7 +27,7 @@ for family in ("basic", "cubature", "bernstein"):
         for kind, delta in (("none", 0.0), ("supg", 0.3), ("cip", 0.1), ("lps", 0.2)):
             for scheme_kind in ("rk", "ssprk", "dec"):
                 mesh = Mesh1D(0.0, n_cells * dx, n_cells, "periodic")
-                system = assemble_system(mesh, build_reference_element(family, p),
+                system = DiscreteSystem(mesh, build_reference_element(family, p),
                                          StabilizationSpec(kind, delta), LinearAdvection(a))
                 m = int(rng.integers(1, 8))
                 theta = 2 * np.pi * m / n_cells

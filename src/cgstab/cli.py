@@ -33,9 +33,9 @@ from .fourier import phase_damping, principal_mode, semidiscrete_modes
 from .problems import PROBLEMS, NoConvergence
 from .scan import (MAX_THETA_SAMPLES, STRATEGIES, Combination, ScanGrid, _mode_fields,
                    scan_combination)
-from .solver import MAX_CELLS, BlowUp, convergence_study, run_simulation
+from .solver import MAX_CELLS, convergence_study, run_simulation
 from .stabilization import STAB_KINDS, StabilizationSpec
-from .timeint import SCHEME_KINDS
+from .timeint import SCHEME_KINDS, BlowUp
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -31,6 +31,7 @@ import numpy as np
 
 from .fourier import (_ELIDE_VALUES, _dec_cfl_polynomial, eigvals_batched,
                       phase_damping, principal_mode, symbol_builder)
+from .stabilization import MAX_DELTA
 from .timeint import expand_ssprk_coefficients, make_scheme
 
 K_MAX = 2.0 * np.pi / 3.0
@@ -40,9 +41,10 @@ MAX_SCAN_CELLS = 10**7      # 15x the largest scan in use, 602 x 1,065 cells at 
 MAX_THETA_SAMPLES = 2000    # 10x the 200 samples of cgstab modes
 STRATEGIES = ("max_cfl", "min_eta_u", "min_eta_w")   # the optima, in optimize.csv order
 MU = 1.3    # the eta strategies' tolerance: eta <= MU * min(eta)
+MAX_CFL = 1e6   # far above the default grid's 4, below where the eps test degrades (1e13)
 
 
-def geometric_grid(lo, hi, ratio=1.03):
+def geometric_grid(lo, hi, ratio):
     """Geometric grid ratio^n covering [lo, hi], anchored at 1.  A grid of
     more than MAX_SCAN_CELLS values raises ValueError before it is built."""
     if not (np.isfinite([lo, hi, ratio]).all() and ratio > 1.0 and hi > lo > 0.0):
@@ -60,13 +62,16 @@ class ScanGrid:
 
     cfl_values: np.ndarray
     delta_values: np.ndarray
-    theta_samples: int = 100
+    theta_samples: int
 
     def __post_init__(self):
-        for vals in (self.cfl_values, self.delta_values):
+        for name, vals, ceiling in (("cfl", self.cfl_values, MAX_CFL),
+                                    ("delta", self.delta_values, MAX_DELTA)):
             v = np.asarray(vals, dtype=float)
             if v.ndim != 1 or len(v) == 0 or np.any(np.diff(v) <= 0) or v[0] <= 0:
                 raise ValueError("grids must be strictly increasing and positive")
+            if not v[-1] <= ceiling:
+                raise ValueError(f"{name} grid values must be at most {ceiling:g}, got {v[-1]}")
         if not 2 <= self.theta_samples <= MAX_THETA_SAMPLES:
             raise ValueError(f"need 2 to {MAX_THETA_SAMPLES} wavenumber samples, "
                              f"got {self.theta_samples}")
@@ -118,8 +123,8 @@ class ScanResult:
             "combination": vars(self.combination),
             "convention": "cell",   # the CFL is per cell; the field keeps the file's bytes
             "mu": MU,
-            "cfl_values": self.cfl_values.tolist(),
-            "delta_values": self.delta_values.tolist(),
+            "cfl_values": self.grid.cfl_values.tolist(),
+            "delta_values": self.grid.delta_values.tolist(),
             "theta_samples": self.grid.theta_samples,
             **{key: "@" + key for key in rows},
             "optima": self.optima,
@@ -136,22 +141,15 @@ class ScanResult:
             fh.write("\n  ]\n ]")
         fh.write(text + "\n")
 
-    @property
-    def cfl_values(self):
-        return self.grid.cfl_values
-
-    @property
-    def delta_values(self):
-        return self.grid.delta_values
-
     def mask_csv(self, fh):
         """Write the mask CSV, one line per cell, to the text stream ``fh``,
         one CFL row at a time, so the text held in memory is one row
         whatever the grid."""
         fh.write(f"# {self.combination.label()}\n# convention=cell\n"
                  "cfl,delta,stable,eta_u,eta_w\n")
-        deltas = [f"{d:.12g}" for d in self.delta_values.tolist()]
-        for cfl, st, eu, ew in zip(self.cfl_values.tolist(), self.stable, self.eta_u, self.eta_w):
+        deltas = [f"{d:.12g}" for d in self.grid.delta_values.tolist()]
+        for cfl, st, eu, ew in zip(self.grid.cfl_values.tolist(), self.stable, self.eta_u,
+                                   self.eta_w):
             fh.write(_csv_row(cfl, deltas, st, eu, ew))
 
 
@@ -367,7 +365,7 @@ def optimize(result, strategy):
     stable = result.stable
     if not stable.any():
         return None
-    cfls, deltas = result.cfl_values, result.delta_values
+    cfls, deltas = result.grid.cfl_values, result.grid.delta_values
     if strategy == "max_cfl":   # every stable cell is feasible, at one flat objective
         field, feasible = np.broadcast_to(0.0, stable.shape), stable
     else:
@@ -392,6 +390,6 @@ def monotone_safety_check(result, cfl, delta):
     False flags stripe or box shaped stable regions whose optimum cannot
     be reached by lowering the CFL.
     """
-    j = int(np.argmin(np.abs(result.delta_values - delta)))
-    rows = result.cfl_values <= cfl * (1 + 1e-12)
+    j = int(np.argmin(np.abs(result.grid.delta_values - delta)))
+    rows = result.grid.cfl_values <= cfl * (1 + 1e-12)
     return bool(result.stable[rows, j].all())

@@ -3,7 +3,7 @@ import numpy as np
 from cgstab import build_reference_element
 from cgstab.fluxes import LinearAdvection
 from cgstab.fourier import amplification_matrix
-from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
+from cgstab.stabilization import DiscreteSystem, Mesh1D, StabilizationSpec
 from cgstab.timeint import SCHEME_KINDS, make_scheme
 
 ALL_FAMILIES = ("basic", "cubature", "bernstein")
@@ -33,7 +33,7 @@ def one_step_reduced(family, p, stab_kind, delta, scheme_kind, mode_index,
     mesh = Mesh1D(0.0, n_cells * dx, n_cells, "periodic")
     ref = build_reference_element(family, p)
     stab = StabilizationSpec(stab_kind, delta)
-    system = assemble_system(mesh, ref, stab, LinearAdvection(a))
+    system = DiscreteSystem(mesh, ref, stab, LinearAdvection(a))
     theta = 2.0 * np.pi * mode_index / n_cells
     U = fourier_mode_state(system, theta, u_red)
     dt = cfl * mesh.dx / abs(a)

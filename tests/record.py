@@ -38,9 +38,12 @@ if __name__ in ("__main__", "__mp_main__"):
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
-from cgstab import (BlowUp, ScanGrid, StabilizationSpec, burgers_problem, cli,  # noqa: E402
-                    linear_advection_problem, run_simulation, scan_combination,
-                    shallow_water_problem)
+from cgstab import (burgers_problem, cli, linear_advection_problem,  # noqa: E402
+                    scan_combination, shallow_water_problem)
+from cgstab.scan import ScanGrid  # noqa: E402
+from cgstab.solver import run_simulation  # noqa: E402
+from cgstab.stabilization import StabilizationSpec  # noqa: E402
+from cgstab.timeint import BlowUp  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 HEADERS = {

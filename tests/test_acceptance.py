@@ -204,7 +204,7 @@ def test_criterion_3_cfl_calibration_and_table_points():
 def test_criterion_4_dec_equals_rk_for_diagonal_mass():
     started = time.perf_counter()
     from cgstab.fluxes import LinearAdvection
-    from cgstab.stabilization import Mesh1D, assemble_system
+    from cgstab.stabilization import DiscreteSystem, Mesh1D
 
     worst = 0.0
     rng = np.random.default_rng(4)
@@ -212,7 +212,7 @@ def test_criterion_4_dec_equals_rk_for_diagonal_mass():
         for kind, delta in (("none", 0.0), ("cip", 0.11), ("lps", 0.23)):
             mesh = Mesh1D(0.0, 2.0, 9, "periodic")
             ref = build_reference_element("cubature", degree)
-            system = assemble_system(mesh, ref, StabilizationSpec(kind, delta),
+            system = DiscreteSystem(mesh, ref, StabilizationSpec(kind, delta),
                                      LinearAdvection(1.0))
             cfg = DEC_CONFIGS[degree + 1]
             tableau = dec_equivalent_butcher(cfg)
@@ -325,7 +325,7 @@ def test_criterion_8_property_suites():
     from cgstab.elements import local_matrices
     from cgstab.fluxes import LinearAdvection
     from cgstab.fourier import eigvals_batched, _char_residual
-    from cgstab.stabilization import Mesh1D, assemble_system
+    from cgstab.stabilization import DiscreteSystem, Mesh1D
 
     # partition of unity + mass structure across the element matrix
     for family in ALL_FAMILIES:
@@ -344,7 +344,7 @@ def test_criterion_8_property_suites():
         for degree in ALL_DEGREES:
             for kind, delta in ALL_STABS:
                 mesh = Mesh1D(0.0, 2.0, 8, "periodic")
-                system = assemble_system(mesh, build_reference_element(family, degree),
+                system = DiscreteSystem(mesh, build_reference_element(family, degree),
                                          StabilizationSpec(kind, delta), LinearAdvection(1.0))
                 U = rng.normal(size=system.n_nodes)
                 r = system.residual(U)

@@ -23,7 +23,7 @@ def _load_spans():
 
 def test_every_name_the_tracer_patches_resolves_and_is_restored():
     patched = [(scan, "_mode_fields"), (scan, "_dec_cfl_polynomial"), (scan, "eigvals_batched"),
-               (cli, "scan_combination")]
+               (cli, "scan_combination"), (solver, "assemble_system")]
     before = [getattr(owner, attr) for owner, attr in patched]
     to_json = vars(scan.ScanResult)["to_json"]
     residual = vars(stabilization.DiscreteSystem)["residual"]

@@ -1,8 +1,10 @@
+import ast
 import concurrent.futures
 import errno
 import itertools
 import json
 import shlex
+import types
 import warnings
 from pathlib import Path
 
@@ -443,6 +445,41 @@ def test_non_finite_delta_is_config_error(tmp_path, capsys, command, stab, delta
     assert not (tmp_path / "out").exists()
 
 
+HUGE_DELTA = {"delta_max": 1e300, "grid_ratio": 1e300}     # the delta grid [1, 1e300]
+HUGE_CFL = {"cfl_max": 1e300, "grid_ratio": 1e300}         # the cfl grid [1, 1e300]
+
+
+@pytest.mark.parametrize("command,stab,time,cfg,flags", [
+    ("scan", "supg", "dec", HUGE_DELTA, []),
+    ("scan", "lps", "dec", HUGE_DELTA, []),
+    ("scan", "cip", "ssprk", HUGE_DELTA, []),
+    ("scan", "none", "rk", HUGE_CFL, []),
+    ("scan", "none", "dec", HUGE_CFL, []),
+    ("solve", "cip", "ssprk", {}, ["--delta", "1e300"]),
+    ("convergence", "cip", "ssprk", {}, ["--delta", "1e300"]),
+])
+def test_cfl_or_delta_past_its_ceiling_is_config_error(tmp_path, command, stab, time, cfg, flags):
+    """A cfl past scan.MAX_CFL or a delta past stabilization.MAX_DELTA is
+    refused before it can overflow the symbols, the bound or the residual."""
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    rc = run_cli([command, "--stab", stab, "--time", time, "--config", str(tmp_path / "c.json"),
+                  *flags, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,cfg,code", [
+    ("scan", {"cfl_max": 1e6, "delta_max": 1e6, "grid_ratio": 1e6}, cli.EXIT_NO_STABLE),
+    ("solve", {"stab": "cip", "delta": 1e6}, cli.EXIT_NUMERIC),
+])
+def test_cfl_and_delta_at_their_ceilings_run(tmp_path, command, cfg, code):
+    """The ceilings themselves are accepted, and the run ends in a classified
+    exit without a floating-point warning."""
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", str(tmp_path / "c.json"),
+                    "--out", str(tmp_path / "out")]) == code
+
+
 @pytest.mark.parametrize("command,n", [("scan", "0"), ("scan", "-3"), ("scan", "1"),
                                        ("modes", "0"), ("modes", "-3")])
 def test_too_few_wavenumber_samples_is_config_error(tmp_path, command, n):
@@ -477,6 +514,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("modes", {"degree": 2.9, "semi_discrete": True}),
     ("modes", {"degree": True, "semi_discrete": True}),
     ("modes", {"semi_discrete": "no"}),
+    ("modes", {"family": "lagrange"}),   # outside the flag's choices
     ("modes", {"cfl": "0.5"}),
     ("modes", {"out": 3, "semi_discrete": True}),
     ("modes", 3),
@@ -656,6 +694,20 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(_readme_block("Quick start", "python"), "README.md", "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert abs(float(out[-1]) - 3.0) < 0.25
+
+
+def test_package_root_exports_what_the_quick_start_and_demos_import():
+    """The root's public names, beside its submodules, are exactly the names
+    the Quick start block and the demos import from cgstab."""
+    import cgstab
+    texts = [_readme_block("Quick start", "python")]
+    texts += [path.read_text() for path in (README.parent / "demos").glob("*.py")]
+    imported = {alias.name for text in texts for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.ImportFrom) and node.module == "cgstab"
+                for alias in node.names}
+    exported = {name for name, value in vars(cgstab).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == imported
 
 
 def test_readme_options_table_is_cli_options():

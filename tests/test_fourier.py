@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgstab import build_reference_element, local_matrices
+from cgstab import build_reference_element
+from cgstab.elements import local_matrices
 from cgstab.fourier import (
     SymbolBuilder,
     _char_residual,

@@ -1,6 +1,10 @@
 """The comparison of ``tests/record.py --check``, and the README's quotes of tests/data."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,34 @@ def test_check_fails_on_a_moved_count_byte_value_or_outcome(name, old, new):
 ])
 def test_check_counts_a_line_whose_values_agree_as_hash_only(name, old, new):
     assert compare(name, old, new) == ([], 1)
+
+
+# prints the modes and states digest lines of record.runs(), in order
+_MODES_AND_STATES = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("record", sys.argv[1])
+record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(record)
+print(json.dumps([line for fn, args in record.runs()
+                  if fn in (record.modes_lines, record.state_lines) for line in fn(*args)]))
+"""
+
+
+def test_modes_and_states_match_their_contracts():
+    """The 144 ``cgstab modes`` runs and 324 time-domain runs of ``record.py
+    --check``, in one process pinned to one BLAS thread as the recorder is:
+    no count, exit code or value moves from tests/data."""
+    path = os.pathsep.join([str(HERE.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", _MODES_AND_STATES, str(HERE / "record.py")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    files = {name: [record.HEADERS[name]] for name in ("modes_digest.csv", "states_digest.csv")}
+    for name, line in json.loads(out):
+        files[name].append(line)
+    new = {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
+    report = record.compare({name: (HERE / "data" / name).read_text() for name in new}, new)
+    assert {name: differ for name, (differ, _) in report.items()} == {name: [] for name in new}
 
 
 # README, "Known fault: low-CFL DeC cells marked unstable"

@@ -32,17 +32,21 @@ SMALL = ScanGrid(geometric_grid(0.05, 1.8, ratio=1.06), geometric_grid(0.02, 0.8
 
 
 def test_geometric_grid_properties():
-    g = geometric_grid(0.01, 4.0)
+    g = geometric_grid(0.01, 4.0, 1.03)
     assert np.all(np.diff(g) > 0)
     assert g[0] >= 0.01 / 1.03 and g[-1] <= 4.0 * 1.03
     assert np.any(np.isclose(g, 1.0))  # anchored at one
     with pytest.raises(ValueError):
-        geometric_grid(1.0, 0.1)
+        geometric_grid(1.0, 0.1, 1.03)
 
 
 def test_scan_grid_validation():
     with pytest.raises(ValueError):
-        ScanGrid(np.array([0.5, 0.4]), np.array([0.1]))
+        ScanGrid(np.array([0.5, 0.4]), np.array([0.1]), 100)
+    with pytest.raises(ValueError, match="cfl grid values must be at most 1e"):
+        ScanGrid(np.array([1.0, 1e150, 1e300]), np.array([0.01]), 12)
+    with pytest.raises(ValueError, match="delta grid values must be at most 1e"):
+        ScanGrid(np.array([1.0]), np.array([0.01, 1e150]), 12)
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])
@@ -63,7 +67,7 @@ def test_an_oversized_scan_grid_raises_before_it_is_built(monkeypatch):
         ScanGrid(np.array([0.5]), np.array([0.1]), 2001)
     monkeypatch.setattr(scan, "MAX_SCAN_CELLS", 201)
     with pytest.raises(ValueError, match="202 grid values exceed the 201 scan cells"):
-        geometric_grid(0.01, 4.0)
+        geometric_grid(0.01, 4.0, 1.03)
 
 
 @pytest.mark.parametrize("p,n,mirrors", [(1, 100, 0), (2, 100, 25), (3, 100, 49),
@@ -180,9 +184,9 @@ def test_monotone_safety_flags_stripe():
     comb = Combination("cubature", 2, "supg", "dec")
     grid = ScanGrid(geometric_grid(0.01, 1.2, ratio=1.05), np.array([0.081]), 48)
     res = scan_combination(comb, grid)
-    i = int(np.argmin(np.abs(res.cfl_values - 1.0)))
+    i = int(np.argmin(np.abs(res.grid.cfl_values - 1.0)))
     assert res.stable[i, 0]
-    assert not monotone_safety_check(res, res.cfl_values[i], 0.081)
+    assert not monotone_safety_check(res, res.grid.cfl_values[i], 0.081)
 
 
 def test_monotone_safety_truncated_grid():
@@ -512,7 +516,7 @@ def test_low_cfl_cubature_dec_is_stable():
     and delta = 1e-4 both LAPACK and the RK polynomial give |lambda| - 1
     <= 1e-15, so every one of these cells is stable."""
     default = ScanGrid.default()
-    grid = ScanGrid(default.cfl_values[:14], default.delta_values[:1])
+    grid = ScanGrid(default.cfl_values[:14], default.delta_values[:1], 100)
     assert scan_combination(Combination("cubature", 3, "lps", "dec"), grid).stable.all()
 
 
@@ -544,8 +548,8 @@ def test_to_json_matches_indented_json_dumps():
         "combination": vars(res.combination),
         "convention": "cell",
         "mu": MU,
-        "cfl_values": res.cfl_values.tolist(),
-        "delta_values": res.delta_values.tolist(),
+        "cfl_values": res.grid.cfl_values.tolist(),
+        "delta_values": res.grid.delta_values.tolist(),
         "theta_samples": res.grid.theta_samples,
         "stable": res.stable.astype(int).tolist(),
         "eta_u": clean(res.eta_u),

@@ -21,11 +21,11 @@ from cgstab.solver import build_problem_system
 from cgstab.timeint import BlowUp
 from cgstab.stabilization import (
     _SPLU_OPTIONS,
+    DiscreteSystem,
     Mesh1D,
     Operators,
     StabilizationSpec,
     _Inverse,
-    assemble_system,
     tau_cell,
 )
 
@@ -36,7 +36,7 @@ def make_system(family="basic", p=1, kind="none", delta=0.0, n=8,
                 boundary="periodic", flux=None, bc=None):
     mesh = Mesh1D(0.0, 2.0, n, boundary)
     ref = build_reference_element(family, p)
-    return assemble_system(mesh, ref, StabilizationSpec(kind, delta),
+    return DiscreteSystem(mesh, ref, StabilizationSpec(kind, delta),
                            flux or LinearAdvection(1.0), bc=bc)
 
 
@@ -75,6 +75,15 @@ def test_mesh_dof_counts():
     assert Mesh1D(0, 1, 10, "dirichlet").n_nodes(3) == 31
     with pytest.raises(ValueError):
         Mesh1D(0, 1, 10, "neumann")
+
+
+def test_an_inconsistent_setup_raises():
+    with pytest.raises(ValueError, match="unknown stabilization 'upwind'"):
+        StabilizationSpec("upwind", 0.1)
+    with pytest.raises(ValueError, match="Dirichlet mesh needs boundary data"):
+        make_system(boundary="dirichlet")
+    with pytest.raises(ValueError, match="only defined for LPS"):
+        make_system(kind="cip", delta=0.1).project_gradient(np.zeros(8))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -205,7 +214,7 @@ SCALES = [1e-3, 1.0, 20.0, 1e3]
 def test_cubature_p3_mass_is_divided_at_every_scale(dx, boundary):
     """The diagonal test is relative to the diagonal, so no dx factorizes
     the collocated mass (off-diagonals of about 1.8e-16 dx)."""
-    system = assemble_system(Mesh1D(0.0, 10 * dx, 10, boundary),
+    system = DiscreteSystem(Mesh1D(0.0, 10 * dx, 10, boundary),
                              build_reference_element("cubature", 3),
                              StabilizationSpec("cip", 0.01), ShallowWater(),
                              bc=lambda t: (np.array([1.0, 0.0]), np.array([1.0, 0.0])))
@@ -218,7 +227,7 @@ def test_cubature_p3_mass_is_divided_at_every_scale(dx, boundary):
 
 @pytest.mark.parametrize("dx", SCALES)
 def test_basic_p1_mass_factorizes_once_at_every_scale(dx):
-    system = assemble_system(Mesh1D(0.0, 10 * dx, 10), build_reference_element("basic", 1),
+    system = DiscreteSystem(Mesh1D(0.0, 10 * dx, 10), build_reference_element("basic", 1),
                              StabilizationSpec("none"), LinearAdvection(1.0))
     b = np.random.default_rng(32).normal(size=system.n_nodes)
     for _ in range(2):
@@ -555,7 +564,7 @@ def test_residual_matches_element_loop_reference(family, degree, kind, delta):
             for flux, U, bc in _flux_cases(rng, n_nodes):
                 mesh = Mesh1D(0.0, 2.0, n, boundary)
                 stab = StabilizationSpec(kind, delta_b)
-                system = assemble_system(mesh, build_reference_element(family, degree), stab,
+                system = DiscreteSystem(mesh, build_reference_element(family, degree), stab,
                                          flux, bc=bc if boundary == "dirichlet" else None)
                 new = system.residual(U, 0.37)
                 ref = reference_residual(system, U, 0.37)
@@ -701,7 +710,7 @@ _LAZY_LU_SCRIPT = textwrap.dedent("""
     from cgstab.fluxes import LinearAdvection
     from cgstab.problems import PROBLEMS
     from cgstab.solver import run_simulation
-    from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
+    from cgstab.stabilization import DiscreteSystem, Mesh1D, StabilizationSpec
 
     def loaded():
         return [name in sys.modules for name in ("scipy.sparse", "scipy.sparse.linalg")]
@@ -719,7 +728,7 @@ _LAZY_LU_SCRIPT = textwrap.dedent("""
     run_simulation(PROBLEMS["advection"](), "cubature", 2, StabilizationSpec("lps", 0.04),
                    "ssprk", 0.5, 20)
     seen["run"] = loaded()
-    system = assemble_system(Mesh1D(0.0, 1.0, 12), build_reference_element("basic", 2),
+    system = DiscreteSystem(Mesh1D(0.0, 1.0, 12), build_reference_element("basic", 2),
                              StabilizationSpec("lps", 0.1), LinearAdvection(1.0))
     U = np.sin(2 * np.pi * np.arange(system.n_nodes) / system.n_nodes)
     W = system.project_gradient(U)[:, 0]

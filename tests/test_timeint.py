@@ -8,12 +8,13 @@ from cgstab import build_reference_element
 from cgstab.fluxes import LinearAdvection
 from cgstab.problems import burgers_problem, shallow_water_problem
 from cgstab.solver import build_problem_system
-from cgstab.stabilization import Mesh1D, StabilizationSpec, assemble_system
+from cgstab.stabilization import DiscreteSystem, Mesh1D, StabilizationSpec
 from cgstab.timeint import (
     BlowUp,
     DEC_CONFIGS,
     RK_TABLEAUX,
     SSPRK_TABLEAUX,
+    ShuOsherTableau,
     dec_equivalent_butcher,
     dec_step,
     expand_ssprk_coefficients,
@@ -263,7 +264,7 @@ def test_dec_iterate_gain_order():
 def _advection_system(family, p, kind, delta, n=8):
     mesh = Mesh1D(0.0, 2.0, n, "periodic")
     ref = build_reference_element(family, p)
-    return assemble_system(mesh, ref, StabilizationSpec(kind, delta), LinearAdvection(1.0))
+    return DiscreteSystem(mesh, ref, StabilizationSpec(kind, delta), LinearAdvection(1.0))
 
 
 @pytest.mark.parametrize("kind,delta", [("none", 0.0), ("cip", 0.11), ("lps", 0.2)])
@@ -388,3 +389,5 @@ def test_make_scheme_validation():
         make_scheme("leapfrog", 2)
     with pytest.raises(ValueError):
         make_scheme("rk", 7)
+    with pytest.raises(ValueError, match="inconsistent tableau"):   # gamma's row sums to 0.5
+        expand_ssprk_coefficients(ShuOsherTableau(((0.5,),), ((1.0,),)))
