@@ -64,7 +64,8 @@ def test_modes_and_states_match_their_contracts():
         files[name].append(line)
     new = {name: "".join(line + "\n" for line in lines) for name, lines in files.items()}
     report = record.compare({name: (HERE / "data" / name).read_text() for name in new}, new)
-    assert {name: differ for name, (differ, _) in report.items()} == {name: [] for name in new}
+    for name, (differ, _) in report.items():
+        assert not differ, "\n".join([name, *differ])
 
 
 # README, "Known fault: low-CFL DeC cells marked unstable"
